@@ -89,22 +89,19 @@ SETUP_CODE = (
 
 
 def measure_setup(name: str) -> float:
-    """Median time from starting an interpreter until the workload's
-    first query could run: importing gvlam, loading the theory and
-    building the model.  Input generation is not part of it."""
-    times = []
-    for _ in range(SETUP_REPS):
-        t0 = time.perf_counter()
-        proc = subprocess.Popen(
-            [sys.executable, "-c", SETUP_CODE, str(SRC), str(BENCH), name],
-            cwd=ROOT, env=child_env(), stdout=subprocess.PIPE, text=True)
-        line = proc.stdout.readline()
-        t1 = time.perf_counter()
-        proc.stdout.close()
-        if proc.wait(timeout=120) != 0 or line.strip() != "ready":
-            raise RuntimeError(f"set-up of {name} failed")
-        times.append(t1 - t0)
-    return statistics.median(times)
+    """Time from starting an interpreter until the workload's first query
+    could run: importing gvlam, loading the theory and building the
+    model.  Input generation is not part of it."""
+    t0 = time.perf_counter()
+    proc = subprocess.Popen(
+        [sys.executable, "-c", SETUP_CODE, str(SRC), str(BENCH), name],
+        cwd=ROOT, env=child_env(), stdout=subprocess.PIPE, text=True)
+    line = proc.stdout.readline()
+    t1 = time.perf_counter()
+    proc.stdout.close()
+    if proc.wait(timeout=120) != 0 or line.strip() != "ready":
+        raise RuntimeError(f"set-up of {name} failed")
+    return t1 - t0
 
 
 def import_times() -> dict:
@@ -135,9 +132,11 @@ def import_times() -> dict:
 # ---------------------------------------------------------------------------
 # The closed loop
 
-def run_rounds(wl, state, seed: int, seconds: float, tracer):
+def run_rounds(wl, state, seed: int, seconds: float, tracer,
+               between=lambda done: None):
     """Run rounds until the timed work reaches `seconds`; with a tracer,
-    odd rounds run traced.  Returns the per-query records, the round walls
+    odd rounds run traced.  `between` is called before each round with
+    the timed work so far.  Returns the per-query records, the round walls
     by traced flag, the query labels, the failures and the round count."""
     import workloads
 
@@ -147,6 +146,7 @@ def run_rounds(wl, state, seed: int, seconds: float, tracer):
     qid = r = 0
     while r < (2 if trace else 1) or sum(map(sum, walls.values())) < seconds:
         traced = trace and r % 2 == 1
+        between(sum(map(sum, walls.values())))
         queries = wl.round(state, seed, r)
         labels += [q.label for q in queries]
         if traced:
@@ -256,7 +256,15 @@ def main(argv=None) -> int:
     wl = workloads.WORKLOADS[args.workload]
     trace = bool(args.trace)
 
-    setup_s = None if trace else measure_setup(wl.name)
+    # Set-up is measured SETUP_REPS times, spread over the run so that
+    # its median samples the host's speed at several moments.
+    setup_times = []
+
+    def between(done):
+        if not trace and len(setup_times) < SETUP_REPS and \
+                done >= len(setup_times) * args.seconds / SETUP_REPS:
+            setup_times.append(measure_setup(wl.name))
+
     tracer = None
     if trace:
         # The in-process set-up runs traced, so theory loading and its
@@ -271,7 +279,9 @@ def main(argv=None) -> int:
             tracer.uninstall()
     wl.warmup(state)
     records, walls, labels, failures, rounds = run_rounds(
-        wl, state, args.seed, args.seconds, tracer)
+        wl, state, args.seed, args.seconds, tracer, between)
+    while not trace and len(setup_times) < SETUP_REPS:
+        setup_times.append(measure_setup(wl.name))
 
     peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     info = {
@@ -287,7 +297,9 @@ def main(argv=None) -> int:
         info["absent_targets"] = tracer.absent
         info["traced_queries"] = sum(r["traced"] for r in records)
     else:
-        metrics, tail = end_to_end(records, walls, setup_s, peak_rss_mb)
+        metrics, tail = end_to_end(records, walls,
+                                   statistics.median(setup_times),
+                                   peak_rss_mb)
         info.update(tail)
     units = declared_metrics(trace)
     if set(metrics) != set(units):
