@@ -10,8 +10,9 @@ Subcommands tie theories, terms, proof scripts, and models together:
     gvlam oracle {perms,tv,shuffles,nonexpansive} ...
 
 Exit codes: 0 success, 1 type error, 2 proof error, 3 synthesis failure,
-4 model violation, 64 usage, 65 parse or I/O error.  All reports iterate in
-sorted order so output is byte-identical across runs.
+4 model violation, 64 usage, 65 parse or I/O error or input nested too
+deeply.  All reports iterate in sorted order so output is byte-identical
+across runs.
 """
 
 from __future__ import annotations
@@ -425,6 +426,9 @@ def main(argv=None) -> int:
     except (ParseError, ScriptError, TheoryError, SyntaxError_,
             OSError) as exc:
         print(f"gvlam: error: {exc}", file=sys.stderr)
+        return EXIT_IO
+    except RecursionError:
+        print("gvlam: error: input is nested too deeply", file=sys.stderr)
         return EXIT_IO
     except TypeError_ as exc:
         print(f"gvlam: type error: {exc}", file=sys.stderr)

@@ -269,21 +269,23 @@ class ModelAssignment:
         return interp_type(self, ty)
 
     def op(self, name):
+        checked = self._checked.get(name)
+        if checked is not None:
+            return checked
         sort = self.sig.lookup(name)
         if sort is None:
             raise ModelError(f"operation {name} not in the signature")
         fn = self._op_fn(name)
         if fn is None:
             raise ModelError(f"model does not interpret operation {name}")
-        if name not in self._checked:
-            arg_types, result = sort
-            doms = [self.space(a) for a in arg_types]
-            cod = self.space(result)
-            dom = ProductSpace(doms)
-            table = {pt: fn(*pt) for pt in dom.points}
-            MetMap(dom, cod, table)  # non-expansiveness asserted here
-            self._checked[name] = (doms, cod, fn)
-        return self._checked[name][2]
+        arg_types, result = sort
+        doms = [self.space(a) for a in arg_types]
+        cod = self.space(result)
+        dom = ProductSpace(doms)
+        table = {pt: fn(*pt) for pt in dom.points}
+        MetMap(dom, cod, table)  # non-expansiveness asserted here
+        self._checked[name] = fn
+        return fn
 
 
 def interp_type(m: ModelAssignment, ty: S.TypeExpr) -> FinMetSpace:

@@ -1,8 +1,10 @@
 """Deliberately naive reference implementations for cross-checking.
 
-Nothing here shares code with the primary implementations: enumeration is
-by unpruned generate-and-filter, interleavings come from permutation
-filtering, and the distance is computed over an explicitly merged support.
+Nothing here shares the strategy of the primary implementations:
+enumeration is by unpruned generate-and-filter, interleavings come from
+permutation filtering, the distance is computed over an explicitly merged
+support, and proofs are validated by typechecking both sides of every
+node from scratch.
 """
 
 from __future__ import annotations
@@ -10,8 +12,16 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
+from . import syntax as S
 from .metmodel import FinMetSpace, GuardExceeded, guard_limit, num_cmp
+from .parser import print_type
 from .probmodel import FinDist
+from .quantale import scalar_mul, value_repr
+from .rewrite import MatchError, RewriteStep, rewrite_term
+from .typecheck import infer
+from .vequation import (ProofError, TheorySpec, VEquation, VProof,
+                        _bang_grade, _concat_contexts, _tensor_all,
+                        axiom_instantiate)
 
 
 def enumerate_nonexpansive(x: FinMetSpace, y: FinMetSpace):
@@ -74,3 +84,219 @@ def brute_interleavings(parts):
         if ok and perm not in out:
             out.append(perm)
     return out
+
+
+# ---------------------------------------------------------------------------
+# Proof validation
+
+def _reinfer_eq(theory, ctx, lhs, rhs, where):
+    try:
+        dl = infer(theory.signature, ctx, lhs, theory.semiring)
+        dr = infer(theory.signature, ctx, rhs, theory.semiring)
+    except Exception as exc:
+        raise ProofError(f"{where}: ill-typed conclusion: {exc}") from exc
+    if dl.conclusion.type != dr.conclusion.type:
+        raise ProofError(
+            f"{where}: the two sides have types "
+            f"{print_type(dl.conclusion.type)} and "
+            f"{print_type(dr.conclusion.type)}")
+    return dl
+
+
+def reinfer_validate(theory: TheorySpec, p: VProof) -> VEquation:
+    """The equation a proof proves, inferring both sides at every node.
+
+    The reference for vequation.validate, which infers only at the leaves
+    and the root.  The structural rules are shared; the typing is not.
+    """
+    q = theory.quantale
+    sub = [reinfer_validate(theory, pr) for pr in p.premises]
+    info = p.info
+    where = p.kind
+
+    def out(ctx, lhs, rhs, bound):
+        _reinfer_eq(theory, ctx, lhs, rhs, where)
+        return VEquation(tuple(ctx), lhs, rhs, q.check(bound))
+
+    match p.kind:
+        case "refl":
+            ctx, term = info["ctx"], info["term"]
+            return out(ctx, term, term, q.unit)
+
+        case "trans":
+            a, b = sub
+            if a.context != b.context:
+                raise ProofError("trans premises have different contexts")
+            if not S.alpha_eq(a.rhs, b.lhs):
+                raise ProofError(
+                    "trans premises do not share the middle term")
+            return out(a.context, a.lhs, b.rhs, q.tensor(a.bound, b.bound))
+
+        case "weak":
+            (a,) = sub
+            target = q.check(info["q"])
+            if not q.leq(target, a.bound):
+                raise ProofError(
+                    f"weakening target {value_repr(target)} is not below "
+                    f"the proved bound {value_repr(a.bound)}")
+            if not q.in_basis(target):
+                raise ProofError("weakening target is not a basis element")
+            return out(a.context, a.lhs, a.rhs, target)
+
+        case "join":
+            if not sub:
+                raise ProofError("join needs at least one premise")
+            first = sub[0]
+            for a in sub[1:]:
+                if a.context != first.context \
+                        or not S.alpha_eq(a.lhs, first.lhs) \
+                        or not S.alpha_eq(a.rhs, first.rhs):
+                    raise ProofError("join premises prove different "
+                                     "equations")
+            return out(first.context, first.lhs, first.rhs,
+                       q.join([a.bound for a in sub]))
+
+        case "sym":
+            if not theory.symmetric:
+                raise ProofError(
+                    "the symmetry rule needs a symmetric theory")
+            (a,) = sub
+            return out(a.context, a.rhs, a.lhs, a.bound)
+
+        case "perm":
+            (a,) = sub
+            new_ctx = tuple(info["ctx"])
+            if sorted(map(repr, new_ctx)) != sorted(map(repr, a.context)):
+                raise ProofError(
+                    "permutation target is not a permutation of the "
+                    "premise context")
+            return out(new_ctx, a.lhs, a.rhs, a.bound)
+
+        case "axiom":
+            inst = axiom_instantiate(theory, info["name"],
+                                     info.get("params", {}))
+            ctx, lhs, rhs = inst.context, inst.lhs, inst.rhs
+            for old, new in info.get("rename", {}).items():
+                names = [x for x, _ in ctx]
+                if old not in names:
+                    raise ProofError(f"axiom has no context variable {old}")
+                if new in names:
+                    raise ProofError(f"rename target {new} already used")
+                ctx = tuple((new if x == old else x, ty) for x, ty in ctx)
+                lhs = S.substitute(lhs, S.Var(new), old)
+                rhs = S.substitute(rhs, S.Var(new), old)
+            return out(ctx, lhs, rhs, inst.bound)
+
+        case "schema":
+            ctx, term = info["ctx"], info["term"]
+            step: RewriteStep = info["step"]
+            try:
+                result = rewrite_term(term, step, theory.semiring)
+            except MatchError as exc:
+                raise ProofError(f"schema step failed: {exc}") from exc
+            if info.get("flip"):
+                term, result = result, term
+            return out(ctx, term, result, q.unit)
+
+        case "cong-op":
+            opname = info["op"]
+            ctx = _concat_contexts([a.context for a in sub], where)
+            lhs = S.OpApp(opname, tuple(a.lhs for a in sub))
+            rhs = S.OpApp(opname, tuple(a.rhs for a in sub))
+            return out(ctx, lhs, rhs, _tensor_all(q, [a.bound for a in sub]))
+
+        case "cong-unit-let":
+            a, b = sub
+            ctx = _concat_contexts([a.context, b.context], where)
+            return out(ctx, S.UnitLet(a.lhs, b.lhs),
+                       S.UnitLet(a.rhs, b.rhs), q.tensor(a.bound, b.bound))
+
+        case "cong-pair":
+            a, b = sub
+            ctx = _concat_contexts([a.context, b.context], where)
+            return out(ctx, S.TensorPair(a.lhs, b.lhs),
+                       S.TensorPair(a.rhs, b.rhs),
+                       q.tensor(a.bound, b.bound))
+
+        case "cong-app":
+            a, b = sub
+            ctx = _concat_contexts([a.context, b.context], where)
+            return out(ctx, S.App(a.lhs, b.lhs), S.App(a.rhs, b.rhs),
+                       q.tensor(a.bound, b.bound))
+
+        case "cong-tensor-let":
+            a, b = sub
+            if len(b.context) < 2:
+                raise ProofError(
+                    "the body premise must bind the two tensor variables")
+            (x, _), (y, _) = b.context[-2], b.context[-1]
+            ctx = _concat_contexts([a.context, b.context[:-2]], where)
+            return out(ctx, S.TensorLet(a.lhs, x, y, b.lhs),
+                       S.TensorLet(a.rhs, x, y, b.rhs),
+                       q.tensor(a.bound, b.bound))
+
+        case "cong-lambda":
+            (a,) = sub
+            if not a.context:
+                raise ProofError("the premise must bind the lambda variable")
+            x, ty = a.context[-1]
+            return out(a.context[:-1], S.Lambda(x, ty, a.lhs),
+                       S.Lambda(x, ty, a.rhs), a.bound)
+
+        case "cong-derelict":
+            (a,) = sub
+            return out(a.context, S.Derelict(a.lhs), S.Derelict(a.rhs),
+                       a.bound)
+
+        case "cong-discard":
+            a, b = sub
+            ctx = _concat_contexts([a.context, b.context], where)
+            return out(ctx, S.Discard(a.lhs, b.lhs),
+                       S.Discard(a.rhs, b.rhs), q.tensor(a.bound, b.bound))
+
+        case "cong-copy":
+            a, b = sub
+            if len(b.context) < 2:
+                raise ProofError(
+                    "the body premise must bind the two copy variables")
+            (x, xty), (y, yty) = b.context[-2], b.context[-1]
+            n, m = _bang_grade(xty), _bang_grade(yty)
+            ctx = _concat_contexts([a.context, b.context[:-2]], where)
+            return out(ctx, S.Copy(n, m, a.lhs, x, y, b.lhs),
+                       S.Copy(n, m, a.rhs, x, y, b.rhs),
+                       q.tensor(a.bound, b.bound))
+
+        case "cong-promote":
+            r = info["r"]
+            *args, body = sub
+            binders = tuple(x for x, _ in body.context)
+            grades = tuple(_bang_grade(ty) for _, ty in body.context)
+            if len(args) != len(binders):
+                raise ProofError(
+                    "promotion congruence premise count does not match the "
+                    "body context")
+            ctx = _concat_contexts([a.context for a in args], where)
+            bound = _tensor_all(q, [a.bound for a in args])
+            bound = q.tensor(bound, scalar_mul(theory.semiring, q, r,
+                                               body.bound))
+            lhs = S.Promote(r, grades, tuple(a.lhs for a in args), binders,
+                            body.lhs)
+            rhs = S.Promote(r, grades, tuple(a.rhs for a in args), binders,
+                            body.rhs)
+            return out(ctx, lhs, rhs, bound)
+
+        case "cong-subst":
+            a, b = sub
+            x = info["x"]
+            names = [n for n, _ in a.context]
+            if x not in names:
+                raise ProofError(
+                    f"substitution variable {x} not in the premise context")
+            i = names.index(x)
+            ctx = a.context[:i] + b.context + a.context[i + 1:]
+            S.check_context(ctx)
+            lhs = S.substitute(a.lhs, b.lhs, x)
+            rhs = S.substitute(a.rhs, b.rhs, x)
+            return out(ctx, lhs, rhs, q.tensor(a.bound, b.bound))
+
+    raise ProofError(f"unknown proof node kind {p.kind!r}")

@@ -12,9 +12,6 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass, field
 from math import factorial
-from typing import Optional
-
-from .quantale import INF, grade_repr
 
 
 class SyntaxError_(ValueError):
@@ -360,19 +357,12 @@ def _aeq(a, b, env_a, env_b) -> bool:
     return False
 
 
-_binder_counter = itertools.count()
-
-
 def _bind(env, *names):
     env = dict(env)
     for name in names:
-        env[name] = ("bound", len(env), name_rank(names, name))
+        # The binder's position within its group is a stable tie-breaker.
+        env[name] = ("bound", len(env), names.index(name))
     return env
-
-
-def name_rank(names, name):
-    # Position of the binder within its binding group; stable tie-breaker.
-    return names.index(name)
 
 
 # ---------------------------------------------------------------------------
@@ -384,6 +374,7 @@ def substitute(term: Term, repl: Term, var: str) -> Term:
 
 
 def _subst(t, w, x, fv_w):
+    """t[w/x]; a binder that shadows x leaves its body untouched."""
     match t:
         case Var(name):
             return w if name == x else t
@@ -397,16 +388,22 @@ def _subst(t, w, x, fv_w):
             return TensorPair(_subst(l, w, x, fv_w), _subst(r, w, x, fv_w))
         case TensorLet(v, bx, by, b):
             v2 = _subst(v, w, x, fv_w)
-            (bx2, by2), b2 = _avoid((bx, by), b, x, fv_w)
+            if x in (bx, by):
+                return TensorLet(v2, bx, by, b)
+            (bx2, by2), b2 = _avoid((bx, by), b, fv_w)
             return TensorLet(v2, bx2, by2, _subst(b2, w, x, fv_w))
         case Lambda(var, ty, b):
-            (var2,), b2 = _avoid((var,), b, x, fv_w)
+            if var == x:
+                return t
+            (var2,), b2 = _avoid((var,), b, fv_w)
             return Lambda(var2, ty, _subst(b2, w, x, fv_w))
         case App(f, a):
             return App(_subst(f, w, x, fv_w), _subst(a, w, x, fv_w))
         case Promote(r, ss, args, binders, b):
             args2 = tuple(_subst(a, w, x, fv_w) for a in args)
-            binders2, b2 = _avoid(binders, b, x, fv_w)
+            if x in binders:
+                return Promote(r, ss, args2, binders, b)
+            binders2, b2 = _avoid(binders, b, fv_w)
             return Promote(r, ss, args2, binders2, _subst(b2, w, x, fv_w))
         case Derelict(v):
             return Derelict(_subst(v, w, x, fv_w))
@@ -414,22 +411,15 @@ def _subst(t, w, x, fv_w):
             return Discard(_subst(v, w, x, fv_w), _subst(b, w, x, fv_w))
         case Copy(n, m, v, bx, by, b):
             v2 = _subst(v, w, x, fv_w)
-            (bx2, by2), b2 = _avoid((bx, by), b, x, fv_w)
+            if x in (bx, by):
+                return Copy(n, m, v2, bx, by, b)
+            (bx2, by2), b2 = _avoid((bx, by), b, fv_w)
             return Copy(n, m, v2, bx2, by2, _subst(b2, w, x, fv_w))
     raise SyntaxError_(f"unknown term node {t!r}")
 
 
-def _avoid(binders, body, x, fv_w):
-    """Rename binders clashing with the substituted term's free variables.
-
-    If the substitution variable is shadowed by a binder, the body is left
-    untouched (the variable cannot occur free under it); we signal that by
-    substituting into a body where x was already consumed -- handled by the
-    caller naturally because x no longer occurs free.
-    """
-    if x in binders:
-        # x is shadowed: nothing to substitute below; renaming unnecessary.
-        return tuple(binders), _freeze(body)
+def _avoid(binders, body, fv_w):
+    """Rename binders clashing with the substituted term's free variables."""
     new = []
     body2 = body
     taken = free_vars(body) | fv_w | set(binders)
@@ -437,53 +427,11 @@ def _avoid(binders, body, x, fv_w):
         if b in fv_w:
             nb = fresh_name(b, taken)
             taken.add(nb)
-            body2 = _rename_free(body2, b, nb)
+            body2 = substitute(body2, Var(nb), b)
             new.append(nb)
         else:
             new.append(b)
     return tuple(new), body2
-
-
-class _Shadowed:
-    """Marker wrapper: body under a shadowing binder must not be rewritten."""
-
-    __slots__ = ("body",)
-
-    def __init__(self, body):
-        self.body = body
-
-
-def _freeze(body):
-    return body
-
-
-def _rename_free(t, old, new):
-    return substitute(t, Var(new), old)
-
-
-# Substituting under a shadowing binder: the generic _subst would still
-# recurse into the body and wrongly replace occurrences of x that are in
-# fact bound.  Guard for that case explicitly.
-
-_orig_subst = _subst
-
-
-def _subst_guarded(t, w, x, fv_w):
-    match t:
-        case TensorLet(v, bx, by, b) if x in (bx, by):
-            return TensorLet(_subst_guarded(v, w, x, fv_w), bx, by, b)
-        case Lambda(var, ty, b) if var == x:
-            return Lambda(var, ty, b)
-        case Promote(r, ss, args, binders, b) if x in binders:
-            return Promote(r, ss,
-                           tuple(_subst_guarded(a, w, x, fv_w) for a in args),
-                           binders, b)
-        case Copy(n, m, v, bx, by, b) if x in (bx, by):
-            return Copy(n, m, _subst_guarded(v, w, x, fv_w), bx, by, b)
-    return _orig_subst(t, w, x, fv_w)
-
-
-_subst = _subst_guarded
 
 
 # ---------------------------------------------------------------------------

@@ -62,6 +62,7 @@ class ParamOpFamily:
         self.params = tuple(params)
         self.arg_srcs = tuple(arg_srcs)
         self.result_src = result_src
+        self._sorts = {}  # symbol name -> sort; sorts are immutable
 
     def match(self, name: str) -> bool:
         return self._values(name) is not None
@@ -77,13 +78,20 @@ class ParamOpFamily:
         return dict(zip(self.params, (int(seg) for seg in rest)))
 
     def sort(self, name: str):
+        try:
+            return self._sorts[name]
+        except KeyError:
+            pass
         values = self._values(name)
         if values is None:
-            return None
-        args = tuple(parse_type(subst_tokens(src, values))
-                     for src in self.arg_srcs)
-        result = parse_type(subst_tokens(self.result_src, values))
-        return (args, result)
+            sort = None
+        else:
+            args = tuple(parse_type(subst_tokens(src, values))
+                         for src in self.arg_srcs)
+            result = parse_type(subst_tokens(self.result_src, values))
+            sort = (args, result)
+        self._sorts[name] = sort
+        return sort
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,8 @@ term, each used exactly once; grades account for non-linear use through the
 modality.  At every term constructor the context is partitioned by
 free-variable ownership of the subterms, which makes the premise contexts
 order-preserving subsequences of the conclusion context and therefore a
-valid shuffle by construction.
+valid shuffle by construction.  The free variables of every subterm are
+computed once per call, bottom-up, into a table keyed by node identity.
 """
 
 from __future__ import annotations
@@ -70,6 +71,42 @@ def _split_context(ctx: S.Context, owners, path):
     return [tuple(p) for p in parts]
 
 
+def _free(term: S.Term, table: dict) -> frozenset:
+    """Free variables of term, read from table or computed bottom-up into it.
+
+    table maps id(node) to (node, free variables).  The entry keeps its
+    node alive, so no later node can reuse that id while the table lives.
+    Nodes outside the table, such as the bodies _rename_binders creates,
+    are added on first use, so each node is visited once per table.
+    """
+    entry = table.get(id(term))
+    if entry is not None:
+        return entry[1]
+    match term:
+        case S.Var(name):
+            out = frozenset((name,))
+        case S.Star():
+            out = frozenset()
+        case S.OpApp(_, args):
+            out = frozenset().union(*(_free(a, table) for a in args))
+        case S.UnitLet(v, b) | S.TensorPair(v, b) | S.App(v, b) \
+                | S.Discard(v, b):
+            out = _free(v, table) | _free(b, table)
+        case S.TensorLet(v, x, y, b) | S.Copy(_, _, v, x, y, b):
+            out = _free(v, table) | (_free(b, table) - {x, y})
+        case S.Lambda(x, _, b):
+            out = _free(b, table) - {x}
+        case S.Promote(_, _, args, binders, b):
+            out = frozenset().union(*(_free(a, table) for a in args),
+                                    _free(b, table) - set(binders))
+        case S.Derelict(v):
+            out = _free(v, table)
+        case _:
+            raise S.SyntaxError_(f"unknown term node {term!r}")
+    table[id(term)] = (term, out)
+    return out
+
+
 def _rename_binders(binders, body, taken):
     """Give fresh names to binders clashing with names in `taken`."""
     new = []
@@ -91,12 +128,15 @@ def infer(sig: S.Signature, ctx: S.Context, term: S.Term,
         if n > 1:
             raise TypeError_(f"variable {name} used twice")
     extra = [x for x, _ in ctx if x not in counts]
-    missing = [x for x in counts if x not in dict(ctx)]
+    bound = dict(ctx)
+    missing = [x for x in counts if x not in bound]
     if missing:
         raise TypeError_(f"unbound variable {missing[0]}")
     if extra:
         raise TypeError_(f"variable {extra[0]} unused by the term")
-    return _infer(sig, semiring, ctx, term, ())
+    table = {}
+    _free(term, table)
+    return _infer(sig, semiring, ctx, term, (), table)
 
 
 def check(sig: S.Signature, ctx: S.Context, term: S.Term, ty: S.TypeExpr,
@@ -109,11 +149,14 @@ def check(sig: S.Signature, ctx: S.Context, term: S.Term, ty: S.TypeExpr,
     return d
 
 
-def _infer(sig, semiring, ctx, term, path) -> Derivation:
+def _infer(sig, semiring, ctx, term, path, table) -> Derivation:
     ctx_names = set(S.ctx_names(ctx))
 
+    def fv(t):
+        return _free(t, table)
+
     def sub(premise_ctx, t, step):
-        return _infer(sig, semiring, premise_ctx, t, path + (step,))
+        return _infer(sig, semiring, premise_ctx, t, path + (step,), table)
 
     def conclude(rule, ty, premises, splits):
         return Derivation(rule, Judgement(ctx, term, ty),
@@ -140,7 +183,7 @@ def _infer(sig, semiring, ctx, term, path) -> Derivation:
                 raise TypeError_(
                     f"operation {op} expects {len(arg_types)} arguments, "
                     f"got {len(args)}", path)
-            parts = _split_context(ctx, [S.free_vars(a) for a in args], path)
+            parts = _split_context(ctx, [fv(a) for a in args], path)
             premises = []
             for i, (part, a, want) in enumerate(zip(parts, args, arg_types)):
                 d = sub(part, a, f"{op}#{i}")
@@ -153,8 +196,7 @@ def _infer(sig, semiring, ctx, term, path) -> Derivation:
             return conclude("ax", result, premises, parts)
 
         case S.UnitLet(value, body):
-            gv, gb = _split_context(
-                ctx, [S.free_vars(value), S.free_vars(body)], path)
+            gv, gb = _split_context(ctx, [fv(value), fv(body)], path)
             dv = sub(gv, value, "let-unit-value")
             if dv.conclusion.type != S.UnitType():
                 raise TypeError_(
@@ -163,8 +205,7 @@ def _infer(sig, semiring, ctx, term, path) -> Derivation:
             return conclude("I_e", db.conclusion.type, (dv, db), (gv, gb))
 
         case S.TensorPair(left, right):
-            gl, gr = _split_context(
-                ctx, [S.free_vars(left), S.free_vars(right)], path)
+            gl, gr = _split_context(ctx, [fv(left), fv(right)], path)
             dl = sub(gl, left, "pair-left")
             dr_ = sub(gr, right, "pair-right")
             ty = S.TensorType(dl.conclusion.type, dr_.conclusion.type)
@@ -173,7 +214,7 @@ def _infer(sig, semiring, ctx, term, path) -> Derivation:
         case S.TensorLet(value, x, y, body):
             (x, y), body = _rename_binders((x, y), body, ctx_names)
             gv, gb = _split_context(
-                ctx, [S.free_vars(value), S.free_vars(body) - {x, y}], path)
+                ctx, [fv(value), fv(body) - {x, y}], path)
             dv = sub(gv, value, "let-tensor-value")
             match dv.conclusion.type:
                 case S.TensorType(a, b):
@@ -192,8 +233,7 @@ def _infer(sig, semiring, ctx, term, path) -> Derivation:
                             (db,), (ctx,))
 
         case S.App(fn, arg):
-            gf, ga = _split_context(
-                ctx, [S.free_vars(fn), S.free_vars(arg)], path)
+            gf, ga = _split_context(ctx, [fv(fn), fv(arg)], path)
             df = sub(gf, fn, "app-fn")
             match df.conclusion.type:
                 case S.LolliType(a, b):
@@ -211,7 +251,7 @@ def _infer(sig, semiring, ctx, term, path) -> Derivation:
 
         case S.Promote(r, grades, args, binders, body):
             binders, body = _rename_binders(binders, body, ctx_names)
-            parts = _split_context(ctx, [S.free_vars(a) for a in args], path)
+            parts = _split_context(ctx, [fv(a) for a in args], path)
             premises = []
             body_ctx = []
             for i, (part, a, s) in enumerate(zip(parts, args, grades)):
@@ -243,8 +283,7 @@ def _infer(sig, semiring, ctx, term, path) -> Derivation:
                         f"{print_type(other)}", path)
 
         case S.Discard(value, body):
-            gv, gb = _split_context(
-                ctx, [S.free_vars(value), S.free_vars(body)], path)
+            gv, gb = _split_context(ctx, [fv(value), fv(body)], path)
             dv = sub(gv, value, "discard-value")
             match dv.conclusion.type:
                 case S.BangType(g, _) if g == semiring.zero:
@@ -260,7 +299,7 @@ def _infer(sig, semiring, ctx, term, path) -> Derivation:
         case S.Copy(n, m, value, x, y, body):
             (x, y), body = _rename_binders((x, y), body, ctx_names)
             gv, gb = _split_context(
-                ctx, [S.free_vars(value), S.free_vars(body) - {x, y}], path)
+                ctx, [fv(value), fv(body) - {x, y}], path)
             dv = sub(gv, value, "copy-value")
             match dv.conclusion.type:
                 case S.BangType(g, inner) if g == semiring.add(n, m):

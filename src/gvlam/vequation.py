@@ -1,8 +1,11 @@
 """Quantale-labelled equational proofs: validation and synthesis.
 
 A proof is a tree of labelled rules.  Validation recomputes every node's
-concluded equation-in-context and bound bottom-up, typechecking both sides
-at each node, so a validated proof cannot overstate its bound.  Synthesis
+concluded equation-in-context and bound bottom-up, so a validated proof
+cannot overstate its bound.  It typechecks compositionally: leaves infer
+the types of their sides, every other node checks its own typing rule
+against its premises' types, and the root's sides are inferred once more
+(docs/proofs.md, "Trust argument").  Synthesis
 is a compositional strategy: alpha-equality, axiom instances placed with
 the substitution congruence, same-head congruences, and optionally a
 normalize-and-retry fallback whose rewrite steps cost the unit bound.
@@ -15,7 +18,8 @@ from fractions import Fraction
 
 from . import syntax as S
 from .parser import print_context, print_term, print_type
-from .quantale import (Quantale, Semiring, scalar_mul, value_repr)
+from .quantale import (Quantale, Semiring, grade_repr, scalar_mul,
+                       value_repr)
 from .typecheck import infer
 from .rewrite import (RewriteStep, MatchError, beta_normalize,
                       extract_plugs, rewrite_term, subst_parallel)
@@ -118,50 +122,81 @@ def axiom_instantiate(theory: TheorySpec, name: str,
 # Validation
 
 def validate(theory: TheorySpec, proof: VProof) -> VEquation:
-    eq = _validate(theory, proof)
+    """Check a proof and return the equation-in-context it proves.
+
+    Leaves infer the types of their two sides; every other node checks its
+    own typing rule against the types of its premises.  Both sides of the
+    root conclusion are inferred once more at the end.
+    """
+    eq, ty = _validate(theory, proof)
+    root_ty = _typecheck_eq(theory, eq.context, eq.lhs, eq.rhs, proof.kind)
+    if root_ty != ty:
+        raise ProofError(
+            f"{proof.kind}: the sides have type {print_type(root_ty)}, "
+            f"not the type {print_type(ty)} derived from the premises")
     return eq
 
 
 def _typecheck_eq(theory, ctx, lhs, rhs, where):
+    """The common type of both sides in ctx."""
     try:
-        dl = infer(theory.signature, ctx, lhs, theory.semiring)
-        dr = infer(theory.signature, ctx, rhs, theory.semiring)
+        tl = infer(theory.signature, ctx, lhs, theory.semiring) \
+            .conclusion.type
+        tr = tl if rhs is lhs else infer(
+            theory.signature, ctx, rhs, theory.semiring).conclusion.type
     except Exception as exc:
         raise ProofError(f"{where}: ill-typed conclusion: {exc}") from exc
-    if dl.conclusion.type != dr.conclusion.type:
+    if tl != tr:
         raise ProofError(
             f"{where}: the two sides have types "
-            f"{print_type(dl.conclusion.type)} and "
-            f"{print_type(dr.conclusion.type)}")
-    return dl
+            f"{print_type(tl)} and {print_type(tr)}")
+    return tl
 
 
-def _validate(theory: TheorySpec, p: VProof) -> VEquation:
-    q = theory.quantale
+def _validate(theory: TheorySpec, p: VProof):
+    """The proved equation and the type of its sides, bottom-up."""
+    q, sr = theory.quantale, theory.semiring
     sub = [_validate(theory, pr) for pr in p.premises]
+    eqs = [eq for eq, _ in sub]
+    types = [ty for _, ty in sub]
     info = p.info
     where = p.kind
 
-    def out(ctx, lhs, rhs, bound):
-        _typecheck_eq(theory, ctx, lhs, rhs, where)
-        return VEquation(tuple(ctx), lhs, rhs, q.check(bound))
+    def leaf(ctx, lhs, rhs, bound):
+        ty = _typecheck_eq(theory, ctx, lhs, rhs, where)
+        return VEquation(tuple(ctx), lhs, rhs, q.check(bound)), ty
+
+    def out(ctx, lhs, rhs, bound, ty):
+        return VEquation(tuple(ctx), lhs, rhs, q.check(bound)), ty
+
+    def ill_typed(message):
+        return ProofError(f"{where}: ill-typed conclusion: {message}")
+
+    def same_type():
+        for ty in types[1:]:
+            if ty != types[0]:
+                raise ProofError(
+                    f"{where}: the two sides have types "
+                    f"{print_type(types[0])} and {print_type(ty)}")
+        return types[0]
 
     match p.kind:
         case "refl":
             ctx, term = info["ctx"], info["term"]
-            return out(ctx, term, term, q.unit)
+            return leaf(ctx, term, term, q.unit)
 
         case "trans":
-            a, b = sub
+            a, b = eqs
             if a.context != b.context:
                 raise ProofError("trans premises have different contexts")
             if not S.alpha_eq(a.rhs, b.lhs):
                 raise ProofError(
                     "trans premises do not share the middle term")
-            return out(a.context, a.lhs, b.rhs, q.tensor(a.bound, b.bound))
+            return out(a.context, a.lhs, b.rhs, q.tensor(a.bound, b.bound),
+                       same_type())
 
         case "weak":
-            (a,) = sub
+            (a,) = eqs
             target = q.check(info["q"])
             if not q.leq(target, a.bound):
                 raise ProofError(
@@ -169,36 +204,36 @@ def _validate(theory: TheorySpec, p: VProof) -> VEquation:
                     f"the proved bound {value_repr(a.bound)}")
             if not q.in_basis(target):
                 raise ProofError("weakening target is not a basis element")
-            return out(a.context, a.lhs, a.rhs, target)
+            return out(a.context, a.lhs, a.rhs, target, types[0])
 
         case "join":
-            if not sub:
+            if not eqs:
                 raise ProofError("join needs at least one premise")
-            first = sub[0]
-            for a in sub[1:]:
+            first = eqs[0]
+            for a in eqs[1:]:
                 if a.context != first.context \
                         or not S.alpha_eq(a.lhs, first.lhs) \
                         or not S.alpha_eq(a.rhs, first.rhs):
                     raise ProofError("join premises prove different "
                                      "equations")
             return out(first.context, first.lhs, first.rhs,
-                       q.join([a.bound for a in sub]))
+                       q.join([a.bound for a in eqs]), same_type())
 
         case "sym":
             if not theory.symmetric:
                 raise ProofError(
                     "the symmetry rule needs a symmetric theory")
-            (a,) = sub
-            return out(a.context, a.rhs, a.lhs, a.bound)
+            (a,) = eqs
+            return out(a.context, a.rhs, a.lhs, a.bound, types[0])
 
         case "perm":
-            (a,) = sub
+            (a,) = eqs
             new_ctx = tuple(info["ctx"])
             if sorted(map(repr, new_ctx)) != sorted(map(repr, a.context)):
                 raise ProofError(
                     "permutation target is not a permutation of the "
                     "premise context")
-            return out(new_ctx, a.lhs, a.rhs, a.bound)
+            return out(new_ctx, a.lhs, a.rhs, a.bound, types[0])
 
         case "axiom":
             inst = axiom_instantiate(theory, info["name"],
@@ -213,7 +248,7 @@ def _validate(theory: TheorySpec, p: VProof) -> VEquation:
                 ctx = tuple((new if x == old else x, ty) for x, ty in ctx)
                 lhs = S.substitute(lhs, S.Var(new), old)
                 rhs = S.substitute(rhs, S.Var(new), old)
-            return out(ctx, lhs, rhs, inst.bound)
+            return leaf(ctx, lhs, rhs, inst.bound)
 
         case "schema":
             ctx, term = info["ctx"], info["term"]
@@ -224,79 +259,142 @@ def _validate(theory: TheorySpec, p: VProof) -> VEquation:
                 raise ProofError(f"schema step failed: {exc}") from exc
             if info.get("flip"):
                 term, result = result, term
-            return out(ctx, term, result, q.unit)
+            return leaf(ctx, term, result, q.unit)
 
         case "cong-op":
             opname = info["op"]
-            ctx = _concat_contexts([a.context for a in sub], where)
-            lhs = S.OpApp(opname, tuple(a.lhs for a in sub))
-            rhs = S.OpApp(opname, tuple(a.rhs for a in sub))
-            return out(ctx, lhs, rhs, _tensor_all(q, [a.bound for a in sub]))
+            ctx = _concat_contexts([a.context for a in eqs], where)
+            lhs = S.OpApp(opname, tuple(a.lhs for a in eqs))
+            rhs = S.OpApp(opname, tuple(a.rhs for a in eqs))
+            sort = theory.signature.lookup(opname)
+            if sort is None:
+                raise ill_typed(f"unknown operation symbol {opname}")
+            arg_types, result = sort
+            if len(eqs) != len(arg_types):
+                raise ill_typed(
+                    f"operation {opname} expects {len(arg_types)} "
+                    f"arguments, got {len(eqs)}")
+            for i, (ty, want) in enumerate(zip(types, arg_types)):
+                if ty != want:
+                    raise ill_typed(
+                        f"argument {i} of {opname} has type "
+                        f"{print_type(ty)}, expected {print_type(want)}")
+            return out(ctx, lhs, rhs, _tensor_all(q, [a.bound for a in eqs]),
+                       result)
 
         case "cong-unit-let":
-            a, b = sub
+            a, b = eqs
             ctx = _concat_contexts([a.context, b.context], where)
-            return out(ctx, S.UnitLet(a.lhs, b.lhs),
-                       S.UnitLet(a.rhs, b.rhs), q.tensor(a.bound, b.bound))
+            if types[0] != S.UnitType():
+                raise ill_typed("let unit scrutinee must have the unit type")
+            return out(ctx, S.UnitLet(a.lhs, b.lhs), S.UnitLet(a.rhs, b.rhs),
+                       q.tensor(a.bound, b.bound), types[1])
 
         case "cong-pair":
-            a, b = sub
+            a, b = eqs
             ctx = _concat_contexts([a.context, b.context], where)
             return out(ctx, S.TensorPair(a.lhs, b.lhs),
                        S.TensorPair(a.rhs, b.rhs),
-                       q.tensor(a.bound, b.bound))
+                       q.tensor(a.bound, b.bound), S.TensorType(*types))
 
         case "cong-app":
-            a, b = sub
+            a, b = eqs
             ctx = _concat_contexts([a.context, b.context], where)
+            match types[0]:
+                case S.LolliType(arg_ty, result):
+                    if types[1] != arg_ty:
+                        raise ill_typed(
+                            f"function expects {print_type(arg_ty)}, "
+                            f"argument has type {print_type(types[1])}")
+                case other:
+                    raise ill_typed(f"applied term has non-function type "
+                                    f"{print_type(other)}")
             return out(ctx, S.App(a.lhs, b.lhs), S.App(a.rhs, b.rhs),
-                       q.tensor(a.bound, b.bound))
+                       q.tensor(a.bound, b.bound), result)
 
         case "cong-tensor-let":
-            a, b = sub
+            a, b = eqs
             if len(b.context) < 2:
                 raise ProofError(
                     "the body premise must bind the two tensor variables")
-            (x, _), (y, _) = b.context[-2], b.context[-1]
+            (x, xty), (y, yty) = b.context[-2], b.context[-1]
             ctx = _concat_contexts([a.context, b.context[:-2]], where)
+            match types[0]:
+                case S.TensorType(left, right):
+                    if (left, right) != (xty, yty):
+                        raise ill_typed(
+                            f"the body binds {x} : {print_type(xty)} and "
+                            f"{y} : {print_type(yty)}, the scrutinee has "
+                            f"type {print_type(types[0])}")
+                case other:
+                    raise ill_typed(f"let-tensor scrutinee has non-tensor "
+                                    f"type {print_type(other)}")
             return out(ctx, S.TensorLet(a.lhs, x, y, b.lhs),
                        S.TensorLet(a.rhs, x, y, b.rhs),
-                       q.tensor(a.bound, b.bound))
+                       q.tensor(a.bound, b.bound), types[1])
 
         case "cong-lambda":
-            (a,) = sub
+            (a,) = eqs
             if not a.context:
                 raise ProofError("the premise must bind the lambda variable")
             x, ty = a.context[-1]
             return out(a.context[:-1], S.Lambda(x, ty, a.lhs),
-                       S.Lambda(x, ty, a.rhs), a.bound)
+                       S.Lambda(x, ty, a.rhs), a.bound,
+                       S.LolliType(ty, types[0]))
 
         case "cong-derelict":
-            (a,) = sub
+            (a,) = eqs
+            match types[0]:
+                case S.BangType(g, inner) if g == sr.one:
+                    pass
+                case other:
+                    raise ill_typed(
+                        f"dereliction requires modality grade "
+                        f"{grade_repr(sr.one)}, got {print_type(other)}")
             return out(a.context, S.Derelict(a.lhs), S.Derelict(a.rhs),
-                       a.bound)
+                       a.bound, inner)
 
         case "cong-discard":
-            a, b = sub
+            a, b = eqs
             ctx = _concat_contexts([a.context, b.context], where)
-            return out(ctx, S.Discard(a.lhs, b.lhs),
-                       S.Discard(a.rhs, b.rhs), q.tensor(a.bound, b.bound))
+            match types[0]:
+                case S.BangType(g, _) if g == sr.zero:
+                    pass
+                case other:
+                    raise ill_typed(
+                        f"discard requires modality grade "
+                        f"{grade_repr(sr.zero)}, got {print_type(other)}")
+            return out(ctx, S.Discard(a.lhs, b.lhs), S.Discard(a.rhs, b.rhs),
+                       q.tensor(a.bound, b.bound), types[1])
 
         case "cong-copy":
-            a, b = sub
+            a, b = eqs
             if len(b.context) < 2:
                 raise ProofError(
                     "the body premise must bind the two copy variables")
             (x, xty), (y, yty) = b.context[-2], b.context[-1]
             n, m = _bang_grade(xty), _bang_grade(yty)
             ctx = _concat_contexts([a.context, b.context[:-2]], where)
+            match types[0]:
+                case S.BangType(g, inner) if g == sr.add(n, m):
+                    if (xty, yty) != (S.BangType(n, inner),
+                                      S.BangType(m, inner)):
+                        raise ill_typed(
+                            f"the body binds {x} : {print_type(xty)} and "
+                            f"{y} : {print_type(yty)}, the scrutinee has "
+                            f"type {print_type(types[0])}")
+                case other:
+                    raise ill_typed(
+                        f"copy scrutinee must have modality grade "
+                        f"{grade_repr(sr.add(n, m))}, got "
+                        f"{print_type(other)}")
             return out(ctx, S.Copy(n, m, a.lhs, x, y, b.lhs),
                        S.Copy(n, m, a.rhs, x, y, b.rhs),
-                       q.tensor(a.bound, b.bound))
+                       q.tensor(a.bound, b.bound), types[1])
 
         case "cong-promote":
             r = info["r"]
-            *args, body = sub
+            *args, body = eqs
             binders = tuple(x for x, _ in body.context)
             grades = tuple(_bang_grade(ty) for _, ty in body.context)
             if len(args) != len(binders):
@@ -305,16 +403,29 @@ def _validate(theory: TheorySpec, p: VProof) -> VEquation:
                     "body context")
             ctx = _concat_contexts([a.context for a in args], where)
             bound = _tensor_all(q, [a.bound for a in args])
-            bound = q.tensor(bound, scalar_mul(theory.semiring, q, r,
-                                               body.bound))
+            bound = q.tensor(bound, scalar_mul(sr, q, r, body.bound))
+            for i, (ty, s, (x, xty)) in enumerate(
+                    zip(types, grades, body.context)):
+                match ty:
+                    case S.BangType(g, inner) if g == sr.mul(r, s):
+                        if xty != S.BangType(s, inner):
+                            raise ill_typed(
+                                f"the body binds {x} : {print_type(xty)}, "
+                                f"promotion argument {i} has type "
+                                f"{print_type(ty)}")
+                    case other:
+                        raise ill_typed(
+                            f"promotion argument {i} has type "
+                            f"{print_type(other)}, expected modality of "
+                            f"grade {grade_repr(sr.mul(r, s))}")
             lhs = S.Promote(r, grades, tuple(a.lhs for a in args), binders,
                             body.lhs)
             rhs = S.Promote(r, grades, tuple(a.rhs for a in args), binders,
                             body.rhs)
-            return out(ctx, lhs, rhs, bound)
+            return out(ctx, lhs, rhs, bound, S.BangType(r, types[-1]))
 
         case "cong-subst":
-            a, b = sub
+            a, b = eqs
             x = info["x"]
             names = [n for n, _ in a.context]
             if x not in names:
@@ -325,7 +436,14 @@ def _validate(theory: TheorySpec, p: VProof) -> VEquation:
             S.check_context(ctx)
             lhs = S.substitute(a.lhs, b.lhs, x)
             rhs = S.substitute(a.rhs, b.rhs, x)
-            return out(ctx, lhs, rhs, q.tensor(a.bound, b.bound))
+            # The substitution lemma: replacing x : A by a term of type A
+            # keeps the type of both sides.
+            x_ty = a.context[i][1]
+            if types[1] != x_ty:
+                raise ill_typed(
+                    f"substituting a term of type {print_type(types[1])} "
+                    f"for {x} : {print_type(x_ty)}")
+            return out(ctx, lhs, rhs, q.tensor(a.bound, b.bound), types[0])
 
     raise ProofError(f"unknown proof node kind {p.kind!r}")
 

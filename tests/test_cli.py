@@ -188,3 +188,11 @@ def test_oracle_nonexpansive(capsys):
     assert "MISMATCH" not in out
     lines = out.splitlines()
     assert lines[0].split()[-1] == lines[1].split()[-1]
+
+
+def test_deep_input_exits_with_io_code(capsys):
+    term = "wait_1(" * 600 + "x" + ")" * 600
+    code, out, err = run(capsys, ["check", TIMED, term, "--context", "x : X"])
+    assert code == 65
+    assert out == ""
+    assert err == "gvlam: error: input is nested too deeply\n"

@@ -4,11 +4,14 @@ from pathlib import Path
 import pytest
 
 import gvlam
+from gvlam import oracles
 from gvlam.parser import parse_context, parse_term, parse_type
 from gvlam.proofscript import (ScriptError, load_proof, parse_bound_literal,
                                parse_proof, proof_sexpr)
 from gvlam.quantale import INF
 from gvlam.rewrite import SchemaId
+from gvlam.theory import load_theory, load_theory_text
+from gvlam.vequation import validate
 
 DATA = Path(gvlam.__file__).parent / "data"
 
@@ -122,3 +125,53 @@ def test_proof_sexpr_round_trip():
     again = parse_proof(proof_sexpr(p))
     assert again == p and again.info == p.info
     assert proof_sexpr(again) == proof_sexpr(p)
+
+
+def _outcome(validate_fn, theory, proof):
+    try:
+        return validate_fn(theory, proof)
+    except Exception as exc:
+        return type(exc)
+
+
+def test_parsed_scripts_validate_as_the_oracle_does():
+    """validate and oracles.reinfer_validate agree on the scripts this
+    module parses: equal equations, or the same exception type."""
+    theory = load_theory_text("""
+        quantale metric
+        semiring nat
+        symmetric
+        ground X
+        op plus : X, X -> X
+        opfamily wait_<n> : X -> X
+        builtin wait
+    """)
+    scripts = [
+        '(refl :ctx "x : X" "wait_1(x)")',
+        '(trans (refl "x") (refl "x") (refl "x"))',
+        '(weak :q 3/2 (refl "unit"))', '(weak :q inf (refl "unit"))',
+        '(join (refl "x") (refl "x"))', '(sym (refl "x"))',
+        '(perm :ctx "y : X, x : X" (refl :ctx "x : X, y : X" '
+        '"plus(x, y)"))',
+        '(axiom wait :n 1 :m 2 :rename "x=u")',
+        '(schema lolli-beta :ctx "y : X" :term "wait_1((fn x : X => x) y)" '
+        ':pos 0 :dir L2R)',
+        '(schema cc-tensor :term "x" :u "plus(a, b)" :z q :ty "X -o X" '
+        ':ss "1,2" :xs "p, r" :r 4 :dir R2L :flip yes :pos 0.1)',
+        '(cong-op plus (refl "x") (refl "y"))',
+        '(cong-promote :r 2 (refl "x"))',
+        '(cong-subst :x y (refl "x") (refl "y"))',
+        '(weak :q 1 (refl "x"))',
+        '(cong-promote :r 2 (axiom wait :n 1 :m 2) '
+        '(trans (refl :ctx "x : X" "wait_1(x)") '
+        '(schema lolli-beta :ctx "y : X" :term "(fn x : X => x) y" '
+        ':dir L2R)))',
+    ] + [f'({head} (refl "x"))' for head in (
+        "cong-unit-let", "cong-pair", "cong-tensor-let", "cong-lambda",
+        "cong-app", "cong-derelict", "cong-discard", "cong-copy")]
+    cases = [(theory, parse_proof(src)) for src in scripts]
+    cases.append((load_theory(str(DATA / "prob.thy")),
+                  load_proof(str(DATA / "walk.proof"))))
+    for th, proof in cases:
+        assert _outcome(validate, th, proof) \
+            == _outcome(oracles.reinfer_validate, th, proof)

@@ -53,6 +53,20 @@ def test_param_op_family():
     assert res.grade == 3
 
 
+def test_param_op_family_sort_is_memoised():
+    def family():
+        return ParamOpFamily("replace", ("k", "m", "n"), ("I",), "!k real")
+
+    fam = family()
+    names = ["replace_2_1_1", "replace_3_0_4", "replace_2_1_1", "replace_2",
+             "replace_x_1_1", "no_replace_2_1_1", "replace_2_1_1_1", "add"]
+    for name in names:
+        assert fam.sort(name) == family().sort(name)
+    assert fam.sort("replace_2_1_1") is fam.sort("replace_2_1_1")
+    for unknown in ("replace_2", "replace_x_1_1", "add"):
+        assert fam.sort(unknown) is None
+
+
 def test_wait_axiom_instances():
     inst = axiom_instantiate(TIMED, "wait", {"n": 3, "m": 7})
     assert inst.bound == Fraction(4)

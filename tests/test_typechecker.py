@@ -3,6 +3,7 @@ import random
 import pytest
 
 from gvlam import syntax as S
+from gvlam import typecheck
 from gvlam.parser import parse_context, parse_term
 from gvlam.typecheck import (TypeError_, check, derivation_sexpr, exchange,
                              infer, subst_derivation)
@@ -129,6 +130,45 @@ def test_generated_derivations_round_trip():
                          support.bang(1), support.X2X])
         d = gen.term_of(ty, rng.randrange(1, 5))
         assert infer(SIG, d.conclusion.context, d.conclusion.term) == d
+
+
+def test_free_variable_table_matches_free_vars(monkeypatch):
+    """Every free-variable set infer reads agrees with S.free_vars, also
+    for the bodies renamed when a binder shadows a context variable."""
+    real = typecheck._free
+    read = []
+
+    def checked(term, table):
+        out = real(term, table)
+        assert out == S.free_vars(term)
+        read.append(term)
+        return out
+
+    monkeypatch.setattr(typecheck, "_free", checked)
+    rng = random.Random(5)
+    gen = support.DerivGen(rng)
+    renamed = 0
+    for _ in range(60):
+        d = gen.term_of(rng.choice([support.X, support.XX, support.bang(1),
+                                    support.X2X]), rng.randrange(1, 5))
+        assert infer(SIG, d.conclusion.context, d.conclusion.term) == d
+        # let s (*) y = value in body, where s also names a variable of
+        # value: infer renames the binder and types the renamed body.
+        value = gen.term_tensor(3)
+        if not value.conclusion.context:
+            continue
+        x, y = gen.fresh(), gen.fresh()
+        body = gen.consume2(x, support.X, y, support.X, 3)
+        s = value.conclusion.context[0][0]
+        term = S.TensorLet(value.conclusion.term, s, y, S.substitute(
+            body.conclusion.term, S.Var(s), x))
+        ctx = value.conclusion.context + body.conclusion.context[:-2]
+        original = {}
+        real(term, original)
+        read.clear()
+        assert infer(SIG, ctx, term).conclusion.type == support.X
+        renamed += any(id(t) not in original for t in read)
+    assert renamed >= 20
 
 
 def test_derivation_sexpr():

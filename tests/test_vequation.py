@@ -2,12 +2,15 @@ from fractions import Fraction
 
 import pytest
 
+from gvlam import oracles
 from gvlam.parser import parse_context, parse_term
 from gvlam.proofscript import parse_proof
 from gvlam.theory import load_theory_text
 from gvlam.typecheck import TypeError_
 from gvlam.vequation import (ProofError, SynthesisFailure, TheorySpec,
                              VProof, synthesize, validate)
+# Not compared with the oracle by conftest, for the rules the oracle lacks.
+from gvlam.vequation import validate as validate_alone
 
 TH = load_theory_text("""
     quantale metric
@@ -113,6 +116,12 @@ def test_cong_lambda():
         V('(cong-lambda (refl :ctx "" "unit"))')
 
 
+def test_cong_pair():
+    eq = V('(cong-pair (axiom wait :n 1 :m 2) (refl :ctx "u : I" "u"))')
+    assert eq.lhs == parse_term("wait_1(x) (*) u")
+    assert eq.bound == Fraction(1)
+
+
 def test_cong_tensor_let():
     eq = V('(cong-tensor-let (refl :ctx "p : X * X" "p") '
            '(cong-op plus (axiom wait :n 2 :m 3) (refl :ctx "b : X" "b")))')
@@ -151,6 +160,10 @@ def test_cong_subst():
     assert eq.context == parse_context("a : X, b : X")
     assert eq.lhs == parse_term("wait_1(plus(a, b))")
     assert eq.bound == Fraction(2)
+    both = V('(cong-subst :x x (axiom wait :n 1 :m 3) '
+             '(axiom wait :n 0 :m 1 :rename "x=a"))')
+    assert both.rhs == parse_term("wait_3(wait_1(a))")
+    assert both.bound == Fraction(3)
     with pytest.raises(ProofError, match="not in the premise"):
         V('(cong-subst :x nope (axiom wait :n 1 :m 3) '
            '(refl :ctx "a : X" "a"))')
@@ -161,6 +174,49 @@ def test_validate_rejects_ill_typed_conclusions():
         V('(refl :ctx "x : X" "plus(x, x)")')
     with pytest.raises(ProofError, match="unknown proof node"):
         validate(TH, VProof("mystery"))
+
+
+def test_congruences_check_their_typing_rule_locally():
+    # Each premise is well typed; only the congruence's own rule fails.
+    # Under a sym node, the failure must be reported by the congruence
+    # itself, not by the root's re-inference.
+    cases = [
+        ("cong-app", "applied term has non-function type X",
+         '(cong-app (refl :ctx "x : X" "x") (refl :ctx "y : X" "y"))'),
+        ("cong-op", "argument 0 of plus has type I, expected X",
+         '(cong-op plus (refl :ctx "u : I" "u") (refl :ctx "y : X" "y"))'),
+        ("cong-subst", "substituting a term of type I for x : X",
+         '(cong-subst :x x (axiom wait :n 1 :m 2) '
+         '(refl :ctx "u : I" "u"))'),
+        ("cong-derelict", "dereliction requires modality grade 1",
+         '(cong-derelict (refl :ctx "a : !2 X" "a"))'),
+    ]
+    for kind, message, src in cases:
+        proof = parse_proof(f"(sym {src})")
+        with pytest.raises(ProofError) as info:
+            validate_alone(TH, proof)
+        assert str(info.value).startswith(
+            f"{kind}: ill-typed conclusion: {message}")
+        with pytest.raises(ProofError, match="ill-typed"):
+            oracles.reinfer_validate(TH, proof)
+
+
+def test_binder_and_substituend_types_are_checked():
+    # The conclusions typecheck, so the re-inferring oracle accepts them,
+    # but each premise was proved at another type for a bound variable.
+    for src in (
+            '(cong-subst :x x (refl :ctx "x : X" "x") '
+            '(refl :ctx "u : I" "u"))',
+            '(cong-tensor-let (refl :ctx "p : X * I" "p") '
+            '(cong-pair (refl :ctx "a : X" "a") (refl :ctx "b : X" "b")))',
+            '(cong-copy (refl :ctx "z : !2 X" "z") '
+            '(cong-pair (refl :ctx "p : !1 I" "p") '
+            '(refl :ctx "q : !1 I" "q")))',
+            '(cong-promote :r 1 (refl :ctx "a : !1 X" "a") '
+            '(refl :ctx "x : !1 I" "x"))'):
+        oracles.reinfer_validate(TH, parse_proof(src))
+        with pytest.raises(ProofError, match="ill-typed"):
+            validate_alone(TH, parse_proof(src))
 
 
 def test_synthesize_axiom():
