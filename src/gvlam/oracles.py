@@ -3,8 +3,9 @@
 Nothing here shares the strategy of the primary implementations:
 enumeration is by unpruned generate-and-filter, interleavings come from
 permutation filtering, the distance is computed over an explicitly merged
-support, and proofs are validated by typechecking both sides of every
-node from scratch.
+support, proofs are validated by typechecking both sides of every node
+from scratch, and normalisation scans every position from the root and
+re-types every step from scratch.
 """
 
 from __future__ import annotations
@@ -16,9 +17,10 @@ from . import syntax as S
 from .metmodel import FinMetSpace, GuardExceeded, guard_limit, num_cmp
 from .parser import print_type
 from .probmodel import FinDist
-from .quantale import scalar_mul, value_repr
-from .rewrite import MatchError, RewriteStep, rewrite_term
-from .typecheck import infer
+from .quantale import NatSemiring, Semiring, scalar_mul, value_repr
+from .rewrite import (_ROWS, ORIENTED, EngineError, MatchError, RewriteStep,
+                      all_positions, get_subterm, rewrite_term, term_size)
+from .typecheck import Derivation, _check_variable_use, _free, _infer
 from .vequation import (ProofError, TheorySpec, VEquation, VProof,
                         _bang_grade, _concat_contexts, _tensor_all,
                         axiom_instantiate)
@@ -87,12 +89,67 @@ def brute_interleavings(parts):
 
 
 # ---------------------------------------------------------------------------
+# Typing and normalisation
+
+def reference_infer(sig: S.Signature, ctx: S.Context, term: S.Term,
+                    semiring: Semiring = NatSemiring()) -> Derivation:
+    """The derivation of ctx |- term with no memo shared between calls.
+
+    The reference for typecheck.infer: the variable-use checks run first,
+    then the term is typed on a fresh table.
+    """
+    ctx = S.check_context(ctx)
+    _check_variable_use(ctx, term)
+    table = {}
+    _free(term, table)
+    return _infer(sig, semiring, ctx, term, (), table)
+
+
+def reference_beta_normalize(sig: S.Signature, d: Derivation,
+                             fuel: int = None,
+                             semiring: Semiring = NatSemiring()):
+    """rewrite.beta_normalize, finding each redex by trying every oriented
+    row at every position, each position looked up from the root, and
+    typing every step's term from scratch."""
+
+    def find(term):
+        for pos in all_positions(term):
+            sub = get_subterm(term, pos)
+            for schema in ORIENTED:
+                try:
+                    _ROWS[schema][0](sub, {}, semiring)
+                except MatchError:
+                    continue
+                return RewriteStep(schema, pos, "L2R")
+        return None
+
+    if fuel is None:
+        fuel = 10 * term_size(d.conclusion.term)
+    steps = []
+    current = d
+    for _ in range(fuel):
+        step = find(current.conclusion.term)
+        if step is None:
+            return current, steps, False
+        term = rewrite_term(current.conclusion.term, step, semiring)
+        out = reference_infer(sig, current.conclusion.context, term,
+                              semiring)
+        if out.conclusion.type != current.conclusion.type:
+            raise EngineError(
+                f"rewrite by {step.schema.value} changed the type of the "
+                f"judgement")
+        current = out
+        steps.append(step)
+    return current, steps, find(current.conclusion.term) is not None
+
+
+# ---------------------------------------------------------------------------
 # Proof validation
 
 def _reinfer_eq(theory, ctx, lhs, rhs, where):
     try:
-        dl = infer(theory.signature, ctx, lhs, theory.semiring)
-        dr = infer(theory.signature, ctx, rhs, theory.semiring)
+        dl = reference_infer(theory.signature, ctx, lhs, theory.semiring)
+        dr = reference_infer(theory.signature, ctx, rhs, theory.semiring)
     except Exception as exc:
         raise ProofError(f"{where}: ill-typed conclusion: {exc}") from exc
     if dl.conclusion.type != dr.conclusion.type:

@@ -159,6 +159,17 @@ def all_positions(t: S.Term):
             yield (i,) + rest
 
 
+def positioned_subterms(t: S.Term):
+    """Pre-order (position, subterm) pairs, in one traversal."""
+    stack = [((), t)]
+    while stack:
+        pos, sub = stack.pop()
+        yield pos, sub
+        kids = _children(sub)
+        for i in range(len(kids) - 1, -1, -1):
+            stack.append((pos + (i,), kids[i]))
+
+
 # ---------------------------------------------------------------------------
 # Substitution helpers
 
@@ -767,9 +778,16 @@ def rewrite_term(term: S.Term, step: RewriteStep,
 
 
 def apply_step(sig: S.Signature, d: Derivation, step: RewriteStep,
-               semiring: Semiring = NatSemiring()) -> Derivation:
+               semiring: Semiring = NatSemiring(),
+               memo: dict = None) -> Derivation:
+    """Rewrite d's term by step and type the result in d's context.
+
+    memo is a typing memo (typecheck.infer) shared across the steps of
+    one caller; the rewritten term shares every subterm off the step's
+    position with d's term, so only the rebuilt nodes are typed again.
+    """
     new_term = rewrite_term(d.conclusion.term, step, semiring)
-    out = infer(sig, d.conclusion.context, new_term, semiring)
+    out = infer(sig, d.conclusion.context, new_term, semiring, memo)
     if out.conclusion.type != d.conclusion.type:
         raise EngineError(
             f"rewrite by {step.schema.value} changed the type of the "
@@ -788,14 +806,25 @@ ORIENTED = (
 )
 
 
+# The constructor at the head of each oriented row's left side: a subterm
+# with another head cannot match the row.
+_REDEX_HEAD = {
+    SchemaId.LOLLI_BETA: S.App, SchemaId.LOLLI_ETA: S.Lambda,
+    SchemaId.TENSOR_BETA: S.TensorLet, SchemaId.UNIT_BETA: S.UnitLet,
+    SchemaId.BANG_BETA: S.Derelict, SchemaId.BANG_ETA: S.Promote,
+    SchemaId.COPY_UNIT_LEFT: S.Copy, SchemaId.COPY_UNIT_RIGHT: S.Copy,
+}
+_ORIENTED_AT = {head: tuple(s for s in ORIENTED if _REDEX_HEAD[s] is head)
+                for head in _REDEX_HEAD.values()}
+
+
 def term_size(t: S.Term) -> int:
     return 1 + sum(term_size(k) for k in _children(t))
 
 
 def _find_redex(term: S.Term, semiring):
-    for pos in all_positions(term):
-        sub = get_subterm(term, pos)
-        for schema in ORIENTED:
+    for pos, sub in positioned_subterms(term):
+        for schema in _ORIENTED_AT.get(type(sub), ()):
             try:
                 _ROWS[schema][0](sub, {}, semiring)
             except MatchError:
@@ -808,17 +837,19 @@ def beta_normalize(sig: S.Signature, d: Derivation, fuel: int = None,
                    semiring: Semiring = NatSemiring()):
     """Reduce to a fixpoint of the oriented rows.
 
-    Returns (derivation, steps, exhausted).
+    Returns (derivation, steps, exhausted).  The steps share one typing
+    memo, so each step types only the nodes it rebuilt.
     """
     if fuel is None:
         fuel = 10 * term_size(d.conclusion.term)
     steps = []
     current = d
+    memo = {}
     for _ in range(fuel):
         step = _find_redex(current.conclusion.term, semiring)
         if step is None:
             return current, steps, False
-        current = apply_step(sig, current, step, semiring)
+        current = apply_step(sig, current, step, semiring, memo)
         steps.append(step)
     if _find_redex(current.conclusion.term, semiring) is None:
         return current, steps, False

@@ -316,6 +316,8 @@ def alpha_eq(a: Term, b: Term) -> bool:
 
 
 def _aeq(a, b, env_a, env_b) -> bool:
+    if a is b and env_a == env_b:
+        return True
     if type(a) is not type(b):
         return False
     match a, b:

@@ -6,7 +6,10 @@ modality.  At every term constructor the context is partitioned by
 free-variable ownership of the subterms, which makes the premise contexts
 order-preserving subsequences of the conclusion context and therefore a
 valid shuffle by construction.  The free variables of every subterm are
-computed once per call, bottom-up, into a table keyed by node identity.
+computed once per call, bottom-up, into a table keyed by node identity;
+the same table remembers each node's derivation and the context it was
+inferred in, so a caller that re-types a rewritten term with the table of
+an earlier call visits only the nodes the rewrite rebuilt.
 """
 
 from __future__ import annotations
@@ -74,10 +77,12 @@ def _split_context(ctx: S.Context, owners, path):
 def _free(term: S.Term, table: dict) -> frozenset:
     """Free variables of term, read from table or computed bottom-up into it.
 
-    table maps id(node) to (node, free variables).  The entry keeps its
-    node alive, so no later node can reuse that id while the table lives.
-    Nodes outside the table, such as the bodies _rename_binders creates,
-    are added on first use, so each node is visited once per table.
+    table maps id(node) to (node, free variables, derivation), the
+    derivation being None until _infer has typed the node.  The entry
+    keeps its node alive, so no later node can reuse that id while the
+    table lives.  Nodes outside the table, such as the bodies
+    _rename_binders creates, are added on first use, so each node is
+    visited once per table.
     """
     entry = table.get(id(term))
     if entry is not None:
@@ -103,7 +108,7 @@ def _free(term: S.Term, table: dict) -> frozenset:
             out = _free(v, table)
         case _:
             raise S.SyntaxError_(f"unknown term node {term!r}")
-    table[id(term)] = (term, out)
+    table[id(term)] = (term, out, None)
     return out
 
 
@@ -121,8 +126,28 @@ def _rename_binders(binders, body, taken):
 
 
 def infer(sig: S.Signature, ctx: S.Context, term: S.Term,
-          semiring: Semiring = NatSemiring()) -> Derivation:
+          semiring: Semiring = NatSemiring(), memo: dict = None) -> Derivation:
+    """The derivation of ctx |- term, or TypeError_.
+
+    memo is the table of an earlier call with the same signature and
+    semiring, for a caller that types a chain of terms sharing subterms;
+    it must not outlive that caller.  Plain calls get a fresh table.
+    """
     ctx = S.check_context(ctx)
+    table = {} if memo is None else memo
+    _free(term, table)
+    try:
+        return _infer(sig, semiring, ctx, term, (), table)
+    except Exception:
+        # A successful _infer implies every check below: each context
+        # variable reaches exactly one variable leaf, and every leaf's
+        # variable is in its context.  They run only to report a failure
+        # with the message of the first one that fails.
+        _check_variable_use(ctx, term)
+        raise
+
+
+def _check_variable_use(ctx, term):
     counts = S.free_var_counts(term)
     for name, n in counts.items():
         if n > 1:
@@ -134,9 +159,6 @@ def infer(sig: S.Signature, ctx: S.Context, term: S.Term,
         raise TypeError_(f"unbound variable {missing[0]}")
     if extra:
         raise TypeError_(f"variable {extra[0]} unused by the term")
-    table = {}
-    _free(term, table)
-    return _infer(sig, semiring, ctx, term, (), table)
 
 
 def check(sig: S.Signature, ctx: S.Context, term: S.Term, ty: S.TypeExpr,
@@ -150,6 +172,10 @@ def check(sig: S.Signature, ctx: S.Context, term: S.Term, ty: S.TypeExpr,
 
 
 def _infer(sig, semiring, ctx, term, path, table) -> Derivation:
+    entry = table.get(id(term))
+    if entry is not None and entry[2] is not None \
+            and entry[2].conclusion.context == ctx:
+        return entry[2]
     ctx_names = set(S.ctx_names(ctx))
 
     def fv(t):
@@ -159,8 +185,10 @@ def _infer(sig, semiring, ctx, term, path, table) -> Derivation:
         return _infer(sig, semiring, premise_ctx, t, path + (step,), table)
 
     def conclude(rule, ty, premises, splits):
-        return Derivation(rule, Judgement(ctx, term, ty),
-                          tuple(premises), tuple(splits))
+        d = Derivation(rule, Judgement(ctx, term, ty),
+                       tuple(premises), tuple(splits))
+        table[id(term)] = (term, fv(term), d)
+        return d
 
     match term:
         case S.Var(name):

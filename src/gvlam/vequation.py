@@ -126,10 +126,15 @@ def validate(theory: TheorySpec, proof: VProof) -> VEquation:
 
     Leaves infer the types of their two sides; every other node checks its
     own typing rule against the types of its premises.  Both sides of the
-    root conclusion are inferred once more at the end.
+    root conclusion are inferred once more at the end.  All these
+    inferences share one typing memo, so a side that shares subterms with
+    a side typed before, as consecutive terms of a rewrite chain do, is
+    typed only where it differs.
     """
-    eq, ty = _validate(theory, proof)
-    root_ty = _typecheck_eq(theory, eq.context, eq.lhs, eq.rhs, proof.kind)
+    memo = {}
+    eq, ty = _validate(theory, proof, memo)
+    root_ty = _typecheck_eq(theory, eq.context, eq.lhs, eq.rhs, proof.kind,
+                            memo)
     if root_ty != ty:
         raise ProofError(
             f"{proof.kind}: the sides have type {print_type(root_ty)}, "
@@ -137,13 +142,13 @@ def validate(theory: TheorySpec, proof: VProof) -> VEquation:
     return eq
 
 
-def _typecheck_eq(theory, ctx, lhs, rhs, where):
+def _typecheck_eq(theory, ctx, lhs, rhs, where, memo):
     """The common type of both sides in ctx."""
+    sig, sr = theory.signature, theory.semiring
     try:
-        tl = infer(theory.signature, ctx, lhs, theory.semiring) \
+        tl = infer(sig, ctx, lhs, sr, memo).conclusion.type
+        tr = tl if rhs is lhs else infer(sig, ctx, rhs, sr, memo) \
             .conclusion.type
-        tr = tl if rhs is lhs else infer(
-            theory.signature, ctx, rhs, theory.semiring).conclusion.type
     except Exception as exc:
         raise ProofError(f"{where}: ill-typed conclusion: {exc}") from exc
     if tl != tr:
@@ -153,17 +158,17 @@ def _typecheck_eq(theory, ctx, lhs, rhs, where):
     return tl
 
 
-def _validate(theory: TheorySpec, p: VProof):
+def _validate(theory: TheorySpec, p: VProof, memo: dict):
     """The proved equation and the type of its sides, bottom-up."""
     q, sr = theory.quantale, theory.semiring
-    sub = [_validate(theory, pr) for pr in p.premises]
+    sub = [_validate(theory, pr, memo) for pr in p.premises]
     eqs = [eq for eq, _ in sub]
     types = [ty for _, ty in sub]
     info = p.info
     where = p.kind
 
     def leaf(ctx, lhs, rhs, bound):
-        ty = _typecheck_eq(theory, ctx, lhs, rhs, where)
+        ty = _typecheck_eq(theory, ctx, lhs, rhs, where, memo)
         return VEquation(tuple(ctx), lhs, rhs, q.check(bound)), ty
 
     def out(ctx, lhs, rhs, bound, ty):
@@ -490,8 +495,11 @@ def synthesize(theory: TheorySpec, ctx: S.Context, v: S.Term, w: S.Term,
     dw = infer(sig, ctx, w, sr)
     if dv.conclusion.type != dw.conclusion.type:
         raise ProofError("the terms have different types")
+    # Axiom instances by (name, sorted params), failures included; only the
+    # search reads them, and validate instantiates every axiom again.
+    instances = {}
     try:
-        proof, pctx = _synth(theory, tuple(ctx), v, w)
+        proof, pctx = _synth(theory, tuple(ctx), v, w, instances)
         proof = _to_ctx(proof, pctx, tuple(ctx))
         return validate(theory, proof), proof
     except SynthesisFailure:
@@ -501,7 +509,7 @@ def synthesize(theory: TheorySpec, ctx: S.Context, v: S.Term, w: S.Term,
     dnv, steps_v, _ = beta_normalize(sig, dv, semiring=sr)
     dnw, steps_w, _ = beta_normalize(sig, dw, semiring=sr)
     nv, nw = dnv.conclusion.term, dnw.conclusion.term
-    proof, pctx = _synth(theory, tuple(ctx), nv, nw)
+    proof, pctx = _synth(theory, tuple(ctx), nv, nw, instances)
     proof = _to_ctx(proof, pctx, tuple(ctx))
     chain = _step_chain(ctx, v, steps_v, flip=False)
     back = _step_chain(ctx, w, steps_w, flip=True)
@@ -531,10 +539,7 @@ def _step_chain(ctx, term, steps, flip: bool):
         current = nxt
     if flip:
         nodes.reverse()
-        out = []
-        for n in nodes:
-            out.append(n)
-        return out
+        return nodes
     chain = None
     for n in nodes:
         chain = _trans(chain, n)
@@ -551,14 +556,15 @@ def _restrict(ctx: S.Context, names) -> S.Context:
     return tuple(e for e in ctx if e[0] in names)
 
 
-def _synth(theory: TheorySpec, ctx: S.Context, v: S.Term, w: S.Term):
+def _synth(theory: TheorySpec, ctx: S.Context, v: S.Term, w: S.Term,
+           instances: dict):
     """Core recursion; returns (proof, context-of-proof)."""
     sig, sr = theory.signature, theory.semiring
 
     if S.alpha_eq(v, w):
         return VProof("refl", (), {"ctx": ctx, "term": v}), ctx
 
-    ax = _try_axioms(theory, ctx, v, w)
+    ax = _try_axioms(theory, ctx, v, w, instances)
     if ax is not None:
         return ax
 
@@ -568,7 +574,7 @@ def _synth(theory: TheorySpec, ctx: S.Context, v: S.Term, w: S.Term):
             f"{print_term(v)} vs {print_term(w)}")
 
     def rec(sub_ctx, a, b):
-        proof, pctx = _synth(theory, sub_ctx, a, b)
+        proof, pctx = _synth(theory, sub_ctx, a, b, instances)
         return _to_ctx(proof, pctx, sub_ctx)
 
     def split2(a1, a2, b1, b2):
@@ -687,13 +693,19 @@ def _rename2(term, old_names, new_names):
     return term
 
 
-def _try_axioms(theory: TheorySpec, ctx: S.Context, v: S.Term, w: S.Term):
+def _try_axioms(theory: TheorySpec, ctx: S.Context, v: S.Term, w: S.Term,
+                instances: dict):
     for name in sorted(theory.axioms):
         family = theory.axioms[name]
         for params in family.candidates(theory, v, w):
-            try:
-                inst = axiom_instantiate(theory, name, params)
-            except ProofError:
+            key = (name, tuple(sorted(params.items())))
+            if key not in instances:
+                try:
+                    instances[key] = axiom_instantiate(theory, name, params)
+                except ProofError:
+                    instances[key] = None
+            inst = instances[key]
+            if inst is None:
                 continue
             got = _place_axiom(theory, ctx, v, w, name, params, inst)
             if got is not None:
