@@ -10,25 +10,18 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 
 import sympy
 
+from .metmodel import guard_limit
 from .quantale import SymbolicBound
 
 
 class ProbError(ValueError):
     pass
-
-
-DEFAULT_GUARD = 10 ** 6
-
-
-def guard_limit() -> int:
-    return int(os.environ.get("GVLAM_GUARD", DEFAULT_GUARD))
 
 
 # ---------------------------------------------------------------------------

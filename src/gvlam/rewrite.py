@@ -93,70 +93,24 @@ class RewriteStep:
 
 def get_subterm(t: S.Term, path):
     for i in path:
-        t = _children(t)[i]
+        t = S.children(t)[i]
     return t
 
 
 def replace_subterm(t: S.Term, path, new: S.Term) -> S.Term:
     if not path:
         return new
-    i, rest = path[0], path[1:]
-    kids = list(_children(t))
-    kids[i] = replace_subterm(kids[i], rest, new)
-    return _rebuild(t, kids)
-
-
-def _children(t: S.Term):
-    match t:
-        case S.Var() | S.Star():
-            return ()
-        case S.OpApp(_, args):
-            return args
-        case S.UnitLet(v, b) | S.TensorPair(v, b) | S.App(v, b) \
-                | S.Discard(v, b):
-            return (v, b)
-        case S.TensorLet(v, _, _, b) | S.Copy(_, _, v, _, _, b):
-            return (v, b)
-        case S.Lambda(_, _, b):
-            return (b,)
-        case S.Promote(_, _, args, _, b):
-            return args + (b,)
-        case S.Derelict(v):
-            return (v,)
-    raise MatchError(f"unknown term node {t!r}")
-
-
-def _rebuild(t: S.Term, kids):
-    match t:
-        case S.OpApp(op, _):
-            return S.OpApp(op, tuple(kids))
-        case S.UnitLet():
-            return S.UnitLet(*kids)
-        case S.TensorPair():
-            return S.TensorPair(*kids)
-        case S.App():
-            return S.App(*kids)
-        case S.Discard():
-            return S.Discard(*kids)
-        case S.TensorLet(_, x, y, _):
-            return S.TensorLet(kids[0], x, y, kids[1])
-        case S.Copy(n, m, _, x, y, _):
-            return S.Copy(n, m, kids[0], x, y, kids[1])
-        case S.Lambda(x, ty, _):
-            return S.Lambda(x, ty, kids[0])
-        case S.Promote(r, ss, _, xs, _):
-            return S.Promote(r, ss, tuple(kids[:-1]), xs, kids[-1])
-        case S.Derelict():
-            return S.Derelict(kids[0])
-    raise MatchError(f"cannot rebuild {t!r}")
+    shape = S.SHAPES[type(t)]
+    kids, binders = shape.parts(t)
+    kids = list(kids)
+    kids[path[0]] = replace_subterm(kids[path[0]], path[1:], new)
+    return shape.rebuild(t, kids, binders)
 
 
 def all_positions(t: S.Term):
     """Pre-order enumeration of positions (outermost first)."""
-    yield ()
-    for i, kid in enumerate(_children(t)):
-        for rest in all_positions(kid):
-            yield (i,) + rest
+    for pos, _ in positioned_subterms(t):
+        yield pos
 
 
 def positioned_subterms(t: S.Term):
@@ -165,7 +119,7 @@ def positioned_subterms(t: S.Term):
     while stack:
         pos, sub = stack.pop()
         yield pos, sub
-        kids = _children(sub)
+        kids = S.children(sub)
         for i in range(len(kids) - 1, -1, -1):
             stack.append((pos + (i,), kids[i]))
 
@@ -190,6 +144,17 @@ def subst_parallel(u: S.Term, mapping: dict) -> S.Term:
     return out
 
 
+# The message for nodes of one constructor whose annotations differ; the
+# format arguments are the annotations of the context term's node, then
+# those of the matched node.
+_ANNOTATION_MISMATCH = {
+    S.OpApp: "operation mismatch {0} vs {1}",
+    S.Lambda: "lambda annotation mismatch",
+    S.Promote: "promotion annotation mismatch",
+    S.Copy: "copy annotation mismatch",
+}
+
+
 def extract_plugs(u: S.Term, holes, t: S.Term) -> dict:
     """Recover the subterms plugged into u at the hole variables.
 
@@ -200,56 +165,31 @@ def extract_plugs(u: S.Term, holes, t: S.Term) -> dict:
     found = {}
 
     def go(a, b, ren):
-        match a:
-            case S.Var(x) if x in holes and x not in ren:
-                if x in found and not S.alpha_eq(found[x], b):
-                    raise MatchError(f"hole {x} matched two different terms")
-                found[x] = b
-                return
-        if type(a) is not type(b):
+        cls = type(a)
+        if cls is S.Var and a.name in holes and a.name not in ren:
+            if a.name in found and not S.alpha_eq(found[a.name], b):
+                raise MatchError(f"hole {a.name} matched two different terms")
+            found[a.name] = b
+            return
+        if cls is not type(b):
             raise MatchError(
                 f"shape mismatch: {print_term(a)} vs {print_term(b)}")
-        match a, b:
-            case (S.Var(x), S.Var(y)):
-                if ren.get(x, x) != y:
-                    raise MatchError(f"variable mismatch {x} vs {y}")
-            case (S.Star(), S.Star()):
-                pass
-            case (S.OpApp(f, xs), S.OpApp(g, ys)):
-                if f != g or len(xs) != len(ys):
-                    raise MatchError(f"operation mismatch {f} vs {g}")
-                for p, q in zip(xs, ys):
-                    go(p, q, ren)
-            case (S.UnitLet(v1, b1), S.UnitLet(v2, b2)) \
-                    | (S.TensorPair(v1, b1), S.TensorPair(v2, b2)) \
-                    | (S.App(v1, b1), S.App(v2, b2)) \
-                    | (S.Discard(v1, b1), S.Discard(v2, b2)):
-                go(v1, v2, ren)
-                go(b1, b2, ren)
-            case (S.TensorLet(v1, x1, y1, b1), S.TensorLet(v2, x2, y2, b2)):
-                go(v1, v2, ren)
-                go(b1, b2, {**ren, x1: x2, y1: y2})
-            case (S.Lambda(x1, ty1, b1), S.Lambda(x2, ty2, b2)):
-                if ty1 != ty2:
-                    raise MatchError("lambda annotation mismatch")
-                go(b1, b2, {**ren, x1: x2})
-            case (S.Promote(r1, s1, vs1, xs1, b1),
-                  S.Promote(r2, s2, vs2, xs2, b2)):
-                if r1 != r2 or s1 != s2 or len(vs1) != len(vs2):
-                    raise MatchError("promotion annotation mismatch")
-                for p, q in zip(vs1, vs2):
-                    go(p, q, ren)
-                go(b1, b2, {**ren, **dict(zip(xs1, xs2))})
-            case (S.Derelict(v1), S.Derelict(v2)):
-                go(v1, v2, ren)
-            case (S.Copy(n1, m1, v1, x1, y1, b1),
-                  S.Copy(n2, m2, v2, x2, y2, b2)):
-                if n1 != n2 or m1 != m2:
-                    raise MatchError("copy annotation mismatch")
-                go(v1, v2, ren)
-                go(b1, b2, {**ren, x1: x2, y1: y2})
-            case _:
-                raise MatchError(f"cannot match {a!r}")
+        if cls is S.Var:
+            if ren.get(a.name, a.name) != b.name:
+                raise MatchError(f"variable mismatch {a.name} vs {b.name}")
+            return
+        shape = S.SHAPES[cls]
+        kids_a, xs_a = shape.parts(a)
+        kids_b, xs_b = shape.parts(b)
+        notes_a, notes_b = shape.notes(a), shape.notes(b)
+        if notes_a != notes_b or len(kids_a) != len(kids_b):
+            raise MatchError(_ANNOTATION_MISMATCH[cls].format(
+                *notes_a, *notes_b))
+        n = len(kids_a) - 1 if xs_a else len(kids_a)
+        for i in range(n):
+            go(kids_a[i], kids_b[i], ren)
+        if n < len(kids_a):
+            go(kids_a[n], kids_b[n], {**ren, **dict(zip(xs_a, xs_b))})
 
     go(u, t, {})
     for h in holes:
@@ -671,75 +611,36 @@ def _promote_copy_r(t, b, sr):
                      "arguments")
 
 
-def _make_cc(name, pattern_check):
-    """Commuting conversion rows: u[K/z] = K-with-body u[w/z]."""
+def _make_cc(name, head):
+    """Commuting conversion rows: u[K/z] = K-with-body u[w/z], where K is
+    a node of constructor head and its body is its last child."""
 
     def l2r(t, b, sr):
         u, z = _need(b, "u"), _need(b, "z")
         plug = _decompose(u, z, t)
-        kids = pattern_check(plug)
-        if kids is None:
+        if type(plug) is not head:
             raise MatchError(f"the plug for {name} has the wrong head")
-        w = kids[-1]
-        new_body = subst_parallel(u, {z: w})
-        return _cc_rewrap(plug, new_body)
+        new_body = subst_parallel(u, {z: S.children(plug)[-1]})
+        return _with_body(plug, new_body)
 
     def r2l(t, b, sr):
         u, z = _need(b, "u"), _need(b, "z")
-        kids = pattern_check(t)
-        if kids is None:
+        if type(t) is not head:
             raise MatchError(f"expected a {name} expression at the position")
-        w = _decompose(u, z, kids[-1])
-        return subst_parallel(u, {z: _cc_rewrap(t, w)})
+        w = _decompose(u, z, S.children(t)[-1])
+        return subst_parallel(u, {z: _with_body(t, w)})
 
     return l2r, r2l
 
 
-def _cc_rewrap(shape: S.Term, new_body: S.Term) -> S.Term:
-    match shape:
-        case S.UnitLet(v, _):
-            return S.UnitLet(v, new_body)
-        case S.TensorLet(v, x, y, _):
-            return S.TensorLet(v, x, y, new_body)
-        case S.Discard(v, _):
-            return S.Discard(v, new_body)
-        case S.Copy(n, m, v, x, y, _):
-            return S.Copy(n, m, v, x, y, new_body)
-    raise MatchError("unsupported commuting-conversion head")
+def _with_body(t: S.Term, body: S.Term) -> S.Term:
+    return replace_subterm(t, (len(S.children(t)) - 1,), body)
 
 
-def _cc_unit_shape(t):
-    match t:
-        case S.UnitLet(v, w):
-            return (v, w)
-    return None
-
-
-def _cc_tensor_shape(t):
-    match t:
-        case S.TensorLet(v, x, y, w):
-            return (v, x, y, w)
-    return None
-
-
-def _cc_discard_shape(t):
-    match t:
-        case S.Discard(v, w):
-            return (v, w)
-    return None
-
-
-def _cc_copy_shape(t):
-    match t:
-        case S.Copy(n, m, v, x, y, w):
-            return (n, m, v, x, y, w)
-    return None
-
-
-_cc_unit_l, _cc_unit_r = _make_cc("let-unit", _cc_unit_shape)
-_cc_tensor_l, _cc_tensor_r = _make_cc("let-tensor", _cc_tensor_shape)
-_cc_discard_l, _cc_discard_r = _make_cc("discard", _cc_discard_shape)
-_cc_copy_l, _cc_copy_r = _make_cc("copy", _cc_copy_shape)
+_cc_unit_l, _cc_unit_r = _make_cc("let-unit", S.UnitLet)
+_cc_tensor_l, _cc_tensor_r = _make_cc("let-tensor", S.TensorLet)
+_cc_discard_l, _cc_discard_r = _make_cc("discard", S.Discard)
+_cc_copy_l, _cc_copy_r = _make_cc("copy", S.Copy)
 
 
 _ROWS = {
@@ -819,7 +720,7 @@ _ORIENTED_AT = {head: tuple(s for s in ORIENTED if _REDEX_HEAD[s] is head)
 
 
 def term_size(t: S.Term) -> int:
-    return 1 + sum(term_size(k) for k in _children(t))
+    return sum(1 for _ in S.subterms(t))
 
 
 def _find_redex(term: S.Term, semiring):

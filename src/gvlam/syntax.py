@@ -4,6 +4,11 @@ Terms and types are immutable trees.  Binders are plain string identifiers;
 alpha-equivalence and capture-avoiding substitution rename them on demand
 with a deterministic numeric-suffix scheme so printed output is stable
 across runs.
+
+Which fields of a term constructor are children, which are binders and
+which binders scope over which child is said once, in the constructor
+table SHAPES; free variables, alpha-equivalence, substitution, term
+positions and plug matching are derived from it.
 """
 
 from __future__ import annotations
@@ -12,6 +17,7 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass, field
 from math import factorial
+from typing import Callable, NamedTuple
 
 
 class SyntaxError_(ValueError):
@@ -146,6 +152,71 @@ class Copy(Term):
 
 
 # ---------------------------------------------------------------------------
+# The constructor table
+#
+# Var, the variable occurrence, is the one node each derived walk handles
+# itself; its entry serves the walks that only need children.
+
+
+class Shape(NamedTuple):
+    """How the fields of one term constructor divide into children,
+    binders and annotations.
+
+    parts(t) gives (children, binders), each in field order; the binders
+    scope over the last child and over no other.  notes(t) gives the
+    annotations, which alpha-equivalence compares literally.
+    rebuild(t, children, binders) gives a node with t's annotations and
+    the given children and binders.
+    """
+
+    parts: Callable
+    notes: Callable
+    rebuild: Callable
+
+
+def _leaf(t):
+    return (), ()
+
+
+def _no_notes(t):
+    return ()
+
+
+def _same(t, kids, binders):
+    return t
+
+
+SHAPES = {
+    Var: Shape(_leaf, lambda t: (t.name,), _same),
+    Star: Shape(_leaf, _no_notes, _same),
+    OpApp: Shape(lambda t: (t.args, ()), lambda t: (t.op,),
+                 lambda t, k, xs: OpApp(t.op, tuple(k))),
+    UnitLet: Shape(lambda t: ((t.value, t.body), ()), _no_notes,
+                   lambda t, k, xs: UnitLet(*k)),
+    TensorPair: Shape(lambda t: ((t.left, t.right), ()), _no_notes,
+                      lambda t, k, xs: TensorPair(*k)),
+    TensorLet: Shape(lambda t: ((t.value, t.body), (t.x, t.y)), _no_notes,
+                     lambda t, k, xs: TensorLet(k[0], *xs, k[1])),
+    Lambda: Shape(lambda t: ((t.body,), (t.var,)), lambda t: (t.ty,),
+                  lambda t, k, xs: Lambda(xs[0], t.ty, k[0])),
+    App: Shape(lambda t: ((t.fn, t.arg), ()), _no_notes,
+               lambda t, k, xs: App(*k)),
+    Promote: Shape(lambda t: (t.args + (t.body,), t.binders),
+                   lambda t: (t.grade, t.grades),
+                   lambda t, k, xs: Promote(t.grade, t.grades, tuple(k[:-1]),
+                                            tuple(xs), k[-1])),
+    Derelict: Shape(lambda t: ((t.value,), ()), _no_notes,
+                    lambda t, k, xs: Derelict(k[0])),
+    Discard: Shape(lambda t: ((t.value, t.body), ()), _no_notes,
+                   lambda t, k, xs: Discard(*k)),
+    Copy: Shape(lambda t: ((t.value, t.body), (t.x, t.y)),
+                lambda t: (t.left_grade, t.right_grade),
+                lambda t, k, xs: Copy(t.left_grade, t.right_grade, k[0],
+                                      *xs, k[1])),
+}
+
+
+# ---------------------------------------------------------------------------
 # Contexts and signatures
 
 Context = tuple  # of (name, TypeExpr) pairs
@@ -162,27 +233,11 @@ def check_context(ctx: Context) -> Context:
     return tuple(ctx)
 
 
-@dataclass(frozen=True)
-class OpFamily:
-    """An N-indexed family of symbols like wait_0, wait_1, ..."""
-
-    base: str
-    arg_types: tuple
-    result: TypeExpr
-
-    def match(self, name: str) -> bool:
-        prefix = self.base + "_"
-        return name.startswith(prefix) and name[len(prefix):].isdigit()
-
-    def sort(self, name: str):
-        return (self.arg_types, self.result) if self.match(name) else None
-
-
 @dataclass
 class Signature:
     grounds: frozenset
     ops: dict = field(default_factory=dict)        # name -> (arg_types, result)
-    families: list = field(default_factory=list)   # [OpFamily]
+    families: list = field(default_factory=list)   # [theory.ParamOpFamily]
 
     def declare(self, name: str, arg_types, result: TypeExpr):
         if not arg_types:
@@ -190,11 +245,6 @@ class Signature:
         if name in self.ops:
             raise SyntaxError_(f"duplicate operation {name}")
         self.ops[name] = (tuple(arg_types), result)
-
-    def declare_family(self, base: str, arg_types, result: TypeExpr):
-        if not arg_types:
-            raise SyntaxError_(f"operation family {base} must have arity >= 1")
-        self.families.append(OpFamily(base, tuple(arg_types), result))
 
     def lookup(self, name: str):
         if name in self.ops:
@@ -207,52 +257,39 @@ class Signature:
 
 
 # ---------------------------------------------------------------------------
-# Free variables
+# Walks over the constructor table
+
+def children(t: Term) -> tuple:
+    return SHAPES[type(t)].parts(t)[0]
+
+
+def subterms(t: Term):
+    """Every subterm of t, t first, in pre-order."""
+    stack = [t]
+    while stack:
+        u = stack.pop()
+        yield u
+        stack.extend(reversed(children(u)))
+
 
 def free_var_counts(t: Term) -> Counter:
+    """Occurrences of each free variable, in order of first occurrence."""
     out = Counter()
     _fv(t, out, frozenset())
     return out
 
 
-def _fv(t: Term, out: Counter, bound: frozenset):
-    match t:
-        case Var(name):
-            if name not in bound:
-                out[name] += 1
-        case Star():
-            pass
-        case OpApp(_, args):
-            for a in args:
-                _fv(a, out, bound)
-        case UnitLet(value, body):
-            _fv(value, out, bound)
-            _fv(body, out, bound)
-        case TensorPair(left, right):
-            _fv(left, out, bound)
-            _fv(right, out, bound)
-        case TensorLet(value, x, y, body):
-            _fv(value, out, bound)
-            _fv(body, out, bound | {x, y})
-        case Lambda(var, _, body):
-            _fv(body, out, bound | {var})
-        case App(fn, arg):
-            _fv(fn, out, bound)
-            _fv(arg, out, bound)
-        case Promote(_, _, args, binders, body):
-            for a in args:
-                _fv(a, out, bound)
-            _fv(body, out, bound | set(binders))
-        case Derelict(value):
-            _fv(value, out, bound)
-        case Discard(value, body):
-            _fv(value, out, bound)
-            _fv(body, out, bound)
-        case Copy(_, _, value, x, y, body):
-            _fv(value, out, bound)
-            _fv(body, out, bound | {x, y})
-        case _:
-            raise SyntaxError_(f"unknown term node {t!r}")
+def _fv(t, out: Counter, bound: frozenset):
+    if type(t) is Var:
+        if t.name not in bound:
+            out[t.name] += 1
+        return
+    kids, binders = SHAPES[type(t)].parts(t)
+    n = len(kids) - 1 if binders else len(kids)
+    for i in range(n):
+        _fv(kids[i], out, bound)
+    if n < len(kids):
+        _fv(kids[n], out, bound.union(binders))
 
 
 def free_vars(t: Term) -> set:
@@ -262,39 +299,15 @@ def free_vars(t: Term) -> set:
 def all_names(t: Term) -> set:
     """Free and bound variable names occurring anywhere in the term."""
     out = set()
-
-    def go(u):
-        match u:
-            case Var(name):
-                out.add(name)
-            case Star():
-                pass
-            case OpApp(_, args):
-                for a in args:
-                    go(a)
-            case UnitLet(v, b) | App(v, b) | Discard(v, b) | TensorPair(v, b):
-                go(v)
-                go(b)
-            case TensorLet(v, x, y, b):
-                out.update((x, y))
-                go(v)
-                go(b)
-            case Lambda(x, _, b):
-                out.add(x)
-                go(b)
-            case Promote(_, _, args, binders, b):
-                out.update(binders)
-                for a in args:
-                    go(a)
-                go(b)
-            case Derelict(v):
-                go(v)
-            case Copy(_, _, v, x, y, b):
-                out.update((x, y))
-                go(v)
-                go(b)
-
-    go(t)
+    stack = [t]
+    while stack:
+        u = stack.pop()
+        if type(u) is Var:
+            out.add(u.name)
+        else:
+            kids, binders = SHAPES[type(u)].parts(u)
+            out.update(binders)
+            stack.extend(kids)
     return out
 
 
@@ -318,45 +331,26 @@ def alpha_eq(a: Term, b: Term) -> bool:
 def _aeq(a, b, env_a, env_b) -> bool:
     if a is b and env_a == env_b:
         return True
-    if type(a) is not type(b):
+    cls = type(a)
+    if cls is not type(b):
         return False
-    match a, b:
-        case (Var(x), Var(y)):
-            return env_a.get(x, ("free", x)) == env_b.get(y, ("free", y))
-        case (Star(), Star()):
-            return True
-        case (OpApp(f, xs), OpApp(g, ys)):
-            return f == g and len(xs) == len(ys) and all(
-                _aeq(x, y, env_a, env_b) for x, y in zip(xs, ys))
-        case (UnitLet(v1, b1), UnitLet(v2, b2)):
-            return _aeq(v1, v2, env_a, env_b) and _aeq(b1, b2, env_a, env_b)
-        case (TensorPair(l1, r1), TensorPair(l2, r2)):
-            return _aeq(l1, l2, env_a, env_b) and _aeq(r1, r2, env_a, env_b)
-        case (TensorLet(v1, x1, y1, b1), TensorLet(v2, x2, y2, b2)):
-            if not _aeq(v1, v2, env_a, env_b):
-                return False
-            return _aeq(b1, b2, _bind(env_a, x1, y1), _bind(env_b, x2, y2))
-        case (Lambda(x1, t1, b1), Lambda(x2, t2, b2)):
-            if t1 != t2:
-                return False
-            return _aeq(b1, b2, _bind(env_a, x1), _bind(env_b, x2))
-        case (App(f1, a1), App(f2, a2)):
-            return _aeq(f1, f2, env_a, env_b) and _aeq(a1, a2, env_a, env_b)
-        case (Promote(r1, s1, vs1, xs1, b1), Promote(r2, s2, vs2, xs2, b2)):
-            if r1 != r2 or s1 != s2 or len(vs1) != len(vs2):
-                return False
-            if not all(_aeq(u, v, env_a, env_b) for u, v in zip(vs1, vs2)):
-                return False
-            return _aeq(b1, b2, _bind(env_a, *xs1), _bind(env_b, *xs2))
-        case (Derelict(v1), Derelict(v2)):
-            return _aeq(v1, v2, env_a, env_b)
-        case (Discard(v1, b1), Discard(v2, b2)):
-            return _aeq(v1, v2, env_a, env_b) and _aeq(b1, b2, env_a, env_b)
-        case (Copy(n1, m1, v1, x1, y1, b1), Copy(n2, m2, v2, x2, y2, b2)):
-            if n1 != n2 or m1 != m2 or not _aeq(v1, v2, env_a, env_b):
-                return False
-            return _aeq(b1, b2, _bind(env_a, x1, y1), _bind(env_b, x2, y2))
-    return False
+    if cls is Var:
+        return env_a.get(a.name, ("free", a.name)) \
+            == env_b.get(b.name, ("free", b.name))
+    shape = SHAPES[cls]
+    if shape.notes(a) != shape.notes(b):
+        return False
+    kids_a, xs_a = shape.parts(a)
+    kids_b, xs_b = shape.parts(b)
+    if len(kids_a) != len(kids_b):
+        return False
+    n = len(kids_a) - 1 if xs_a else len(kids_a)
+    for i in range(n):
+        if not _aeq(kids_a[i], kids_b[i], env_a, env_b):
+            return False
+    if n == len(kids_a):
+        return True
+    return _aeq(kids_a[n], kids_b[n], _bind(env_a, *xs_a), _bind(env_b, *xs_b))
 
 
 def _bind(env, *names):
@@ -377,47 +371,23 @@ def substitute(term: Term, repl: Term, var: str) -> Term:
 
 def _subst(t, w, x, fv_w):
     """t[w/x]; a binder that shadows x leaves its body untouched."""
-    match t:
-        case Var(name):
-            return w if name == x else t
-        case Star():
-            return t
-        case OpApp(f, args):
-            return OpApp(f, tuple(_subst(a, w, x, fv_w) for a in args))
-        case UnitLet(v, b):
-            return UnitLet(_subst(v, w, x, fv_w), _subst(b, w, x, fv_w))
-        case TensorPair(l, r):
-            return TensorPair(_subst(l, w, x, fv_w), _subst(r, w, x, fv_w))
-        case TensorLet(v, bx, by, b):
-            v2 = _subst(v, w, x, fv_w)
-            if x in (bx, by):
-                return TensorLet(v2, bx, by, b)
-            (bx2, by2), b2 = _avoid((bx, by), b, fv_w)
-            return TensorLet(v2, bx2, by2, _subst(b2, w, x, fv_w))
-        case Lambda(var, ty, b):
-            if var == x:
-                return t
-            (var2,), b2 = _avoid((var,), b, fv_w)
-            return Lambda(var2, ty, _subst(b2, w, x, fv_w))
-        case App(f, a):
-            return App(_subst(f, w, x, fv_w), _subst(a, w, x, fv_w))
-        case Promote(r, ss, args, binders, b):
-            args2 = tuple(_subst(a, w, x, fv_w) for a in args)
-            if x in binders:
-                return Promote(r, ss, args2, binders, b)
-            binders2, b2 = _avoid(binders, b, fv_w)
-            return Promote(r, ss, args2, binders2, _subst(b2, w, x, fv_w))
-        case Derelict(v):
-            return Derelict(_subst(v, w, x, fv_w))
-        case Discard(v, b):
-            return Discard(_subst(v, w, x, fv_w), _subst(b, w, x, fv_w))
-        case Copy(n, m, v, bx, by, b):
-            v2 = _subst(v, w, x, fv_w)
-            if x in (bx, by):
-                return Copy(n, m, v2, bx, by, b)
-            (bx2, by2), b2 = _avoid((bx, by), b, fv_w)
-            return Copy(n, m, v2, bx2, by2, _subst(b2, w, x, fv_w))
-    raise SyntaxError_(f"unknown term node {t!r}")
+    if type(t) is Var:
+        return w if t.name == x else t
+    shape = SHAPES[type(t)]
+    kids, binders = shape.parts(t)
+    if not kids:
+        return t
+    n = len(kids) - 1 if binders else len(kids)
+    new = []
+    for i in range(n):
+        new.append(_subst(kids[i], w, x, fv_w))
+    if n < len(kids):
+        body = kids[n]
+        if x not in binders:
+            binders, body = _avoid(binders, body, fv_w)
+            body = _subst(body, w, x, fv_w)
+        new.append(body)
+    return shape.rebuild(t, new, binders)
 
 
 def _avoid(binders, body, fv_w):

@@ -309,39 +309,7 @@ class GenericAxiom(AxiomFamily):
 
 
 def _op_names(term: S.Term):
-    out = set()
-
-    def go(t):
-        match t:
-            case S.OpApp(op, args):
-                out.add(op)
-                for a in args:
-                    go(a)
-            case _:
-                for kid in _term_children(t):
-                    go(kid)
-
-    go(term)
-    return out
-
-
-def _term_children(t: S.Term):
-    match t:
-        case S.Var() | S.Star():
-            return ()
-        case S.OpApp(_, args):
-            return args
-        case S.UnitLet(v, b) | S.TensorPair(v, b) | S.App(v, b) \
-                | S.Discard(v, b) | S.TensorLet(v, _, _, b) \
-                | S.Copy(_, _, v, _, _, b):
-            return (v, b)
-        case S.Lambda(_, _, b):
-            return (b,)
-        case S.Promote(_, _, args, _, b):
-            return args + (b,)
-        case S.Derelict(v):
-            return (v,)
-    return ()
+    return {t.op for t in S.subterms(term) if type(t) is S.OpApp}
 
 
 def _eval_bound(src: str, values: dict):

@@ -87,27 +87,16 @@ def _free(term: S.Term, table: dict) -> frozenset:
     entry = table.get(id(term))
     if entry is not None:
         return entry[1]
-    match term:
-        case S.Var(name):
-            out = frozenset((name,))
-        case S.Star():
-            out = frozenset()
-        case S.OpApp(_, args):
-            out = frozenset().union(*(_free(a, table) for a in args))
-        case S.UnitLet(v, b) | S.TensorPair(v, b) | S.App(v, b) \
-                | S.Discard(v, b):
-            out = _free(v, table) | _free(b, table)
-        case S.TensorLet(v, x, y, b) | S.Copy(_, _, v, x, y, b):
-            out = _free(v, table) | (_free(b, table) - {x, y})
-        case S.Lambda(x, _, b):
-            out = _free(b, table) - {x}
-        case S.Promote(_, _, args, binders, b):
-            out = frozenset().union(*(_free(a, table) for a in args),
-                                    _free(b, table) - set(binders))
-        case S.Derelict(v):
-            out = _free(v, table)
-        case _:
-            raise S.SyntaxError_(f"unknown term node {term!r}")
+    if type(term) is S.Var:
+        out = frozenset((term.name,))
+    else:
+        kids, binders = S.SHAPES[type(term)].parts(term)
+        n = len(kids) - 1 if binders else len(kids)
+        out = frozenset()
+        for i in range(n):
+            out |= _free(kids[i], table)
+        if n < len(kids):
+            out |= _free(kids[n], table) - set(binders)
     table[id(term)] = (term, out, None)
     return out
 

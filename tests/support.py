@@ -8,6 +8,7 @@ import random
 from fractions import Fraction
 
 from gvlam import syntax as S
+from gvlam import theory
 from gvlam.metmodel import ModelAssignment, timed_space
 from gvlam.rewrite import RewriteStep, SchemaId
 from gvlam.typecheck import Derivation, Judgement
@@ -26,7 +27,7 @@ def test_signature() -> S.Signature:
     sig = S.Signature(frozenset({"X"}))
     sig.declare("plus", (X, X), X)
     sig.declare("c", (I,), X)
-    sig.declare_family("wait", (X,), X)
+    sig.families.append(theory.ParamOpFamily("wait", ("n",), ("X",), "X"))
     return sig
 
 

@@ -118,6 +118,14 @@ def test_symmetrise():
     assert not is_symmetric(t, 2, 2)
 
 
+def test_symmetrise_guard(monkeypatch):
+    monkeypatch.setenv("GVLAM_GUARD", "5")
+    assert symmetrise({(0, 1): Fraction(1)}, 2, 2)
+    with pytest.raises(ProbError) as exc:
+        symmetrise({}, 2, 3)
+    assert str(exc.value) == "tensor with 8 coefficients exceeds the 5 guard"
+
+
 def test_check_symmetrisation():
     results = check_symmetrisation(2, 2, trials=5)
     assert results and all(ok for _, ok in results)

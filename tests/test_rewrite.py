@@ -6,8 +6,9 @@ from gvlam import syntax as S
 from gvlam.parser import parse_context, parse_term
 from gvlam.rewrite import (GROUPS, MatchError, ORIENTED, RewriteStep,
                            SchemaId, all_positions, apply_step,
-                           beta_normalize, eq_script_check, get_subterm,
-                           replace_subterm, rewrite_term, term_size)
+                           beta_normalize, eq_script_check, extract_plugs,
+                           get_subterm, replace_subterm, rewrite_term,
+                           term_size)
 from gvlam.typecheck import infer
 
 import support
@@ -156,3 +157,36 @@ def test_eq_script_check():
     with pytest.raises(MatchError):
         eq_script_check(SIG, lhs, rhs, [("M", RewriteStep(
             SchemaId.LOLLI_BETA))])
+
+
+@pytest.mark.parametrize("context, holes, target, message", [
+    ("wait_1(z)", "z", "p", "shape mismatch: wait_1(z) vs p"),
+    ("plus(z, x)", "z", "plus(a, y)", "variable mismatch x vs y"),
+    ("fn x : X => plus(x, z)", "z", "fn y : X => plus(a, y)",
+     "variable mismatch x vs a"),
+    ("wait_2(z)", "z", "wait_1(y)", "operation mismatch wait_2 vs wait_1"),
+    ("f(z)", "z", "f(a, b)", "operation mismatch f vs f"),
+    ("plus(wait_1(z), x)", "z", "plus(wait_2(a), y)",
+     "operation mismatch wait_1 vs wait_2"),
+    ("fn x : X => z", "z", "fn x : I => wait_1(y)",
+     "lambda annotation mismatch"),
+    ("promote[2; 1](z; x => derelict x)", "z",
+     "promote[3; 1](wait_1(a); x => derelict x)",
+     "promotion annotation mismatch"),
+    ("promote[2; 1](z; x => derelict x)", "z",
+     "promote[2; 1,1](a, b; x, y => derelict x)",
+     "promotion annotation mismatch"),
+    ("copy [1,1] z as a, b in a (*) b", "z",
+     "copy [1,2] wait_1(y) as a, b in a (*) b", "copy annotation mismatch"),
+    ("plus(z, z)", "z", "plus(a, b)", "hole z matched two different terms"),
+    ("x", "z", "x", "hole z does not occur in the context term"),
+    ("fn z : X => z", "z", "fn y : X => y",
+     "hole z does not occur in the context term"),
+    ("plus(z, x)", "z,w", "plus(a, x)",
+     "hole w does not occur in the context term"),
+])
+def test_extract_plugs_messages(context, holes, target, message):
+    with pytest.raises(MatchError) as exc:
+        extract_plugs(parse_term(context), holes.split(","),
+                      parse_term(target))
+    assert str(exc.value) == message

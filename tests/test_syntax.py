@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -134,6 +135,60 @@ def test_substitute_promote_binders():
     assert S.substitute(t, S.Var("w"), "v") \
         == T("promote[1; 1](w; x => derelict x)")
     assert S.substitute(t, S.Var("w"), "x") == t
+
+
+TERM_CLASSES = sorted(
+    (c for c in vars(S).values()
+     if isinstance(c, type) and issubclass(c, S.Term) and c is not S.Term),
+    key=lambda c: c.__name__)
+
+
+def test_every_term_constructor_has_a_table_entry():
+    assert set(TERM_CLASSES) == set(S.SHAPES)
+
+
+def _flat(values):
+    return [m for v in values for m in (v if type(v) is tuple else (v,))]
+
+
+@pytest.mark.parametrize("cls", TERM_CLASSES, ids=lambda c: c.__name__)
+def test_table_entry_accounts_for_every_field_once(cls):
+    # A distinct marker in every field, and two in every vector field, so
+    # each marker must come back from exactly one of children, binders and
+    # annotations.
+    values = {f.name: (object(), object()) if f.type in ("tuple", tuple) else object()
+              for f in dataclasses.fields(cls)}
+    t = cls(**values)
+    shape = S.SHAPES[cls]
+    kids, binders = shape.parts(t)
+    seen = [*kids, *binders, *_flat(shape.notes(t))]
+    assert sorted(map(id, seen)) == sorted(map(id, _flat(values.values())))
+    new_kids = tuple(object() for _ in kids)
+    new_binders = tuple(object() for _ in binders)
+    u = shape.rebuild(t, new_kids, new_binders)
+    assert type(u) is cls
+    assert shape.parts(u) == (new_kids, new_binders)
+    assert shape.notes(u) == shape.notes(t)
+
+
+def test_all_names_includes_binders_without_occurrences():
+    t = T("let a (*) b = p in copy [1,1] q as c, d in "
+          "promote[1; 1](r; e => fn f : X => y)")
+    assert S.all_names(t) == {"a", "b", "c", "d", "e", "f", "p", "q", "r",
+                              "y"}
+    assert S.free_vars(t) == {"p", "q", "r", "y"}
+
+
+def test_rebuild_from_own_entry_gives_an_equal_term():
+    rng = random.Random(11)
+    gen = support.DerivGen(rng)
+    for _ in range(100):
+        ty = rng.choice([support.X, support.I, support.XX,
+                         support.bang(2), support.X2X])
+        term = gen.term_of(ty, rng.randrange(1, 5)).conclusion.term
+        for sub in S.subterms(term):
+            shape = S.SHAPES[type(sub)]
+            assert shape.rebuild(sub, *shape.parts(sub)) == sub
 
 
 def test_fresh_name():
