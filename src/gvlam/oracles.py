@@ -23,7 +23,7 @@ from .rewrite import (_ROWS, ORIENTED, EngineError, MatchError, RewriteStep,
 from .typecheck import Derivation, _check_variable_use, _free, _infer
 from .vequation import (ProofError, TheorySpec, VEquation, VProof,
                         _bang_grade, _concat_contexts, _tensor_all,
-                        axiom_instantiate)
+                        axiom_instantiate, check_arity)
 
 
 def enumerate_nonexpansive(x: FinMetSpace, y: FinMetSpace):
@@ -167,6 +167,7 @@ def reinfer_validate(theory: TheorySpec, p: VProof) -> VEquation:
     and the root.  The structural rules are shared; the typing is not.
     """
     q = theory.quantale
+    check_arity(p)
     sub = [reinfer_validate(theory, pr) for pr in p.premises]
     info = p.info
     where = p.kind
@@ -201,8 +202,6 @@ def reinfer_validate(theory: TheorySpec, p: VProof) -> VEquation:
             return out(a.context, a.lhs, a.rhs, target)
 
         case "join":
-            if not sub:
-                raise ProofError("join needs at least one premise")
             first = sub[0]
             for a in sub[1:]:
                 if a.context != first.context \

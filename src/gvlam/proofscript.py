@@ -13,7 +13,7 @@ from fractions import Fraction
 from .parser import parse_context, parse_term, parse_type
 from .quantale import INF
 from .rewrite import RewriteStep, SchemaId
-from .vequation import ALL_KINDS, ProofError, VProof
+from .vequation import CONGRUENCES, VProof
 
 
 class ScriptError(ValueError):
@@ -73,17 +73,10 @@ def parse_bound_literal(text: str):
         raise ScriptError(f"bad bound literal {text!r}") from exc
 
 
-_TERM_KEYS = {"u", "w", "v", "term"}
-_NAME_KEYS = {"z", "x", "y", "a", "c", "name"}
-_INT_KEYS = {"i", "n", "m", "o", "r", "k", "q_int"}
 _SCHEMA_INT_KEYS = {"i", "n", "m", "o", "r"}
 
-
-def _atom_value(atom):
-    kind, text = atom
-    if kind == "str":
-        return text
-    return text
+# The congruence heads that take nothing but their premises.
+_PLAIN_CONGRUENCES = {c.kind for c in CONGRUENCES.values() if not c.info}
 
 
 def _split_args(items):
@@ -119,6 +112,22 @@ def _as_int(value, what):
     if not re.fullmatch(r"-?[0-9]+", text):
         raise ScriptError(f"{what} must be an integer, got {text!r}")
     return int(text)
+
+
+def _required(kwargs, key, head):
+    if key not in kwargs:
+        raise ScriptError(f"{head} needs a :{key} argument")
+    return kwargs[key]
+
+
+def _position(value):
+    """A dotted position such as 0.1; the empty text is the root."""
+    pieces = [p for p in _as_text(value, "pos").split(".") if p != ""]
+    for p in pieces:
+        if not re.fullmatch(r"[0-9]+", p):
+            raise ScriptError(f"pos must be dot-separated non-negative "
+                              f"integers, got {p!r}")
+    return tuple(int(p) for p in pieces)
 
 
 def build_proof(sexpr) -> VProof:
@@ -159,7 +168,7 @@ def build_proof(sexpr) -> VProof:
         return VProof("sym", premises())
 
     if head == "perm":
-        ctx = parse_context(_as_text(kwargs["ctx"], "ctx"))
+        ctx = parse_context(_as_text(_required(kwargs, "ctx", head), "ctx"))
         return VProof("perm", premises(), {"ctx": ctx})
 
     if head == "axiom":
@@ -185,11 +194,8 @@ def build_proof(sexpr) -> VProof:
         except ValueError:
             raise ScriptError(f"unknown schema row {row_name!r}") from None
         ctx = parse_context(_as_text(kwargs.get("ctx", ("str", "")), "ctx"))
-        term = parse_term(_as_text(kwargs["term"], "term"))
-        pos = ()
-        if "pos" in kwargs:
-            text = _as_text(kwargs["pos"], "pos")
-            pos = tuple(int(p) for p in text.split(".") if p != "")
+        term = parse_term(_as_text(_required(kwargs, "term", head), "term"))
+        pos = _position(kwargs["pos"]) if "pos" in kwargs else ()
         direction = _as_text(kwargs.get("dir", ("atom", "L2R")), "dir")
         flip = "flip" in kwargs and _as_text(kwargs["flip"], "flip") != "no"
         bindings = {}
@@ -202,7 +208,8 @@ def build_proof(sexpr) -> VProof:
                 bindings[key] = parse_type(_as_text(value, key))
             elif key in ("ss",):
                 bindings[key] = tuple(
-                    int(s) for s in _as_text(value, key).split(",") if s)
+                    _as_int(("atom", s.strip()), key)
+                    for s in _as_text(value, key).split(",") if s)
             elif key in ("xs",):
                 bindings[key] = tuple(
                     s.strip() for s in _as_text(value, key).split(",") if s)
@@ -222,16 +229,14 @@ def build_proof(sexpr) -> VProof:
         return VProof("cong-op", prems, {"op": op})
 
     if head == "cong-promote":
-        r = _as_int(kwargs["r"], "r")
+        r = _as_int(_required(kwargs, "r", head), "r")
         return VProof("cong-promote", premises(), {"r": r})
 
     if head == "cong-subst":
-        x = _as_text(kwargs["x"], "x")
+        x = _as_text(_required(kwargs, "x", head), "x")
         return VProof("cong-subst", premises(), {"x": x})
 
-    if head in ("cong-unit-let", "cong-pair", "cong-tensor-let",
-                "cong-lambda", "cong-app", "cong-derelict", "cong-discard",
-                "cong-copy"):
+    if head in _PLAIN_CONGRUENCES:
         return VProof(head, premises())
 
     raise ScriptError(f"unknown proof node head {head!r}")

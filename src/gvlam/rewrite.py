@@ -92,9 +92,15 @@ class RewriteStep:
 # Positions
 
 def get_subterm(t: S.Term, path):
+    sub = t
     for i in path:
-        t = S.children(t)[i]
-    return t
+        kids = S.children(sub)
+        if not 0 <= i < len(kids):
+            raise MatchError(
+                f"position {'.'.join(map(str, path))} names no subterm of "
+                f"{print_term(t)}")
+        sub = kids[i]
+    return sub
 
 
 def replace_subterm(t: S.Term, path, new: S.Term) -> S.Term:

@@ -3,24 +3,25 @@
 A proof is a tree of labelled rules.  Validation recomputes every node's
 concluded equation-in-context and bound bottom-up, so a validated proof
 cannot overstate its bound.  It typechecks compositionally: leaves infer
-the types of their sides, every other node checks its own typing rule
-against its premises' types, and the root's sides are inferred once more
-(docs/proofs.md, "Trust argument").  Synthesis
-is a compositional strategy: alpha-equality, axiom instances placed with
-the substitution congruence, same-head congruences, and optionally a
+the types of their sides, each congruence lets the typechecker type the
+one node it adds and requires the premises' judgements in its
+derivation, and the root's sides are inferred once more (docs/proofs.md,
+"Trust argument").  One table, CONGRUENCES, gives each term constructor
+its congruence rule, for validation and synthesis alike.  Synthesis is a
+compositional strategy: alpha-equality, axiom instances placed with the
+substitution congruence, same-head congruences, and optionally a
 normalize-and-retry fallback whose rewrite steps cost the unit bound.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
+from typing import Callable, NamedTuple
 
 from . import syntax as S
 from .parser import print_context, print_term, print_type
-from .quantale import (Quantale, Semiring, grade_repr, scalar_mul,
-                       value_repr)
-from .typecheck import infer
+from .quantale import Quantale, Semiring, scalar_mul, value_repr
+from .typecheck import Derivation, infer
 from .rewrite import (RewriteStep, MatchError, beta_normalize,
                       extract_plugs, rewrite_term, subst_parallel)
 
@@ -90,15 +91,89 @@ class VProof:
     info: dict = field(default_factory=dict, hash=False, compare=False)
 
 
-CONG_KINDS = {
-    "cong-op", "cong-unit-let", "cong-pair", "cong-tensor-let",
-    "cong-lambda", "cong-app", "cong-derelict", "cong-discard",
-    "cong-copy", "cong-promote", "cong-subst",
+class Congruence(NamedTuple):
+    """The congruence rule of one term constructor.
+
+    Its premises prove equations between the constructor's children, in
+    field order, and make(info, children, binders, binder_types) builds
+    the node from them.  The body premise, last, ends its context with
+    the construct's binders: binds of them, or, for promotion (None), one
+    per other premise and nothing else; unbound is the error when they
+    are missing.  arity is the least and the most number of premises
+    (None: no most).  info pairs each key of the proof node with the term
+    node's field, and scale names the key whose grade scales the body
+    premise's label.
+    """
+
+    kind: str
+    make: Callable
+    arity: tuple = (2, 2)
+    binds: object = 0
+    unbound: str = ""
+    info: tuple = ()
+    scale: str = None
+
+
+CONGRUENCES = {
+    S.OpApp: Congruence(
+        "cong-op", lambda i, k, xs, tys: S.OpApp(i["op"], tuple(k)),
+        arity=(0, None), info=(("op", "op"),)),
+    S.UnitLet: Congruence(
+        "cong-unit-let", lambda i, k, xs, tys: S.UnitLet(*k)),
+    S.TensorPair: Congruence(
+        "cong-pair", lambda i, k, xs, tys: S.TensorPair(*k)),
+    S.TensorLet: Congruence(
+        "cong-tensor-let",
+        lambda i, k, xs, tys: S.TensorLet(k[0], *xs, k[1]), binds=2,
+        unbound="the body premise must bind the two tensor variables"),
+    S.Lambda: Congruence(
+        "cong-lambda", lambda i, k, xs, tys: S.Lambda(xs[0], tys[0], k[0]),
+        arity=(1, 1), binds=1,
+        unbound="the premise must bind the lambda variable"),
+    S.App: Congruence(
+        "cong-app", lambda i, k, xs, tys: S.App(*k)),
+    S.Promote: Congruence(
+        "cong-promote",
+        lambda i, k, xs, tys: S.Promote(
+            i["r"], tuple(map(_bang_grade, tys)), tuple(k[:-1]), xs, k[-1]),
+        arity=(1, None), binds=None,
+        unbound="promotion congruence premise count does not match the "
+                "body context",
+        info=(("r", "grade"),), scale="r"),
+    S.Derelict: Congruence(
+        "cong-derelict", lambda i, k, xs, tys: S.Derelict(*k),
+        arity=(1, 1)),
+    S.Discard: Congruence(
+        "cong-discard", lambda i, k, xs, tys: S.Discard(*k)),
+    S.Copy: Congruence(
+        "cong-copy",
+        lambda i, k, xs, tys: S.Copy(*map(_bang_grade, tys), k[0], *xs,
+                                     k[1]), binds=2,
+        unbound="the body premise must bind the two copy variables"),
 }
 
-ALL_KINDS = CONG_KINDS | {
-    "refl", "trans", "weak", "join", "sym", "perm", "axiom", "schema",
+_BY_KIND = {c.kind: c for c in CONGRUENCES.values()}
+
+# The least and the most number of premises of each kind of node.
+ARITY = {
+    "refl": (0, 0), "axiom": (0, 0), "schema": (0, 0),
+    "weak": (1, 1), "sym": (1, 1), "perm": (1, 1),
+    "trans": (2, 2), "join": (1, None), "cong-subst": (2, 2),
+    **{c.kind: c.arity for c in CONGRUENCES.values()},
 }
+
+
+def check_arity(p: VProof):
+    """Reject an unknown kind of node or a wrong number of premises."""
+    if p.kind not in ARITY:
+        raise ProofError(f"unknown proof node kind {p.kind!r}")
+    least, most = ARITY[p.kind]
+    n = len(p.premises)
+    if most is None and n < least:
+        raise ProofError(f"{p.kind} needs at least one premise")
+    if most is not None and n != most:
+        s = "" if most == 1 else "s"
+        raise ProofError(f"{p.kind} takes {most} premise{s}, got {n}")
 
 
 def axiom_instantiate(theory: TheorySpec, name: str,
@@ -124,12 +199,13 @@ def axiom_instantiate(theory: TheorySpec, name: str,
 def validate(theory: TheorySpec, proof: VProof) -> VEquation:
     """Check a proof and return the equation-in-context it proves.
 
-    Leaves infer the types of their two sides; every other node checks its
-    own typing rule against the types of its premises.  Both sides of the
-    root conclusion are inferred once more at the end.  All these
-    inferences share one typing memo, so a side that shares subterms with
-    a side typed before, as consecutive terms of a rewrite chain do, is
-    typed only where it differs.
+    Leaves infer the types of their two sides; a congruence infers the
+    one node it adds to each side; the other nodes take their premises'
+    types.  Both sides of the root conclusion are inferred once more at
+    the end.  All these inferences share one typing memo, so a side whose
+    subterms were typed before, as the premises' sides of a congruence and
+    consecutive terms of a rewrite chain are, is typed only where it is
+    new.
     """
     memo = {}
     eq, ty = _validate(theory, proof, memo)
@@ -160,7 +236,8 @@ def _typecheck_eq(theory, ctx, lhs, rhs, where, memo):
 
 def _validate(theory: TheorySpec, p: VProof, memo: dict):
     """The proved equation and the type of its sides, bottom-up."""
-    q, sr = theory.quantale, theory.semiring
+    q = theory.quantale
+    check_arity(p)
     sub = [_validate(theory, pr, memo) for pr in p.premises]
     eqs = [eq for eq, _ in sub]
     types = [ty for _, ty in sub]
@@ -212,8 +289,6 @@ def _validate(theory: TheorySpec, p: VProof, memo: dict):
             return out(a.context, a.lhs, a.rhs, target, types[0])
 
         case "join":
-            if not eqs:
-                raise ProofError("join needs at least one premise")
             first = eqs[0]
             for a in eqs[1:]:
                 if a.context != first.context \
@@ -266,169 +341,6 @@ def _validate(theory: TheorySpec, p: VProof, memo: dict):
                 term, result = result, term
             return leaf(ctx, term, result, q.unit)
 
-        case "cong-op":
-            opname = info["op"]
-            ctx = _concat_contexts([a.context for a in eqs], where)
-            lhs = S.OpApp(opname, tuple(a.lhs for a in eqs))
-            rhs = S.OpApp(opname, tuple(a.rhs for a in eqs))
-            sort = theory.signature.lookup(opname)
-            if sort is None:
-                raise ill_typed(f"unknown operation symbol {opname}")
-            arg_types, result = sort
-            if len(eqs) != len(arg_types):
-                raise ill_typed(
-                    f"operation {opname} expects {len(arg_types)} "
-                    f"arguments, got {len(eqs)}")
-            for i, (ty, want) in enumerate(zip(types, arg_types)):
-                if ty != want:
-                    raise ill_typed(
-                        f"argument {i} of {opname} has type "
-                        f"{print_type(ty)}, expected {print_type(want)}")
-            return out(ctx, lhs, rhs, _tensor_all(q, [a.bound for a in eqs]),
-                       result)
-
-        case "cong-unit-let":
-            a, b = eqs
-            ctx = _concat_contexts([a.context, b.context], where)
-            if types[0] != S.UnitType():
-                raise ill_typed("let unit scrutinee must have the unit type")
-            return out(ctx, S.UnitLet(a.lhs, b.lhs), S.UnitLet(a.rhs, b.rhs),
-                       q.tensor(a.bound, b.bound), types[1])
-
-        case "cong-pair":
-            a, b = eqs
-            ctx = _concat_contexts([a.context, b.context], where)
-            return out(ctx, S.TensorPair(a.lhs, b.lhs),
-                       S.TensorPair(a.rhs, b.rhs),
-                       q.tensor(a.bound, b.bound), S.TensorType(*types))
-
-        case "cong-app":
-            a, b = eqs
-            ctx = _concat_contexts([a.context, b.context], where)
-            match types[0]:
-                case S.LolliType(arg_ty, result):
-                    if types[1] != arg_ty:
-                        raise ill_typed(
-                            f"function expects {print_type(arg_ty)}, "
-                            f"argument has type {print_type(types[1])}")
-                case other:
-                    raise ill_typed(f"applied term has non-function type "
-                                    f"{print_type(other)}")
-            return out(ctx, S.App(a.lhs, b.lhs), S.App(a.rhs, b.rhs),
-                       q.tensor(a.bound, b.bound), result)
-
-        case "cong-tensor-let":
-            a, b = eqs
-            if len(b.context) < 2:
-                raise ProofError(
-                    "the body premise must bind the two tensor variables")
-            (x, xty), (y, yty) = b.context[-2], b.context[-1]
-            ctx = _concat_contexts([a.context, b.context[:-2]], where)
-            match types[0]:
-                case S.TensorType(left, right):
-                    if (left, right) != (xty, yty):
-                        raise ill_typed(
-                            f"the body binds {x} : {print_type(xty)} and "
-                            f"{y} : {print_type(yty)}, the scrutinee has "
-                            f"type {print_type(types[0])}")
-                case other:
-                    raise ill_typed(f"let-tensor scrutinee has non-tensor "
-                                    f"type {print_type(other)}")
-            return out(ctx, S.TensorLet(a.lhs, x, y, b.lhs),
-                       S.TensorLet(a.rhs, x, y, b.rhs),
-                       q.tensor(a.bound, b.bound), types[1])
-
-        case "cong-lambda":
-            (a,) = eqs
-            if not a.context:
-                raise ProofError("the premise must bind the lambda variable")
-            x, ty = a.context[-1]
-            return out(a.context[:-1], S.Lambda(x, ty, a.lhs),
-                       S.Lambda(x, ty, a.rhs), a.bound,
-                       S.LolliType(ty, types[0]))
-
-        case "cong-derelict":
-            (a,) = eqs
-            match types[0]:
-                case S.BangType(g, inner) if g == sr.one:
-                    pass
-                case other:
-                    raise ill_typed(
-                        f"dereliction requires modality grade "
-                        f"{grade_repr(sr.one)}, got {print_type(other)}")
-            return out(a.context, S.Derelict(a.lhs), S.Derelict(a.rhs),
-                       a.bound, inner)
-
-        case "cong-discard":
-            a, b = eqs
-            ctx = _concat_contexts([a.context, b.context], where)
-            match types[0]:
-                case S.BangType(g, _) if g == sr.zero:
-                    pass
-                case other:
-                    raise ill_typed(
-                        f"discard requires modality grade "
-                        f"{grade_repr(sr.zero)}, got {print_type(other)}")
-            return out(ctx, S.Discard(a.lhs, b.lhs), S.Discard(a.rhs, b.rhs),
-                       q.tensor(a.bound, b.bound), types[1])
-
-        case "cong-copy":
-            a, b = eqs
-            if len(b.context) < 2:
-                raise ProofError(
-                    "the body premise must bind the two copy variables")
-            (x, xty), (y, yty) = b.context[-2], b.context[-1]
-            n, m = _bang_grade(xty), _bang_grade(yty)
-            ctx = _concat_contexts([a.context, b.context[:-2]], where)
-            match types[0]:
-                case S.BangType(g, inner) if g == sr.add(n, m):
-                    if (xty, yty) != (S.BangType(n, inner),
-                                      S.BangType(m, inner)):
-                        raise ill_typed(
-                            f"the body binds {x} : {print_type(xty)} and "
-                            f"{y} : {print_type(yty)}, the scrutinee has "
-                            f"type {print_type(types[0])}")
-                case other:
-                    raise ill_typed(
-                        f"copy scrutinee must have modality grade "
-                        f"{grade_repr(sr.add(n, m))}, got "
-                        f"{print_type(other)}")
-            return out(ctx, S.Copy(n, m, a.lhs, x, y, b.lhs),
-                       S.Copy(n, m, a.rhs, x, y, b.rhs),
-                       q.tensor(a.bound, b.bound), types[1])
-
-        case "cong-promote":
-            r = info["r"]
-            *args, body = eqs
-            binders = tuple(x for x, _ in body.context)
-            grades = tuple(_bang_grade(ty) for _, ty in body.context)
-            if len(args) != len(binders):
-                raise ProofError(
-                    "promotion congruence premise count does not match the "
-                    "body context")
-            ctx = _concat_contexts([a.context for a in args], where)
-            bound = _tensor_all(q, [a.bound for a in args])
-            bound = q.tensor(bound, scalar_mul(sr, q, r, body.bound))
-            for i, (ty, s, (x, xty)) in enumerate(
-                    zip(types, grades, body.context)):
-                match ty:
-                    case S.BangType(g, inner) if g == sr.mul(r, s):
-                        if xty != S.BangType(s, inner):
-                            raise ill_typed(
-                                f"the body binds {x} : {print_type(xty)}, "
-                                f"promotion argument {i} has type "
-                                f"{print_type(ty)}")
-                    case other:
-                        raise ill_typed(
-                            f"promotion argument {i} has type "
-                            f"{print_type(other)}, expected modality of "
-                            f"grade {grade_repr(sr.mul(r, s))}")
-            lhs = S.Promote(r, grades, tuple(a.lhs for a in args), binders,
-                            body.lhs)
-            rhs = S.Promote(r, grades, tuple(a.rhs for a in args), binders,
-                            body.rhs)
-            return out(ctx, lhs, rhs, bound, S.BangType(r, types[-1]))
-
         case "cong-subst":
             a, b = eqs
             x = info["x"]
@@ -450,7 +362,50 @@ def _validate(theory: TheorySpec, p: VProof, memo: dict):
                     f"for {x} : {print_type(x_ty)}")
             return out(ctx, lhs, rhs, q.tensor(a.bound, b.bound), types[0])
 
-    raise ProofError(f"unknown proof node kind {p.kind!r}")
+    return _congruence(theory, p, eqs, types, memo)
+
+
+def _congruence(theory, p, eqs, types, memo):
+    """A constructor's congruence: rebuild both sides around the premises'
+    sides and let the typechecker type the one new node of each; every
+    premise judgement of its derivation must be the premise's own."""
+    q, cong, where = theory.quantale, _BY_KIND[p.kind], p.kind
+    n = len(eqs) - 1 if cong.binds is None else cong.binds
+    body = eqs[-1].context if eqs else ()
+    if len(body) < n or (cong.binds is None and len(body) != n):
+        raise ProofError(cong.unbound)
+    tail = body[len(body) - n:]
+    ctxs = [a.context for a in eqs[:-1]] + [body[:len(body) - n]]
+    xs = tuple(x for x, _ in tail)
+    tys = tuple(ty for _, ty in tail)
+    lhs = cong.make(p.info, [a.lhs for a in eqs], xs, tys)
+    rhs = cong.make(p.info, [a.rhs for a in eqs], xs, tys)
+    ctx = _concat_contexts(ctxs, where)
+    for side in (lhs, rhs):
+        try:
+            d = infer(theory.signature, ctx, side, theory.semiring, memo)
+        except Exception as exc:
+            raise ProofError(f"{where}: ill-typed conclusion: {exc}") from exc
+        for i, (dp, a, ty) in enumerate(zip(d.premises, eqs, types)):
+            have = dp.conclusion.context
+            if i == len(eqs) - 1:
+                # Binders the typechecker renamed because they clashed
+                # with the conclusion's context get their names back.
+                k = len(have) - n
+                have = have[:k] + tuple(zip(xs, (t for _, t in have[k:])))
+            if have != a.context or dp.conclusion.type != ty:
+                raise ProofError(
+                    f"{where}: ill-typed conclusion: premise {i} is proved "
+                    f"in context {print_context(a.context)} at type "
+                    f"{print_type(ty)}, the typing rule gives it "
+                    f"{print_context(have)} at type "
+                    f"{print_type(dp.conclusion.type)}")
+    bounds = [a.bound for a in eqs]
+    if cong.scale is not None:
+        bounds[-1] = scalar_mul(theory.semiring, q, p.info[cong.scale],
+                                bounds[-1])
+    return VEquation(ctx, lhs, rhs, q.check(_tensor_all(q, bounds))), \
+        d.conclusion.type
 
 
 def _concat_contexts(ctxs, where):
@@ -499,7 +454,7 @@ def synthesize(theory: TheorySpec, ctx: S.Context, v: S.Term, w: S.Term,
     # search reads them, and validate instantiates every axiom again.
     instances = {}
     try:
-        proof, pctx = _synth(theory, tuple(ctx), v, w, instances)
+        proof, pctx = _synth(theory, dv, w, instances)
         proof = _to_ctx(proof, pctx, tuple(ctx))
         return validate(theory, proof), proof
     except SynthesisFailure:
@@ -508,8 +463,7 @@ def synthesize(theory: TheorySpec, ctx: S.Context, v: S.Term, w: S.Term,
     # Normalize both sides at the unit bound and retry on the normal forms.
     dnv, steps_v, _ = beta_normalize(sig, dv, semiring=sr)
     dnw, steps_w, _ = beta_normalize(sig, dw, semiring=sr)
-    nv, nw = dnv.conclusion.term, dnw.conclusion.term
-    proof, pctx = _synth(theory, tuple(ctx), nv, nw, instances)
+    proof, pctx = _synth(theory, dnv, dnw.conclusion.term, instances)
     proof = _to_ctx(proof, pctx, tuple(ctx))
     chain = _step_chain(ctx, v, steps_v, flip=False)
     back = _step_chain(ctx, w, steps_w, flip=True)
@@ -556,10 +510,10 @@ def _restrict(ctx: S.Context, names) -> S.Context:
     return tuple(e for e in ctx if e[0] in names)
 
 
-def _synth(theory: TheorySpec, ctx: S.Context, v: S.Term, w: S.Term,
-           instances: dict):
-    """Core recursion; returns (proof, context-of-proof)."""
-    sig, sr = theory.signature, theory.semiring
+def _synth(theory: TheorySpec, d: Derivation, w: S.Term, instances: dict):
+    """Core recursion on the derivation d of the left side; returns
+    (proof, context-of-proof)."""
+    ctx, v = d.conclusion.context, d.conclusion.term
 
     if S.alpha_eq(v, w):
         return VProof("refl", (), {"ctx": ctx, "term": v}), ctx
@@ -573,114 +527,25 @@ def _synth(theory: TheorySpec, ctx: S.Context, v: S.Term, w: S.Term,
             f"no axiom matches and the heads differ: "
             f"{print_term(v)} vs {print_term(w)}")
 
-    def rec(sub_ctx, a, b):
-        proof, pctx = _synth(theory, sub_ctx, a, b, instances)
-        return _to_ctx(proof, pctx, sub_ctx)
-
-    def split2(a1, a2, b1, b2):
-        if S.free_vars(a1) != S.free_vars(b1) \
-                or S.free_vars(a2) != S.free_vars(b2):
-            raise SynthesisFailure("subterm variable usage differs between "
-                                   "the sides")
-        c1 = _restrict(ctx, S.free_vars(a1))
-        c2 = _restrict(ctx, S.free_vars(a2))
-        return c1, c2
-
-    match v, w:
-        case (S.OpApp(f, vs), S.OpApp(g, ws)) \
-                if f == g and len(vs) == len(ws):
-            parts = [_restrict(ctx, S.free_vars(a)) for a in vs]
-            for a, b in zip(vs, ws):
-                if S.free_vars(a) != S.free_vars(b):
-                    raise SynthesisFailure("argument variable usage differs")
-            premises = tuple(rec(c, a, b)
-                             for c, a, b in zip(parts, vs, ws))
-            out_ctx = _concat_contexts(parts, "cong-op")
-            return VProof("cong-op", premises, {"op": f}), out_ctx
-
-        case (S.UnitLet(v1, v2), S.UnitLet(w1, w2)):
-            c1, c2 = split2(v1, v2, w1, w2)
-            node = VProof("cong-unit-let",
-                          (rec(c1, v1, w1), rec(c2, v2, w2)))
-            return node, _concat_contexts([c1, c2], "cong-unit-let")
-
-        case (S.TensorPair(v1, v2), S.TensorPair(w1, w2)):
-            c1, c2 = split2(v1, v2, w1, w2)
-            node = VProof("cong-pair", (rec(c1, v1, w1), rec(c2, v2, w2)))
-            return node, _concat_contexts([c1, c2], "cong-pair")
-
-        case (S.App(v1, v2), S.App(w1, w2)):
-            c1, c2 = split2(v1, v2, w1, w2)
-            node = VProof("cong-app", (rec(c1, v1, w1), rec(c2, v2, w2)))
-            return node, _concat_contexts([c1, c2], "cong-app")
-
-        case (S.TensorLet(v1, x, y, v2), S.TensorLet(w1, wx, wy, w2)):
-            w2 = _rename2(w2, (wx, wy), (x, y))
-            c1, c2 = split2(v1, v2, w1, w2)
-            d1 = infer(sig, c1, v1, sr)
-            match d1.conclusion.type:
-                case S.TensorType(a, b):
-                    inner = c2 + ((x, a), (y, b))
-                case _:
-                    raise SynthesisFailure("scrutinee is not a tensor")
-            node = VProof("cong-tensor-let",
-                          (rec(c1, v1, w1), rec(inner, v2, w2)))
-            return node, _concat_contexts([c1, c2], "cong-tensor-let")
-
-        case (S.Lambda(x, ty, v1), S.Lambda(wx, wty, w1)) if ty == wty:
-            w1 = _rename2(w1, (wx,), (x,))
-            inner = ctx + ((x, ty),)
-            return VProof("cong-lambda", (rec(inner, v1, w1),)), ctx
-
-        case (S.Derelict(v1), S.Derelict(w1)):
-            return VProof("cong-derelict", (rec(ctx, v1, w1),)), ctx
-
-        case (S.Discard(v1, v2), S.Discard(w1, w2)):
-            c1, c2 = split2(v1, v2, w1, w2)
-            node = VProof("cong-discard",
-                          (rec(c1, v1, w1), rec(c2, v2, w2)))
-            return node, _concat_contexts([c1, c2], "cong-discard")
-
-        case (S.Copy(n, m, v1, x, y, v2), S.Copy(wn, wm, w1, wx, wy, w2)) \
-                if n == wn and m == wm:
-            w2 = _rename2(w2, (wx, wy), (x, y))
-            c1, c2 = split2(v1, v2, w1, w2)
-            d1 = infer(sig, c1, v1, sr)
-            match d1.conclusion.type:
-                case S.BangType(_, a):
-                    inner = c2 + ((x, S.BangType(n, a)),
-                                  (y, S.BangType(m, a)))
-                case _:
-                    raise SynthesisFailure("copy scrutinee has no modality")
-            node = VProof("cong-copy",
-                          (rec(c1, v1, w1), rec(inner, v2, w2)))
-            return node, _concat_contexts([c1, c2], "cong-copy")
-
-        case (S.Promote(r, ss, vs, xs, v2),
-              S.Promote(wr, wss, ws, wxs, w2)) \
-                if r == wr and ss == wss and len(vs) == len(ws):
-            w2 = _rename2(w2, wxs, xs)
-            parts = [_restrict(ctx, S.free_vars(a)) for a in vs]
-            for a, b in zip(vs, ws):
-                if S.free_vars(a) != S.free_vars(b):
-                    raise SynthesisFailure("argument variable usage differs")
-            body_ctx = []
-            for part, a, s, x in zip(parts, vs, ss, xs):
-                d = infer(sig, part, a, sr)
-                match d.conclusion.type:
-                    case S.BangType(_, inner_ty):
-                        body_ctx.append((x, S.BangType(s, inner_ty)))
-                    case _:
-                        raise SynthesisFailure(
-                            "promotion argument has no modality")
-            premises = tuple(rec(c, a, b)
-                             for c, a, b in zip(parts, vs, ws))
-            premises += (rec(tuple(body_ctx), v2, w2),)
-            node = VProof("cong-promote", premises, {"r": r})
-            return node, _concat_contexts(parts, "cong-promote")
-
-    raise SynthesisFailure(
-        f"no strategy applies to {print_term(v)} vs {print_term(w)}")
+    # A congruence: the premises of d give every premise's context and,
+    # at the end of the body's, the binders the typechecker chose.
+    cong = CONGRUENCES.get(type(v))
+    shape = S.SHAPES[type(v)]
+    kids, binders = shape.parts(w)
+    if cong is None or shape.notes(v) != shape.notes(w) \
+            or len(kids) != len(d.premises):
+        raise SynthesisFailure(
+            f"no strategy applies to {print_term(v)} vs {print_term(w)}")
+    if binders:
+        body_ctx = d.premises[-1].conclusion.context
+        names = [x for x, _ in body_ctx[-len(binders):]]
+        kids = kids[:-1] + (_rename2(kids[-1], binders, names),)
+    premises = []
+    for dp, kid in zip(d.premises, kids):
+        proof, pctx = _synth(theory, dp, kid, instances)
+        premises.append(_to_ctx(proof, pctx, dp.conclusion.context))
+    info = {key: getattr(v, attr) for key, attr in cong.info}
+    return VProof(cong.kind, tuple(premises), info), sum(d.splits, ())
 
 
 def _rename2(term, old_names, new_names):

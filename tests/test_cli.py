@@ -1,5 +1,7 @@
 from pathlib import Path
 
+import pytest
+
 import gvlam
 from gvlam.cli import main
 
@@ -196,3 +198,49 @@ def test_deep_input_exits_with_io_code(capsys):
     assert code == 65
     assert out == ""
     assert err == "gvlam: error: input is nested too deeply\n"
+
+
+def test_bound_under_shadowing_binders(capsys):
+    # The binders x shadow the scrutinee's context variable x.
+    code, out, _ = run(capsys, [
+        "bound", TIMED, "let x (*) y = x in wait_1(x) (*) y",
+        "let x (*) y = x in wait_2(x) (*) y", "--context", "x : X * X"])
+    assert (code, out) == (0, "1\n")
+    code, out, _ = run(capsys, [
+        "bound", TIMED,
+        "copy [1,1] x as x, y in wait_1(derelict x) (*) derelict y",
+        "copy [1,1] x as x, y in wait_3(derelict x) (*) derelict y",
+        "--context", "x : !2 X"])
+    assert (code, out) == (0, "2\n")
+
+
+MALFORMED_SCRIPTS = [
+    "(sym)",
+    "(weak :q 1)",
+    '(cong-app (refl :ctx "x : X" "x"))',
+    "(cong-lambda)",
+    "(cong-promote :r 1)",
+    '(perm (refl :ctx "x : X" "x"))',
+    '(cong-promote (refl :ctx "a : !1 X" "a") (refl :ctx "x : !1 X" "x"))',
+    '(cong-subst (axiom wait :n 1 :m 2) (refl :ctx "u : X" "u"))',
+    '(schema lolli-beta :ctx "y : X")',
+    '(schema lolli-beta :ctx "y : X" :term "(fn x : X => wait_1(x)) y" '
+    ':pos a)',
+    '(schema lolli-beta :ctx "y : X" :term "(fn x : X => wait_1(x)) y" '
+    ':pos -1)',
+    '(schema lolli-beta :ctx "y : X" :term "wait_1(y)" :pos 3)',
+    '(schema promote-assoc :ctx "y : X" :term "y" :ss "a,b")',
+    "(cong-op wait_1)",
+]
+
+
+@pytest.mark.parametrize("script", MALFORMED_SCRIPTS)
+def test_malformed_scripts_exit_with_documented_codes(capsys, tmp_path,
+                                                      script):
+    path = tmp_path / "bad.proof"
+    path.write_text(script)
+    code, out, err = run(capsys, ["prove", TIMED, str(path)])
+    assert code in (2, 65)
+    assert out == ""
+    assert err.startswith("gvlam: ") and err.count("\n") == 1
+    assert "Traceback" not in err

@@ -5,13 +5,14 @@ import pytest
 
 import gvlam
 from gvlam import oracles
+from gvlam import syntax as S
 from gvlam.parser import parse_context, parse_term, parse_type
 from gvlam.proofscript import (ScriptError, load_proof, parse_bound_literal,
                                parse_proof, proof_sexpr)
 from gvlam.quantale import INF
 from gvlam.rewrite import SchemaId
 from gvlam.theory import load_theory, load_theory_text
-from gvlam.vequation import validate
+from gvlam.vequation import CONGRUENCES, validate
 
 DATA = Path(gvlam.__file__).parent / "data"
 
@@ -60,6 +61,8 @@ def test_schema_node():
     assert step.schema is SchemaId.LOLLI_BETA
     assert step.position == (0,)
     assert step.direction == "L2R"
+    deep = parse_proof('(schema lolli-beta :term "y" :pos 1.0.12)')
+    assert deep.info["step"].position == (1, 0, 12)
     assert not p.info["flip"]
 
 
@@ -95,7 +98,13 @@ def test_script_errors():
     for src in ('(frobnicate)', '(refl "x"', '(refl "x")) ', 'atom',
                 '(schema not-a-row :term "x")', '(weak (refl "x"))',
                 '(trans (refl "x"))', '(refl "x" "y")', '(axiom)',
-                '(refl :ctx)', '(cong-op)'):
+                '(refl :ctx)', '(cong-op)', '(perm (refl "x"))',
+                '(cong-promote (refl "x"))',
+                '(cong-subst (refl "x") (refl "y"))',
+                '(schema lolli-beta :ctx "y : X")',
+                '(schema lolli-beta :term "y" :pos a)',
+                '(schema lolli-beta :term "y" :pos -1)',
+                '(schema lolli-beta :term "y" :pos 0.x)'):
         with pytest.raises(ScriptError):
             parse_proof(src)
     with pytest.raises(ScriptError):
@@ -175,3 +184,22 @@ def test_parsed_scripts_validate_as_the_oracle_does():
     for th, proof in cases:
         assert _outcome(validate, th, proof) \
             == _outcome(oracles.reinfer_validate, th, proof)
+
+
+def test_each_constructor_has_one_congruence_head():
+    # Every term constructor but the variable and the unit has exactly one
+    # congruence kind, and the script reader accepts exactly those heads
+    # besides the substitution congruence.
+    assert set(CONGRUENCES) == set(S.SHAPES) - {S.Var, S.Star}
+    kinds = [c.kind for c in CONGRUENCES.values()]
+    assert len(set(kinds)) == len(kinds)
+    keywords = {"cong-op": "plus", "cong-promote": ":r 1",
+                "cong-subst": ":x x"}
+    for kind in kinds + ["cong-subst"]:
+        p = parse_proof(f'({kind} {keywords.get(kind, "")} (refl "x"))')
+        assert p.kind == kind
+    for head in ("cong-var", "cong-star", "cong-unit", "cong-let",
+                 "cong-bang"):
+        with pytest.raises(ScriptError, match="unknown proof node head"):
+            parse_proof(f'({head} (refl "x"))')
+

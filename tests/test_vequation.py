@@ -1,11 +1,15 @@
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import gvlam
+import support
 from gvlam import oracles
+from gvlam.metmodel import model_distance
 from gvlam.parser import parse_context, parse_term
 from gvlam.proofscript import parse_proof
-from gvlam.theory import load_theory_text
+from gvlam.theory import load_theory, load_theory_text
 from gvlam.typecheck import TypeError_
 from gvlam.vequation import (ProofError, SynthesisFailure, TheorySpec,
                              VProof, synthesize, validate)
@@ -235,6 +239,10 @@ def test_synthesize_deep_congruence():
     assert eq.bound == Fraction(1)
     assert eq.lhs == v and eq.rhs == w
     assert validate(TH, proof) == eq
+    # Premise contexts in another order than the context asked for.
+    ctx = parse_context("y : X, x : X")
+    eq, proof = synthesize(TH, ctx, v, w)
+    assert eq.context == ctx and eq.bound == Fraction(1)
 
 
 def test_synthesize_through_binders():
@@ -272,3 +280,63 @@ def test_synthesize_type_errors():
         synthesize(TH, parse_context("x : X, u : I"),
                    parse_term("plus(x, let unit = u in c(unit))"),
                    parse_term("x (*) u"))
+
+
+# Binders that shadow a context variable of the scrutinee: the typechecker
+# renames them, and synthesis takes the body's context from its derivation.
+SHADOWING = [
+    ("x : X * X", "let x (*) y = x in wait_1(x) (*) y",
+     "let x (*) y = x in wait_2(x) (*) y", Fraction(1)),
+    ("x : !2 X", "copy [1,1] x as x, y in wait_1(derelict x) (*) derelict y",
+     "copy [1,1] x as x, y in wait_3(derelict x) (*) derelict y",
+     Fraction(2)),
+]
+
+
+@pytest.mark.parametrize("ctx, v, w, bound", SHADOWING)
+def test_synthesize_under_shadowing_binders(ctx, v, w, bound):
+    timed = load_theory(str(Path(gvlam.__file__).parent / "data"
+                            / "timed.thy"))
+    ctx, v, w = parse_context(ctx), parse_term(v), parse_term(w)
+    eq, proof = synthesize(timed, ctx, v, w)
+    assert eq.bound == bound
+    assert oracles.reinfer_validate(timed, proof).bound == eq.bound
+    model = support.timed_test_model(timed.signature, 5)
+    assert model_distance(model, timed.signature, ctx, v, w) <= eq.bound
+
+
+def test_congruence_binder_may_reuse_a_scrutinee_variable():
+    # The body binds x, which the scrutinee's context also has; the
+    # typechecker renames the binder, and the congruence still holds.
+    src = ('(cong-tensor-let (refl :ctx "x : X * X" "x") '
+           '(cong-pair (refl :ctx "x : X" "x") (refl :ctx "y : X" "y")))')
+    eq = validate_alone(TH, parse_proof(src))
+    assert eq == oracles.reinfer_validate(TH, parse_proof(src))
+    assert eq.lhs == parse_term("let x (*) y = x in x (*) y")
+    assert eq.context == parse_context("x : X * X")
+
+
+def test_premise_counts_are_checked():
+    for src, message in (
+            ("(sym)", "sym takes 1 premise, got 0"),
+            ("(weak :q 1)", "weak takes 1 premise, got 0"),
+            ('(sym (refl "unit") (refl "unit"))',
+             "sym takes 1 premise, got 2"),
+            ('(cong-app (refl :ctx "x : X" "x"))',
+             "cong-app takes 2 premises, got 1"),
+            ("(cong-lambda)", "cong-lambda takes 1 premise, got 0"),
+            ("(cong-promote :r 1)", "cong-promote needs at least one premise"),
+            ("(join)", "join needs at least one premise"),
+            ("(cong-op plus)", "cong-op: ill-typed conclusion: operation "
+                               "plus expects 2 arguments, got 0"),
+            ("(cong-op f)", "cong-op: ill-typed conclusion: unknown "
+                            "operation symbol f")):
+        proof = parse_proof(src)
+        with pytest.raises(ProofError) as info:
+            validate_alone(TH, proof)
+        assert str(info.value) == message
+        with pytest.raises(ProofError):
+            oracles.reinfer_validate(TH, proof)
+    # Scripts chain trans nodes in pairs; a one-premise node is built here.
+    with pytest.raises(ProofError, match="trans takes 2 premises, got 1"):
+        validate(TH, VProof("trans", (parse_proof('(refl "unit")'),)))
