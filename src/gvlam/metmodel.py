@@ -458,14 +458,6 @@ def modality_space(base: FinMetSpace, n: int) -> FinMetSpace:
     return OnePointSpace() if n == 0 else ScaledSpace(base, n)
 
 
-def modality_map(base_table, dom_base, cod_base, n):
-    """Apply the grade-n modality to a map given as a point dict."""
-    if n == 0:
-        return MetMap(OnePointSpace(), OnePointSpace(), {(): ()})
-    return MetMap(modality_space(dom_base, n), modality_space(cod_base, n),
-                  dict(base_table))
-
-
 def check_comonad_laws(grades, spaces) -> LawReport:
     """Exhaustive diagram checks for the graded modality on finite spaces.
 

@@ -14,8 +14,6 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-import sympy
-
 from .metmodel import guard_limit
 from .quantale import SymbolicBound
 
@@ -159,6 +157,7 @@ def diaconis_sweep(max_total: int = 8):
 
 def gaussian_phi(k, mu1, sigma1, mu2, sigma2):
     """The closed-form label relating two k-fold i.i.d. Gaussian samplers."""
+    import sympy
     s1, s2 = sympy.Rational(sigma1), sympy.Rational(sigma2)
     m1, m2 = sympy.Rational(mu1), sympy.Rational(mu2)
     if s1 <= 0 or s2 <= 0:

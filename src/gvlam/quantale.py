@@ -5,7 +5,9 @@ quantale ([0, oo], min, +), the ultrametric quantale ([0, oo], min, max),
 or the Boolean quantale ({0, 1}, or, and).  Metric values are exact
 non-negative rationals (plus an infinity sentinel); an irrational quantity
 entering through an axiom is wrapped in a SymbolicBound which carries the
-exact expression together with a tight rational enclosure.
+exact expression together with a tight rational enclosure.  Rational
+arithmetic never reaches sympy, so it is imported only by the functions
+that build or compare a symbolic value.
 
 The lattice order of the metric quantales is the *reverse* of the numeric
 order: smaller numbers are higher in the lattice, the unit 0 is the top
@@ -16,8 +18,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from typing import Iterable, Union
-
-import sympy
 
 
 class QuantaleError(ValueError):
@@ -51,6 +51,7 @@ _ENCLOSE_MARGIN = Fraction(1, 10**30)
 
 
 def to_sympy(v):
+    import sympy
     if v is INF:
         return sympy.oo
     if isinstance(v, SymbolicBound):
@@ -64,6 +65,7 @@ def to_sympy(v):
 
 def enclose(expr: sympy.Expr, width: Fraction = Fraction(1, 10**9)):
     """Rational interval (lo, hi) containing the value of a closed expr."""
+    import sympy
     if expr.free_symbols:
         raise QuantaleError(f"cannot enclose open expression {expr}")
     approx = sympy.N(expr, _ENCLOSE_DIGITS)
@@ -76,6 +78,7 @@ def enclose(expr: sympy.Expr, width: Fraction = Fraction(1, 10**9)):
 
 def sym_sign(expr: sympy.Expr) -> int:
     """Sign of a closed sympy expression; raises when indeterminate."""
+    import sympy
     if expr.is_zero:
         return 0
     for prec in (30, 60, 120):
@@ -99,6 +102,7 @@ class SymbolicBound:
     __slots__ = ("expr", "_enclosure")
 
     def __init__(self, expr):
+        import sympy
         self.expr = sympy.sympify(expr)
         self._enclosure = None
 
@@ -125,6 +129,7 @@ MetricValue = Union[Fraction, _Infinity, SymbolicBound]
 
 
 def _simplify_symbolic(expr: sympy.Expr):
+    import sympy
     if expr is sympy.oo:
         return INF
     if expr.is_Rational:

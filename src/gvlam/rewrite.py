@@ -762,18 +762,3 @@ def beta_normalize(sig: S.Signature, d: Derivation, fuel: int = None,
         return current, steps, False
     return current, steps, True
 
-
-def eq_script_check(sig: S.Signature, lhs: Derivation, rhs: Derivation,
-                    steps, semiring: Semiring = NatSemiring()) -> bool:
-    """Apply side-tagged steps and test the two sides for alpha-equality.
-
-    Each element of steps is a (side, RewriteStep) pair, side in {L, R}.
-    """
-    for side, step in steps:
-        if side == "L":
-            lhs = apply_step(sig, lhs, step, semiring)
-        elif side == "R":
-            rhs = apply_step(sig, rhs, step, semiring)
-        else:
-            raise MatchError(f"unknown rewrite side {side!r}")
-    return S.alpha_eq(lhs.conclusion.term, rhs.conclusion.term)

@@ -24,8 +24,6 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-import sympy
-
 from . import syntax as S
 from .parser import ParseError, parse_context, parse_term, parse_type
 from .probmodel import ProbError, gaussian_phi
@@ -313,6 +311,7 @@ def _op_names(term: S.Term):
 
 
 def _eval_bound(src: str, values: dict):
+    import sympy
     locals_ = {p: sympy.Rational(v) for p, v in values.items()}
     locals_["abs"] = sympy.Abs
     try:

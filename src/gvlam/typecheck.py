@@ -123,6 +123,8 @@ def infer(sig: S.Signature, ctx: S.Context, term: S.Term,
     it must not outlive that caller.  Plain calls get a fresh table.
     """
     ctx = S.check_context(ctx)
+    for _, ty in ctx:
+        check_grounds(sig, ty)
     table = {} if memo is None else memo
     _free(term, table)
     try:
@@ -134,6 +136,22 @@ def infer(sig: S.Signature, ctx: S.Context, term: S.Term,
         # with the message of the first one that fails.
         _check_variable_use(ctx, term)
         raise
+
+
+def check_grounds(sig: S.Signature, ty: S.TypeExpr, path=()):
+    """Raise TypeError_ if ty names a ground type sig does not declare.
+
+    infer checks the context and each lambda annotation: every other type
+    in a derivation is built from those and from operation sorts.
+    """
+    match ty:
+        case S.Ground(name) if name not in sig.grounds:
+            raise TypeError_(f"undeclared ground type {name}", path)
+        case S.TensorType(a, b) | S.LolliType(a, b):
+            check_grounds(sig, a, path)
+            check_grounds(sig, b, path)
+        case S.BangType(_, body):
+            check_grounds(sig, body, path)
 
 
 def _check_variable_use(ctx, term):
@@ -244,6 +262,7 @@ def _infer(sig, semiring, ctx, term, path, table) -> Derivation:
                         f"{print_type(other)}", path)
 
         case S.Lambda(x, ty, body):
+            check_grounds(sig, ty, path)
             (x,), body = _rename_binders((x,), body, ctx_names)
             db = sub(ctx + ((x, ty),), body, "fn-body")
             return conclude("lolli_i", S.LolliType(ty, db.conclusion.type),

@@ -39,6 +39,26 @@ def test_check_type_error(capsys):
     assert "type error" in err
 
 
+@pytest.mark.parametrize("term, context, path", [
+    ("fn y : Foo => y", None, ""),
+    ("fn y : X => fn f : X -o !2 Foo => y", None, "at fn-body: "),
+    ("y", "y : !2 (X * Foo)", ""),
+])
+def test_check_undeclared_ground_type(capsys, term, context, path):
+    argv = ["check", TIMED, term] + (["--context", context] if context
+                                     else [])
+    assert run(capsys, argv) \
+        == (1, "", f"gvlam: type error: {path}undeclared ground type Foo\n")
+
+
+def test_prove_undeclared_ground_type(capsys, tmp_path):
+    bad = tmp_path / "bad.proof"
+    bad.write_text('(cong-lambda (refl :ctx "x : Y" "x"))')
+    assert run(capsys, ["prove", TIMED, str(bad)]) \
+        == (2, "", "gvlam: proof error: refl: ill-typed conclusion: "
+                   "undeclared ground type Y\n")
+
+
 def test_prove_bundled_walk(capsys):
     code, out, _ = run(capsys, ["prove", PROB, WALK])
     assert code == 0

@@ -6,7 +6,7 @@ from gvlam import syntax as S
 from gvlam.parser import parse_context, parse_term
 from gvlam.rewrite import (GROUPS, MatchError, ORIENTED, RewriteStep,
                            SchemaId, all_positions, apply_step,
-                           beta_normalize, eq_script_check, extract_plugs,
+                           beta_normalize, extract_plugs,
                            get_subterm, replace_subterm, rewrite_term,
                            term_size)
 from gvlam.typecheck import infer
@@ -142,21 +142,6 @@ def test_beta_normalize_fixpoint_is_stable():
     d = D("x : X", "wait_1(x)")
     out, steps, exhausted = beta_normalize(SIG, d)
     assert out == d and steps == [] and not exhausted
-
-
-def test_eq_script_check():
-    lhs = D("y : X", "(fn x : X => wait_1(x)) y")
-    rhs = D("y : X", "let unit = unit in wait_1(y)")
-    ok = eq_script_check(SIG, lhs, rhs, [
-        ("L", RewriteStep(SchemaId.LOLLI_BETA)),
-        ("R", RewriteStep(SchemaId.UNIT_BETA)),
-    ])
-    assert ok
-    assert not eq_script_check(SIG, lhs, rhs, [
-        ("L", RewriteStep(SchemaId.LOLLI_BETA))])
-    with pytest.raises(MatchError):
-        eq_script_check(SIG, lhs, rhs, [("M", RewriteStep(
-            SchemaId.LOLLI_BETA))])
 
 
 @pytest.mark.parametrize("context, holes, target, message", [
