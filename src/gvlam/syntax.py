@@ -325,10 +325,12 @@ def fresh_name(base: str, avoid) -> str:
 # Alpha equivalence
 
 def alpha_eq(a: Term, b: Term) -> bool:
-    return _aeq(a, b, {}, {})
+    return _aeq(a, b, {}, {}, 0)
 
 
-def _aeq(a, b, env_a, env_b) -> bool:
+def _aeq(a, b, env_a, env_b, depth) -> bool:
+    """env_a and env_b map a bound name to its binder's key: the number of
+    binder groups above that binder, and its place within its group."""
     if a is b and env_a == env_b:
         return True
     cls = type(a)
@@ -346,64 +348,65 @@ def _aeq(a, b, env_a, env_b) -> bool:
         return False
     n = len(kids_a) - 1 if xs_a else len(kids_a)
     for i in range(n):
-        if not _aeq(kids_a[i], kids_b[i], env_a, env_b):
+        if not _aeq(kids_a[i], kids_b[i], env_a, env_b, depth):
             return False
     if n == len(kids_a):
         return True
-    return _aeq(kids_a[n], kids_b[n], _bind(env_a, *xs_a), _bind(env_b, *xs_b))
+    return _aeq(kids_a[n], kids_b[n], _bind(env_a, depth, xs_a),
+                _bind(env_b, depth, xs_b), depth + 1)
 
 
-def _bind(env, *names):
+def _bind(env, depth, names):
     env = dict(env)
     for name in names:
-        # The binder's position within its group is a stable tie-breaker.
-        env[name] = ("bound", len(env), names.index(name))
+        env[name] = ("bound", depth, names.index(name))
     return env
 
 
 # ---------------------------------------------------------------------------
 # Substitution
 
-def substitute(term: Term, repl: Term, var: str) -> Term:
-    """Capture-avoiding substitution term[repl/var]."""
-    return _subst(term, repl, var, free_vars(repl))
+def substitute(term: Term, mapping: dict) -> Term:
+    """Capture-avoiding simultaneous substitution: every free occurrence
+    of a variable x in mapping becomes mapping[x], in one walk."""
+    if not mapping:
+        return term
+    return _subst(term, {x: (w, free_vars(w)) for x, w in mapping.items()})
 
 
-def _subst(t, w, x, fv_w):
-    """t[w/x]; a binder that shadows x leaves its body untouched."""
+def _subst(t, plugs):
+    """t with plugs substituted; plugs maps a variable to its plug and the
+    plug's free variables.  A binder drops the variables it shadows from
+    plugs over its scope, and is renamed, by one more plug, when it is
+    free in a plug still substituted there."""
     if type(t) is Var:
-        return w if t.name == x else t
+        plug = plugs.get(t.name)
+        return t if plug is None else plug[0]
     shape = SHAPES[type(t)]
     kids, binders = shape.parts(t)
     if not kids:
         return t
     n = len(kids) - 1 if binders else len(kids)
     new = []
-    for i in range(n):
-        new.append(_subst(kids[i], w, x, fv_w))
+    for i in range(n):  # a loop, not a comprehension: one frame per level
+        new.append(_subst(kids[i], plugs))
     if n < len(kids):
         body = kids[n]
-        if x not in binders:
-            binders, body = _avoid(binders, body, fv_w)
-            body = _subst(body, w, x, fv_w)
-        new.append(body)
+        inner = {x: p for x, p in plugs.items() if x not in binders}
+        if any(b in fv for _, fv in inner.values() for b in binders):
+            clash = set().union(*(fv for _, fv in inner.values()))
+            taken = free_vars(body) | clash | set(binders)
+            renamed = []
+            for b in binders:
+                if b in clash:
+                    nb = fresh_name(b, taken)
+                    taken.add(nb)
+                    inner[b] = (Var(nb), {nb})
+                    b = nb
+                renamed.append(b)
+            binders = tuple(renamed)
+        new.append(_subst(body, inner) if inner else body)
     return shape.rebuild(t, new, binders)
-
-
-def _avoid(binders, body, fv_w):
-    """Rename binders clashing with the substituted term's free variables."""
-    new = []
-    body2 = body
-    taken = free_vars(body) | fv_w | set(binders)
-    for b in binders:
-        if b in fv_w:
-            nb = fresh_name(b, taken)
-            taken.add(nb)
-            body2 = substitute(body2, Var(nb), b)
-            new.append(nb)
-        else:
-            new.append(b)
-    return tuple(new), body2
 
 
 # ---------------------------------------------------------------------------

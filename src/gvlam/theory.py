@@ -28,6 +28,7 @@ from . import syntax as S
 from .parser import ParseError, parse_context, parse_term, parse_type
 from .probmodel import ProbError, gaussian_phi
 from .quantale import get_quantale, get_semiring
+from .typecheck import TypeError_, check_grounds
 from .vequation import AxiomFamily, AxiomInstance, ProofError, TheorySpec
 
 
@@ -60,6 +61,7 @@ class ParamOpFamily:
         self.params = tuple(params)
         self.arg_srcs = tuple(arg_srcs)
         self.result_src = result_src
+        self.sample = "_".join([base] + ["1"] * len(self.params))
         self._sorts = {}  # symbol name -> sort; sorts are immutable
 
     def match(self, name: str) -> bool:
@@ -364,9 +366,9 @@ def load_theory_text(text: str, where: str = "<theory>") -> TheorySpec:
             elif head == "ground":
                 grounds.add(rest)
             elif head == "op":
-                ops.append(_parse_op_line(rest))
+                ops.append((lineno, *_parse_op_line(rest)))
             elif head == "opfamily":
-                families.append(_parse_opfamily_line(rest))
+                families.append((lineno, _parse_opfamily_line(rest)))
             elif head == "builtin":
                 if rest not in BUILTINS:
                     raise TheoryError(f"unknown builtin {rest!r}")
@@ -382,9 +384,13 @@ def load_theory_text(text: str, where: str = "<theory>") -> TheorySpec:
         raise TheoryError(f"{where}: theory must declare a quantale and a "
                           f"semiring")
     sig = S.Signature(frozenset(grounds))
-    for name, arg_types, result in ops:
+    for lineno, name, arg_types, result in ops:
+        _check_sort(sig, f"operation {name}", (arg_types, result),
+                    f"{where}:{lineno}")
         sig.declare(name, arg_types, result)
-    for fam in families:
+    for lineno, fam in families:
+        _check_sort(sig, f"operation family {fam.base}", fam.sort(fam.sample),
+                    f"{where}:{lineno}")
         sig.families.append(fam)
     theory = TheorySpec(get_quantale(quantale_kind),
                         get_semiring(semiring_kind), symmetric, sig)
@@ -399,6 +405,16 @@ def load_theory_text(text: str, where: str = "<theory>") -> TheorySpec:
 def load_theory(path: str) -> TheorySpec:
     with open(path, encoding="utf-8") as fh:
         return load_theory_text(fh.read(), where=path)
+
+
+def _check_sort(sig: S.Signature, what: str, sort, where: str):
+    """Reject a sort that names a ground type the theory does not declare."""
+    arg_types, result = sort
+    for ty in arg_types + (result,):
+        try:
+            check_grounds(sig, ty)
+        except TypeError_ as exc:
+            raise TheoryError(f"{where}: {what}: {exc}") from exc
 
 
 def _parse_op_line(rest: str):
@@ -430,8 +446,7 @@ def _parse_opfamily_line(rest: str):
                           f"argument type")
     fam = ParamOpFamily(base, params, arg_srcs, result_src.strip())
     # Reject templates that do not even parse for a sample instantiation.
-    sample = "_".join([base] + ["1"] * len(params))
-    fam.sort(sample)
+    fam.sort(fam.sample)
     return fam
 
 

@@ -47,13 +47,6 @@ class Derivation:
     premises: tuple
     splits: tuple  # premise contexts, as subsequences of the conclusion ctx
 
-    def size(self) -> int:
-        return 1 + sum(p.size() for p in self.premises)
-
-
-RULES = ("ax", "hp", "I_i", "I_e", "tensor_i", "tensor_e",
-         "lolli_i", "lolli_e", "bang_i", "bang_e", "bang_0", "bang_sum")
-
 
 def _split_context(ctx: S.Context, owners, path):
     """Partition ctx into subsequences by free-variable ownership.
@@ -103,15 +96,14 @@ def _free(term: S.Term, table: dict) -> frozenset:
 
 def _rename_binders(binders, body, taken):
     """Give fresh names to binders clashing with names in `taken`."""
-    new = []
+    new, renames = [], {}
     for b in binders:
         if b in taken:
             nb = S.fresh_name(b, taken | set(new) | S.all_names(body))
-            body = S.substitute(body, S.Var(nb), b)
-            new.append(nb)
-        else:
-            new.append(b)
-    return tuple(new), body
+            renames[b] = S.Var(nb)
+            b = nb
+        new.append(b)
+    return tuple(new), S.substitute(body, renames)
 
 
 def infer(sig: S.Signature, ctx: S.Context, term: S.Term,
@@ -379,16 +371,18 @@ def subst_derivation(sig: S.Signature, d: Derivation, e: Derivation,
     # Rename the substituend's context variables away from d's.
     e_ctx, e_term = e.conclusion.context, e.conclusion.term
     taken = set(S.ctx_names(ctx)) | S.all_names(d.conclusion.term)
-    renamed = []
+    e_names = S.all_names(e_term)
+    renamed, renames = [], {}
     for name, ty in e_ctx:
         if name in taken:
-            fresh = S.fresh_name(name, taken | S.all_names(e_term))
-            e_term = S.substitute(e_term, S.Var(fresh), name)
+            fresh = S.fresh_name(name, taken | e_names)
+            renames[name] = S.Var(fresh)
             name = fresh
         taken.add(name)
         renamed.append((name, ty))
     new_ctx = ctx[:-1] + tuple(renamed)
-    new_term = S.substitute(d.conclusion.term, e_term, x)
+    e_term = S.substitute(e_term, renames)
+    new_term = S.substitute(d.conclusion.term, {x: e_term})
     out = infer(sig, new_ctx, new_term, semiring)
     if out.conclusion.type != d.conclusion.type:
         raise TypeError_("substitution changed the synthesized type")

@@ -326,8 +326,8 @@ def _validate(theory: TheorySpec, p: VProof, memo: dict):
                 if new in names:
                     raise ProofError(f"rename target {new} already used")
                 ctx = tuple((new if x == old else x, ty) for x, ty in ctx)
-                lhs = S.substitute(lhs, S.Var(new), old)
-                rhs = S.substitute(rhs, S.Var(new), old)
+                lhs = S.substitute(lhs, {old: S.Var(new)})
+                rhs = S.substitute(rhs, {old: S.Var(new)})
             return leaf(ctx, lhs, rhs, inst.bound)
 
         case "schema":
@@ -351,8 +351,8 @@ def _validate(theory: TheorySpec, p: VProof, memo: dict):
             i = names.index(x)
             ctx = a.context[:i] + b.context + a.context[i + 1:]
             S.check_context(ctx)
-            lhs = S.substitute(a.lhs, b.lhs, x)
-            rhs = S.substitute(a.rhs, b.rhs, x)
+            lhs = S.substitute(a.lhs, {x: b.lhs})
+            rhs = S.substitute(a.rhs, {x: b.rhs})
             # The substitution lemma: replacing x : A by a term of type A
             # keeps the type of both sides.
             x_ty = a.context[i][1]
@@ -554,7 +554,7 @@ def _rename2(term, old_names, new_names):
             if new in S.free_vars(term):
                 raise SynthesisFailure(
                     f"cannot align binders: {new} already free")
-            term = S.substitute(term, S.Var(new), old)
+            term = S.substitute(term, {old: S.Var(new)})
     return term
 
 

@@ -4,6 +4,7 @@ program-equation schema."""
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -297,6 +298,117 @@ class DerivGen:
                                       ey.conclusion.term)),
                      X, (ex, ey), parts)
         return self._extend_front(base, d, 2)
+
+
+# ---------------------------------------------------------------------------
+# Untyped terms over a small name pool, and naive references for
+# alpha-equivalence and substitution.  With five names, binders shadow
+# each other and plugs clash with binders in most terms; a1 and b1 are
+# the names fresh_name gives a and b, so a renamed binder can also meet a
+# variable the term already has.
+
+POOL = ("a", "b", "c", "a1", "b1")
+
+
+def pool_term(rng, size, pool=POOL):
+    """A random term of about size nodes over every constructor; variables
+    and binders are drawn from pool, the binders of one group distinct."""
+    if size <= 1:
+        return S.Var(rng.choice(pool)) if rng.random() < 0.9 else S.Star()
+    go = lambda k: pool_term(rng, k, pool)
+    left = rng.randrange(1, size)
+    right = max(1, size - 1 - left)
+    x, y = rng.sample(pool, 2)
+    match rng.randrange(11):
+        case 0:
+            return S.OpApp("f", (go(left), go(right)))
+        case 1:
+            return S.UnitLet(go(left), go(right))
+        case 2:
+            return S.TensorPair(go(left), go(right))
+        case 3:
+            return S.TensorLet(go(left), x, y, go(right))
+        case 4:
+            return S.Lambda(x, X, go(size - 1))
+        case 5:
+            return S.App(go(left), go(right))
+        case 6:
+            k = rng.randrange(3)
+            return S.Promote(1, (1,) * k, tuple(go(left) for _ in range(k)),
+                             tuple(rng.sample(pool, k)), go(right))
+        case 7:
+            return S.Derelict(go(size - 1))
+        case 8:
+            return S.Discard(go(left), go(right))
+        case 9:
+            return S.Copy(1, 1, go(left), x, y, go(right))
+        case _:
+            return S.Lambda(x, X, S.Lambda(y if rng.random() < 0.5 else x,
+                                           X, go(size - 2)))
+
+
+def rebind(rng, t, pool=POOL, env=None):
+    """t with binders renamed at random from pool and each bound occurrence
+    following its binder, without regard to capture: alpha-equal to t
+    unless a new name captures an occurrence."""
+    env = env or {}
+    if type(t) is S.Var:
+        return S.Var(env.get(t.name, t.name))
+    shape = S.SHAPES[type(t)]
+    kids, binders = shape.parts(t)
+    n = len(kids) - 1 if binders else len(kids)
+    new = [rebind(rng, kids[i], pool, env) for i in range(n)]
+    if n < len(kids):
+        names = tuple(rng.sample(pool, len(binders)))
+        new.append(rebind(rng, kids[n], pool, {**env,
+                                               **dict(zip(binders, names))}))
+        binders = names
+    return shape.rebuild(t, new, binders)
+
+
+def nameless(t, groups=()):
+    """t in de Bruijn form: a bound occurrence becomes the number of binder
+    groups between it and its binder, and its binder's place in the group.
+    Two terms are alpha-equal exactly when their nameless forms are equal.
+    """
+    if type(t) is S.Var:
+        for k, group in enumerate(reversed(groups)):
+            if t.name in group:
+                return ("bound", k, group.index(t.name))
+        return ("free", t.name)
+    shape = S.SHAPES[type(t)]
+    kids, binders = shape.parts(t)
+    n = len(kids) - 1 if binders else len(kids)
+    out = [nameless(kids[i], groups) for i in range(n)]
+    if n < len(kids):
+        out.append(nameless(kids[n], groups + (binders,)))
+    return (type(t).__name__, shape.notes(t), tuple(out))
+
+
+def reference_substitute(t, mapping):
+    """Capture-avoiding simultaneous substitution, naively: every binder of
+    t gets a globally fresh name, then free occurrences are replaced."""
+    taken = S.all_names(t) | set(mapping)
+    for w in mapping.values():
+        taken |= S.all_names(w)
+    fresh = (f"r{i}" for i in itertools.count() if f"r{i}" not in taken)
+
+    def go(u, env):
+        if type(u) is S.Var:
+            if u.name in env:
+                return S.Var(env[u.name])
+            return mapping.get(u.name, u)
+        shape = S.SHAPES[type(u)]
+        kids, binders = shape.parts(u)
+        n = len(kids) - 1 if binders else len(kids)
+        new = [go(kids[i], env) for i in range(n)]
+        if n < len(kids):
+            names = tuple(next(fresh) for _ in binders)
+            new.append(go(kids[n], {**env, **dict(zip(binders, names))}))
+            binders = names
+        return shape.rebuild(u, new, binders)
+
+    return go(t, {})
 
 
 # ---------------------------------------------------------------------------

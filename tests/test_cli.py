@@ -59,6 +59,53 @@ def test_prove_undeclared_ground_type(capsys, tmp_path):
                    "undeclared ground type Y\n")
 
 
+# Two terms that differ only in which binder the pair reads first; the
+# second `fn x` shadows the first, which an alpha check keyed by the size
+# of its environment confused with the `fn w` below it.
+SHADOW_A = "fn x : !0 X => discard x in fn x : X => fn w : X => x (*) w"
+SHADOW_B = "fn x : !0 X => discard x in fn x : X => fn w : X => w (*) x"
+
+
+def test_bound_is_not_fooled_by_shadowing_binders(capsys):
+    assert run(capsys, ["model", "distance", TIMED, SHADOW_A, SHADOW_B,
+                        "--model", "timed(3)"]) == (0, "6\n", "")
+    assert run(capsys, ["bound", TIMED, SHADOW_A, SHADOW_B]) \
+        == (3, "FAIL\n", "")
+
+
+def test_trans_needs_alpha_equal_middle_terms(capsys, tmp_path):
+    script = tmp_path / "shadow.proof"
+    script.write_text(f'(trans (refl "{SHADOW_A}") (refl "{SHADOW_B}"))')
+    assert run(capsys, ["prove", TIMED, str(script)]) \
+        == (2, "", "gvlam: proof error: trans premises do not share the "
+                   "middle term\n")
+
+
+def test_cong_subst_does_not_capture_through_a_fresh_binder(capsys,
+                                                            tmp_path):
+    # Substituting a for a1 renames the binder a to a1, the substituted
+    # variable; the bound occurrence must not then be replaced by a.
+    script = tmp_path / "capture.proof"
+    script.write_text('(cong-subst :x a1 (refl :ctx "a1 : X" '
+                      '"(fn a : X => a) a1") (refl :ctx "a : X" "a"))')
+    assert run(capsys, ["prove", TIMED, str(script)]) \
+        == (0, "a : X |- (fn a1 : X => a1) a =[0] (fn a1 : X => a1) a : X\n"
+               "bound: 0\n", "")
+
+
+@pytest.mark.parametrize("decl, message", [
+    ("op g : I -> Y\nop f : Y -> X", "operation g: undeclared ground type Y"),
+    ("opfamily h_<n> : Z -> X", "operation family h: undeclared ground "
+                                "type Z"),
+])
+def test_theory_rejects_undeclared_grounds_in_sorts(capsys, tmp_path, decl,
+                                                     message):
+    thy = tmp_path / "bad.thy"
+    thy.write_text(f"quantale metric\nsemiring nat\nground X\n{decl}\n")
+    assert run(capsys, ["check", str(thy), "f(g(unit))"]) \
+        == (65, "", f"gvlam: error: {thy}:4: {message}\n")
+
+
 def test_prove_bundled_walk(capsys):
     code, out, _ = run(capsys, ["prove", PROB, WALK])
     assert code == 0

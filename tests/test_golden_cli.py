@@ -56,6 +56,8 @@ COMMANDS = {
         "prove", "{data}/timed.thy", "{golden}/no_decompose.proof"],
     "prove-eta-no-decompose": [
         "prove", "{data}/timed.thy", "{golden}/eta_no_decompose.proof"],
+    "prove-tensor-beta-clash": [
+        "prove", "{data}/timed.thy", "{golden}/tensor_beta_clash.proof"],
     "model-distance-wait": [
         "model", "distance", "{data}/timed.thy", "wait_1(x)", "wait_3(x)",
         "--context", "x : X", "--model", "timed(8)"],

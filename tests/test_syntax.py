@@ -113,28 +113,96 @@ def test_alpha_eq():
     assert not S.alpha_eq(T("fn x : X => x"), T("fn x : X => y"))
 
 
+@pytest.mark.parametrize("a, b, equal", [
+    # A shadowing binder must not share its key with the binder below it.
+    ("fn x : X => fn x : X => fn w : X => w",
+     "fn y : X => fn z : X => fn w : X => z", False),
+    ("fn x : X => fn x : X => fn w : X => w",
+     "fn y : X => fn z : X => fn w : X => w", True),
+    ("fn x : X => fn x : X => fn w : X => x",
+     "fn y : X => fn z : X => fn w : X => z", True),
+    ("let a (*) b = p in fn a : X => fn c : X => c (*) b",
+     "let d (*) e = p in fn f : X => fn g : X => f (*) e", False),
+    ("let a (*) b = p in fn a : X => fn c : X => c (*) b",
+     "let d (*) e = p in fn f : X => fn g : X => g (*) e", True),
+    ("copy [1,1] z as a, b in fn a : X => fn b : X => a",
+     "copy [1,1] z as c, d in fn e : X => fn f : X => c", False),
+])
+def test_alpha_eq_under_shadowing(a, b, equal):
+    assert S.alpha_eq(T(a), T(b)) is equal
+    assert S.alpha_eq(T(b), T(a)) is equal
+    assert (support.nameless(T(a)) == support.nameless(T(b))) is equal
+
+
+def test_alpha_eq_matches_de_bruijn_reference():
+    rng = random.Random(11)
+    equal = 0
+    for _ in range(4000):
+        a = support.pool_term(rng, rng.randrange(1, 12))
+        b = support.rebind(rng, a) if rng.random() < 0.9 \
+            else support.pool_term(rng, rng.randrange(1, 12))
+        want = support.nameless(a) == support.nameless(b)
+        assert S.alpha_eq(a, b) is want, (a, b)
+        equal += want
+    assert 1000 < equal < 3000
+
+
 def test_substitute_capture_avoiding():
     # [y/x] under a binder named y must rename the binder.
     t = T("fn y : X => plus(x, y)")
-    out = S.substitute(t, S.Var("y"), "x")
+    out = S.substitute(t, {"x": S.Var("y")})
     assert S.alpha_eq(out, T("fn z : X => plus(y, z)"))
     assert not S.alpha_eq(out, T("fn y : X => plus(y, y)"))
 
 
 def test_substitute_shadowed_variable_untouched():
     t = T("fn x : X => x")
-    assert S.substitute(t, S.Var("q"), "x") == t
+    assert S.substitute(t, {"x": S.Var("q")}) == t
     u = T("copy [1,1] x as x, y in plus(derelict x, derelict y)")
-    out = S.substitute(u, S.Var("q"), "x")
+    out = S.substitute(u, {"x": S.Var("q")})
     # Only the scrutinee occurrence is free.
     assert out == T("copy [1,1] q as x, y in plus(derelict x, derelict y)")
 
 
 def test_substitute_promote_binders():
     t = T("promote[1; 1](v; x => derelict x)")
-    assert S.substitute(t, S.Var("w"), "v") \
+    assert S.substitute(t, {"v": S.Var("w")}) \
         == T("promote[1; 1](w; x => derelict x)")
-    assert S.substitute(t, S.Var("w"), "x") == t
+    assert S.substitute(t, {"x": S.Var("w")}) == t
+
+
+def test_substitute_is_simultaneous():
+    t = T("x (*) y")
+    assert S.substitute(t, {"x": S.Var("y"), "y": S.Var("x")}) == T("y (*) x")
+    # The binder clashes with the second plug only; the first plug's own
+    # binder and the variables it binds are left alone.
+    t = T("fn b : X => f (*) (b (*) g)")
+    out = S.substitute(t, {"f": T("fn b : X => b"), "g": S.Var("b")})
+    assert out == T("fn b1 : X => (fn b : X => b) (*) (b1 (*) b)")
+    assert S.substitute(t, {}) is t
+
+
+def test_substitute_never_renames_a_binder_into_a_substituted_variable():
+    # a clashes with the plug and is renamed a1, which is also the
+    # variable substituted for; the bound occurrence must stay bound.
+    t = T("fn a : X => a")
+    assert S.substitute(t, {"a1": S.Var("a")}) == T("fn a1 : X => a1")
+
+
+def test_substitute_matches_naive_reference():
+    rng = random.Random(12)
+    renamed = 0
+    for _ in range(3000):
+        t = support.pool_term(rng, rng.randrange(1, 14))
+        xs = rng.sample(support.POOL, rng.randrange(1, 4))
+        mapping = {x: support.pool_term(rng, rng.randrange(1, 5))
+                   for x in xs}
+        got = S.substitute(t, mapping)
+        want = support.reference_substitute(t, mapping)
+        assert support.nameless(got) == support.nameless(want), (t, mapping)
+        renamed += not S.all_names(got) <= S.all_names(t).union(
+            *map(S.all_names, mapping.values()))
+    assert renamed > 300
 
 
 TERM_CLASSES = sorted(

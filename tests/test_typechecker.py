@@ -161,7 +161,7 @@ def test_free_variable_table_matches_free_vars(monkeypatch):
         body = gen.consume2(x, support.X, y, support.X, 3)
         s = value.conclusion.context[0][0]
         term = S.TensorLet(value.conclusion.term, s, y, S.substitute(
-            body.conclusion.term, S.Var(s), x))
+            body.conclusion.term, {x: S.Var(s)}))
         ctx = value.conclusion.context + body.conclusion.context[:-2]
         original = {}
         real(term, original)
