@@ -93,12 +93,38 @@ def _build_model(theory, spec: str):
 
 
 def _parse_grades(spec: str):
+    """LO..HI or a comma-separated list of natural grades, sorted; an
+    empty or malformed list is a usage error, not an empty audit."""
     spec = spec.strip()
     m = re.match(r"^(\d+)\.\.(\d+)$", spec)
     if m:
-        lo, hi = int(m.group(1)), int(m.group(2))
-        return list(range(lo, hi + 1))
-    return sorted({int(p) for p in spec.split(",") if p.strip()})
+        grades = list(range(int(m.group(1)), int(m.group(2)) + 1))
+    else:
+        parts = [p.strip() for p in spec.split(",") if p.strip()]
+        if not all(p.isdigit() for p in parts):
+            raise argparse.ArgumentTypeError(
+                f"expected LO..HI or a comma-separated list of natural "
+                f"numbers, got {spec!r}")
+        grades = sorted({int(p) for p in parts})
+    if not grades:
+        raise argparse.ArgumentTypeError(f"no grades in {spec!r}")
+    return grades
+
+
+def _at_least(lo: int):
+    """An argparse type: an integer no smaller than lo."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid int value: {text!r}") from None
+        if value < lo:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {lo}, got {value}")
+        return value
+    return parse
 
 
 def _law_spaces(max_size: int):
@@ -220,9 +246,7 @@ def cmd_model_verify_axioms(args) -> int:
 
 
 def cmd_model_verify_laws(args) -> int:
-    grades = _parse_grades(args.grades)
-    spaces = _law_spaces(args.max_space)
-    report = check_comonad_laws(grades, spaces)
+    report = check_comonad_laws(args.grades, _law_spaces(args.max_space))
     if args.verbose:
         print(report.summary())
     else:
@@ -372,18 +396,18 @@ def build_parser() -> _Parser:
     p = msubs.add_parser("verify-axioms")
     p.add_argument("theory")
     p.add_argument("--model", default="timed(32)")
-    p.add_argument("--max", type=int, default=10,
+    p.add_argument("--max", type=_at_least(0), default=10,
                    help="largest schematic index to instantiate")
     p.set_defaults(fn=cmd_model_verify_axioms)
 
     p = msubs.add_parser("verify-laws")
-    p.add_argument("--grades", default="0..4")
-    p.add_argument("--max-space", type=int, default=4)
+    p.add_argument("--grades", type=_parse_grades, default="0..4")
+    p.add_argument("--max-space", type=_at_least(1), default=4)
     p.add_argument("--verbose", action="store_true")
     p.set_defaults(fn=cmd_model_verify_laws)
 
     p = msubs.add_parser("prob-sweep")
-    p.add_argument("--max", type=int, default=8)
+    p.add_argument("--max", type=_at_least(1), default=8)
     p.add_argument("--format", choices=("csv", "text"), default="csv")
     p.set_defaults(fn=cmd_model_prob_sweep)
 

@@ -4,8 +4,11 @@ Types denote finite metric spaces: the unit is a one-point space, tensors
 are products with the sum metric, function types are the (exhaustively
 enumerated, guarded) spaces of non-expansive maps with the sup metric, and
 the grade-n modality scales all distances by n (with the grade-0 modality
-collapsing to a point).  Terms denote non-expansive maps evaluated as
-tables over the context product space.
+collapsing to a point).  A model keeps the space of every type it
+interprets, so each carrier is enumerated, and its size guarded, once per
+model.  Terms denote non-expansive maps evaluated as tables over the
+context product space; a lambda in function position is evaluated at its
+argument only, not tabulated over its whole domain.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ class GuardExceeded(ModelError):
 
 
 DEFAULT_GUARD = 10 ** 6
+ZERO = Fraction(0)
 
 
 def guard_limit() -> int:
@@ -89,7 +93,7 @@ class ExplicitSpace(FinMetSpace):
 
     def dist(self, a, b):
         if a == b:
-            return Fraction(0)
+            return ZERO
         return self._dist[(a, b)]
 
     def __repr__(self):
@@ -102,7 +106,7 @@ class OnePointSpace(FinMetSpace):
         return ((),)
 
     def dist(self, a, b):
-        return Fraction(0)
+        return ZERO
 
     def __repr__(self):
         return "I"
@@ -129,7 +133,7 @@ class ProductSpace(FinMetSpace):
         return self._points
 
     def dist(self, a, b):
-        out = Fraction(0)
+        out = ZERO
         for f, x, y in zip(self.factors, a, b):
             out = num_add(out, f.dist(x, y))
         return out
@@ -185,10 +189,7 @@ class FuncSpace(FinMetSpace):
         return table[self.dom.index(x)]
 
     def dist(self, f, g):
-        out = Fraction(0)
-        for i in range(len(self.dom.points)):
-            out = num_max([out, self.cod.dist(f[i], g[i])])
-        return out
+        return num_max(itertools.chain((ZERO,), map(self.cod.dist, f, g)))
 
     def __repr__(self):
         return f"({self.dom!r} -o {self.cod!r})"
@@ -246,10 +247,8 @@ class MetMap:
 def hom_distance(f: MetMap, g: MetMap):
     if f.dom.points != g.dom.points:
         raise ModelError("hom distance requires a common domain")
-    out = Fraction(0)
-    for x in f.dom.points:
-        out = num_max([out, f.cod.dist(f(x), g(x))])
-    return out
+    return num_max(itertools.chain(
+        (ZERO,), (f.cod.dist(f(x), g(x)) for x in f.dom.points)))
 
 
 # ---------------------------------------------------------------------------
@@ -264,9 +263,15 @@ class ModelAssignment:
         self.grounds = dict(grounds)
         self._op_fn = op_fn
         self._checked = {}
+        self._spaces = {}
 
     def space(self, ty: S.TypeExpr) -> FinMetSpace:
-        return interp_type(self, ty)
+        """The space of ty, built once per model: a function space is
+        enumerated, and its size guarded, on its first use only."""
+        sp = self._spaces.get(ty)
+        if sp is None:
+            sp = self._spaces[ty] = interp_type(self, ty)
+        return sp
 
     def op(self, name):
         checked = self._checked.get(name)
@@ -288,7 +293,10 @@ class ModelAssignment:
         return fn
 
 
-def interp_type(m: ModelAssignment, ty: S.TypeExpr) -> FinMetSpace:
+def interp_type(m: ModelAssignment, ty: S.TypeExpr, part=None) -> FinMetSpace:
+    """The space ty denotes in m, built from the spaces part(a) of its
+    component types; part is m.space, the memoised one, by default."""
+    part = part or m.space
     match ty:
         case S.Ground(name):
             try:
@@ -298,16 +306,16 @@ def interp_type(m: ModelAssignment, ty: S.TypeExpr) -> FinMetSpace:
         case S.UnitType():
             return OnePointSpace()
         case S.TensorType(a, b):
-            return ProductSpace((interp_type(m, a), interp_type(m, b)))
+            return ProductSpace((part(a), part(b)))
         case S.LolliType(a, b):
-            return FuncSpace(interp_type(m, a), interp_type(m, b))
+            return FuncSpace(part(a), part(b))
         case S.BangType(g, a):
             if g is INF or not isinstance(g, int):
                 raise ModelError(f"metric models need natural grades, "
                                  f"got {g!r}")
             if g == 0:
                 return OnePointSpace()
-            return ScaledSpace(interp_type(m, a), g)
+            return modality_space(part(a), g)
     raise ModelError(f"unknown type {print_type(ty)}")
 
 
@@ -338,6 +346,16 @@ def _eval(m: ModelAssignment, d: Derivation, env: dict):
             x = body.conclusion.context[-1][0]
             dom = m.space(ty)
             return tuple(_eval(m, body, {**env, x: p}) for p in dom.points)
+        case S.App(S.Lambda(_, ty, _), _):
+            # The lambda's table would be read at one entry: evaluate its
+            # body there instead.  Its domain is interpreted first, as for
+            # the table, so a binder type the model lacks is reported as
+            # such.
+            fd, ad = d.premises
+            m.space(ty)
+            body = fd.premises[0]
+            x = body.conclusion.context[-1][0]
+            return _eval(m, body, {**env, x: _eval(m, ad, env)})
         case S.App(_, _):
             fval = _eval(m, d.premises[0], env)
             aval = _eval(m, d.premises[1], env)

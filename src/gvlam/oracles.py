@@ -4,8 +4,9 @@ Nothing here shares the strategy of the primary implementations:
 enumeration is by unpruned generate-and-filter, interleavings come from
 permutation filtering, the distance is computed over an explicitly merged
 support, proofs are validated by typechecking both sides of every node
-from scratch, and normalisation scans every position from the root and
-re-types every step from scratch.
+from scratch, normalisation scans every position from the root and
+re-types every step from scratch, and model interpretation builds a fresh
+space at every use of a type and tabulates every lambda.
 """
 
 from __future__ import annotations
@@ -14,7 +15,8 @@ import itertools
 from fractions import Fraction
 
 from . import syntax as S
-from .metmodel import FinMetSpace, GuardExceeded, guard_limit, num_cmp
+from .metmodel import (FinMetSpace, GuardExceeded, MetMap, ModelError,
+                       ProductSpace, guard_limit, interp_type, num_cmp)
 from .parser import print_type
 from .probmodel import FinDist
 from .quantale import NatSemiring, Semiring, scalar_mul, value_repr
@@ -144,6 +146,82 @@ def reference_beta_normalize(sig: S.Signature, d: Derivation,
         current = out
         steps.append(step)
     return current, steps, find(current.conclusion.term) is not None
+
+
+# ---------------------------------------------------------------------------
+# Model interpretation
+
+def reference_interp(m, d: Derivation) -> MetMap:
+    """metmodel.interp without its memo and its shortcut: each use of a
+    type builds its space afresh, so a function space is enumerated again
+    at every lambda, and every lambda, applied or not, is tabulated over
+    its whole domain."""
+
+    def space(ty):
+        return interp_type(m, ty, space)
+
+    ctx = d.conclusion.context
+    dom = ProductSpace(tuple(space(ty) for _, ty in ctx))
+    cod = space(d.conclusion.type)
+    names = [x for x, _ in ctx]
+    table = {pt: _reference_eval(m, space, d, dict(zip(names, pt)))
+             for pt in dom.points}
+    return MetMap(dom, cod, table)
+
+
+def _reference_eval(m, space, d: Derivation, env: dict):
+    term = d.conclusion.term
+    go = lambda p, e=env: _reference_eval(m, space, p, e)
+    match term:
+        case S.Var(x):
+            return env[x]
+        case S.Star():
+            return ()
+        case S.OpApp(op, _):
+            fn = m.op(op)
+            return fn(*(go(p) for p in d.premises))
+        case S.UnitLet(_, _):
+            go(d.premises[0])
+            return go(d.premises[1])
+        case S.TensorPair(_, _):
+            return (go(d.premises[0]), go(d.premises[1]))
+        case S.TensorLet(_, _, _, _):
+            val = go(d.premises[0])
+            body = d.premises[1]
+            x, y = body.conclusion.context[-2][0], \
+                body.conclusion.context[-1][0]
+            return go(body, {**env, x: val[0], y: val[1]})
+        case S.Lambda(_, ty, _):
+            body = d.premises[0]
+            x = body.conclusion.context[-1][0]
+            return tuple(go(body, {**env, x: p}) for p in space(ty).points)
+        case S.App(_, _):
+            fval = go(d.premises[0])
+            aval = go(d.premises[1])
+            dom = space(d.premises[0].conclusion.type.arg)
+            return fval[dom.index(aval)]
+        case S.Promote(r, _, _, _, _):
+            if r == 0:
+                for p in d.premises[:-1]:
+                    go(p)
+                return ()
+            body = d.premises[-1]
+            inner = {body.conclusion.context[i][0]: go(p)
+                     for i, p in enumerate(d.premises[:-1])}
+            return go(body, inner)
+        case S.Derelict(_):
+            return go(d.premises[0])
+        case S.Discard(_, _):
+            go(d.premises[0])
+            return go(d.premises[1])
+        case S.Copy(n, k, _, _, _, _):
+            val = go(d.premises[0])
+            body = d.premises[1]
+            x, y = body.conclusion.context[-2][0], \
+                body.conclusion.context[-1][0]
+            return go(body, {**env, x: () if n == 0 else val,
+                             y: () if k == 0 else val})
+    raise ModelError(f"unknown term node {term!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -157,6 +157,11 @@ def num_scale(n: int, v: MetricValue) -> MetricValue:
 
 def num_cmp(a: MetricValue, b: MetricValue) -> int:
     """Numeric three-way comparison; infinity is the largest value."""
+    if type(a) is Fraction and type(b) is Fraction:
+        # Cross-multiplied (denominators are positive): Fraction's own
+        # comparison goes through the numbers-ABC dispatch.
+        x, y = a.numerator * b.denominator, b.numerator * a.denominator
+        return (x > y) - (x < y)
     if a is INF and b is INF:
         return 0
     if a is INF:

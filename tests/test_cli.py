@@ -311,3 +311,32 @@ def test_malformed_scripts_exit_with_documented_codes(capsys, tmp_path,
     assert out == ""
     assert err.startswith("gvlam: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-laws", "--grades", "x"],
+    ["verify-laws", "--grades", "5..2"],
+    ["verify-laws", "--grades", ""],
+    ["verify-laws", "--grades=-1,2"],
+    ["verify-laws", "--max-space", "0"],
+    ["verify-axioms", TIMED, "--max", "-2"],
+    ["prob-sweep", "--max", "-3"],
+    ["prob-sweep", "--max", "0"],
+])
+def test_model_audits_reject_empty_or_malformed_ranges(capsys, argv):
+    # Each of these used to run an empty audit and exit 0, or die with a
+    # traceback: they are usage errors.
+    code, out, err = run(capsys, ["model", *argv])
+    assert (code, out) == (64, "")
+    assert err.startswith("gvlam: error: argument --")
+
+
+def test_model_audit_ranges_at_their_smallest(capsys):
+    code, out, _ = run(capsys, ["model", "verify-laws", "--grades", "3",
+                                "--max-space", "1"])
+    assert code == 0 and out.splitlines()[-1] == "checks: 10  failures: 0"
+    code, out, _ = run(capsys, ["model", "verify-axioms", TIMED,
+                                "--max", "0"])
+    assert code == 0 and "ok   wait[m=0,n=0]" in out
+    code, out, _ = run(capsys, ["model", "prob-sweep", "--max", "1"])
+    assert code == 0 and len(out.splitlines()) == 3

@@ -65,6 +65,13 @@ COMMANDS = {
         "model", "distance", "{data}/timed.thy",
         "fn f : X -o X => f wait_1(x)", "fn f : X -o X => f wait_2(x)",
         "--context", "x : X", "--model", "timed(3)"],
+    "model-distance-higher-order": [
+        "model", "distance", "{data}/timed.thy",
+        "fn f : X -o X => f (wait_0(x))", "fn f : X -o X => f (wait_3(x))",
+        "--context", "x : X", "--model", "timed(3)"],
+    "model-eval-applied-lambda": [
+        "model", "eval", "{data}/timed.thy", "(fn z : X => wait_1(z)) x",
+        "--context", "x : X", "--model", "timed(2)"],
     "model-eval-let-tensor": [
         "model", "eval", "{data}/timed.thy",
         "let a (*) b = p in wait_1(b) (*) a",

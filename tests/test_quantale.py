@@ -21,6 +21,12 @@ fractions = st.fractions(min_value=0, max_value=100)
 values = st.one_of(fractions, st.just(INF))
 
 
+@given(st.fractions(), st.fractions())
+def test_num_cmp_on_fractions_is_the_numeric_order(a, b):
+    assert num_cmp(a, b) == (a > b) - (a < b)
+    assert num_cmp(a, INF) == -1 and num_cmp(INF, b) == 1
+
+
 @given(values, values)
 def test_metric_tensor_commutes(a, b):
     assert num_cmp(metric.tensor(a, b), metric.tensor(b, a)) == 0
