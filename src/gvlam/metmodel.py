@@ -293,10 +293,9 @@ class ModelAssignment:
         return fn
 
 
-def interp_type(m: ModelAssignment, ty: S.TypeExpr, part=None) -> FinMetSpace:
-    """The space ty denotes in m, built from the spaces part(a) of its
-    component types; part is m.space, the memoised one, by default."""
-    part = part or m.space
+def interp_type(m: ModelAssignment, ty: S.TypeExpr) -> FinMetSpace:
+    """The space ty denotes in m, built from m's memoised spaces of its
+    component types."""
     match ty:
         case S.Ground(name):
             try:
@@ -306,16 +305,16 @@ def interp_type(m: ModelAssignment, ty: S.TypeExpr, part=None) -> FinMetSpace:
         case S.UnitType():
             return OnePointSpace()
         case S.TensorType(a, b):
-            return ProductSpace((part(a), part(b)))
+            return ProductSpace((m.space(a), m.space(b)))
         case S.LolliType(a, b):
-            return FuncSpace(part(a), part(b))
+            return FuncSpace(m.space(a), m.space(b))
         case S.BangType(g, a):
             if g is INF or not isinstance(g, int):
                 raise ModelError(f"metric models need natural grades, "
                                  f"got {g!r}")
             if g == 0:
                 return OnePointSpace()
-            return modality_space(part(a), g)
+            return modality_space(m.space(a), g)
     raise ModelError(f"unknown type {print_type(ty)}")
 
 

@@ -15,8 +15,8 @@ import itertools
 from fractions import Fraction
 
 from . import syntax as S
-from .metmodel import (FinMetSpace, GuardExceeded, MetMap, ModelError,
-                       ProductSpace, guard_limit, interp_type, num_cmp)
+from .metmodel import (FinMetSpace, GuardExceeded, MetMap, ModelAssignment,
+                       ModelError, ProductSpace, guard_limit, num_cmp)
 from .parser import print_type
 from .probmodel import FinDist
 from .quantale import NatSemiring, Semiring, scalar_mul, value_repr
@@ -158,7 +158,7 @@ def reference_interp(m, d: Derivation) -> MetMap:
     its whole domain."""
 
     def space(ty):
-        return interp_type(m, ty, space)
+        return ModelAssignment(m.sig, m.grounds, m._op_fn).space(ty)
 
     ctx = d.conclusion.context
     dom = ProductSpace(tuple(space(ty) for _, ty in ctx))

@@ -157,7 +157,7 @@ def num_scale(n: int, v: MetricValue) -> MetricValue:
 
 def num_cmp(a: MetricValue, b: MetricValue) -> int:
     """Numeric three-way comparison; infinity is the largest value."""
-    if type(a) is Fraction and type(b) is Fraction:
+    if isinstance(a, Fraction) and isinstance(b, Fraction):
         # Cross-multiplied (denominators are positive): Fraction's own
         # comparison goes through the numbers-ABC dispatch.
         x, y = a.numerator * b.denominator, b.numerator * a.denominator
@@ -168,8 +168,6 @@ def num_cmp(a: MetricValue, b: MetricValue) -> int:
         return 1
     if b is INF:
         return -1
-    if isinstance(a, Fraction) and isinstance(b, Fraction):
-        return (a > b) - (a < b)
     return sym_sign(to_sympy(a) - to_sympy(b))
 
 
