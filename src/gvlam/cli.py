@@ -127,23 +127,16 @@ def _at_least(lo: int):
     return parse
 
 
-def _law_spaces(max_size: int):
-    """A deterministic family of small metric spaces, one per size."""
-    spaces = []
-    if max_size >= 1:
-        spaces.append(ExplicitSpace((0,), {}, name="pt"))
-    if max_size >= 2:
-        spaces.append(ExplicitSpace(
-            (0, 1), {(0, 1): Fraction(3, 2), (1, 0): Fraction(3, 2)},
-            name="pair"))
-    if max_size >= 3:
-        d = {(0, 1): Fraction(1), (1, 0): Fraction(1),
+def _law_spaces(count: int):
+    """The first count of four small metric spaces, of sizes 1 to 4."""
+    path3 = {(0, 1): Fraction(1), (1, 0): Fraction(1),
              (1, 2): Fraction(2), (2, 1): Fraction(2),
              (0, 2): Fraction(3), (2, 0): Fraction(3)}
-        spaces.append(ExplicitSpace((0, 1, 2), d, name="path3"))
-    if max_size >= 4:
-        spaces.append(timed_space(3))
-    return spaces
+    return [ExplicitSpace((0,), {}, name="pt"),
+            ExplicitSpace((0, 1), {(0, 1): Fraction(3, 2),
+                                   (1, 0): Fraction(3, 2)}, name="pair"),
+            ExplicitSpace((0, 1, 2), path3, name="path3"),
+            timed_space(3)][:count]
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +395,8 @@ def build_parser() -> _Parser:
 
     p = msubs.add_parser("verify-laws")
     p.add_argument("--grades", type=_parse_grades, default="0..4")
-    p.add_argument("--max-space", type=_at_least(1), default=4)
+    p.add_argument("--max-space", type=int, choices=range(1, 5), default=4,
+                   help="how many of the four law spaces to check")
     p.add_argument("--verbose", action="store_true")
     p.set_defaults(fn=cmd_model_verify_laws)
 

@@ -528,8 +528,8 @@ def check_comonad_laws(grades, spaces) -> LawReport:
         for r in grades:
             for s in grades:
                 for t_ in grades:
-                    d1 = _scaled_dist(X, r * (s * t_))
-                    d2 = _scaled_dist(X, (r * s) * t_)
+                    d1 = modality_space(X, r * (s * t_)).dist
+                    d2 = modality_space(X, (r * s) * t_).dist
                     ok = all(num_cmp(d1(a, b), d2(a, b)) == 0
                              for a in X.points for b in X.points)
                     report.record(f"coassoc[{r},{s},{t_}][{X!r}]", ok)
@@ -621,12 +621,6 @@ def check_comonad_laws(grades, spaces) -> LawReport:
         "presentation at 0 keeps the carrier with all distances 0; the "
         "isomorphism is asserted for grades >= 1 only")
     return report
-
-
-def _scaled_dist(X: FinMetSpace, n: int):
-    if n == 0:
-        return lambda a, b: Fraction(0)
-    return lambda a, b: num_scale(n, X.dist(a, b))
 
 
 def _diag_point(a, m: int, n: int):

@@ -115,7 +115,8 @@ def reference_beta_normalize(sig: S.Signature, d: Derivation,
                              semiring: Semiring = NatSemiring()):
     """rewrite.beta_normalize, finding each redex by trying every oriented
     row at every position, each position looked up from the root, and
-    typing every step's term from scratch."""
+    typing every step's term from scratch.  Each step is paired with the
+    term it rewrote."""
 
     def find(term):
         for pos in all_positions(term):
@@ -143,8 +144,8 @@ def reference_beta_normalize(sig: S.Signature, d: Derivation,
             raise EngineError(
                 f"rewrite by {step.schema.value} changed the type of the "
                 f"judgement")
+        steps.append((current.conclusion.term, step))
         current = out
-        steps.append(step)
     return current, steps, find(current.conclusion.term) is not None
 
 

@@ -257,40 +257,3 @@ def load_proof(path: str) -> VProof:
     text = "\n".join(line.split(";", 1)[0] for line in text.splitlines())
     return parse_proof(text)
 
-
-def proof_sexpr(p: VProof) -> str:
-    """Render a proof tree back to a script (diagnostic use)."""
-    from .parser import print_context, print_term
-
-    parts = [p.kind]
-    info = p.info
-    if p.kind == "refl":
-        parts.append(f':ctx "{print_context(info["ctx"])}"')
-        parts.append(f'"{print_term(info["term"])}"')
-    elif p.kind == "axiom":
-        parts.append(info["name"])
-        for k, v in sorted(info.get("params", {}).items()):
-            parts.append(f":{k} {v}")
-    elif p.kind == "weak":
-        parts.append(f':q {info["q"]}')
-    elif p.kind == "perm":
-        parts.append(f':ctx "{print_context(info["ctx"])}"')
-    elif p.kind == "schema":
-        step = info["step"]
-        parts.append(step.schema.value)
-        parts.append(f':ctx "{print_context(info["ctx"])}"')
-        parts.append(f':term "{print_term(info["term"])}"')
-        if step.position:
-            parts.append(f':pos {".".join(map(str, step.position))}')
-        parts.append(f":dir {step.direction}")
-        if info.get("flip"):
-            parts.append(":flip yes")
-    elif p.kind == "cong-op":
-        parts.append(info["op"])
-    elif p.kind == "cong-promote":
-        parts.append(f':r {info["r"]}')
-    elif p.kind == "cong-subst":
-        parts.append(f':x {info["x"]}')
-    for prem in p.premises:
-        parts.append(proof_sexpr(prem))
-    return "(" + " ".join(parts) + ")"

@@ -689,14 +689,6 @@ def apply_step(sig: S.Signature, d: Derivation, step: RewriteStep,
 # ---------------------------------------------------------------------------
 # Normalization
 
-ORIENTED = (
-    SchemaId.LOLLI_BETA, SchemaId.LOLLI_ETA,
-    SchemaId.TENSOR_BETA, SchemaId.UNIT_BETA,
-    SchemaId.BANG_BETA, SchemaId.BANG_ETA,
-    SchemaId.COPY_UNIT_LEFT, SchemaId.COPY_UNIT_RIGHT,
-)
-
-
 # The constructor at the head of each oriented row's left side: a subterm
 # with another head cannot match the row.
 _REDEX_HEAD = {
@@ -705,6 +697,7 @@ _REDEX_HEAD = {
     SchemaId.BANG_BETA: S.Derelict, SchemaId.BANG_ETA: S.Promote,
     SchemaId.COPY_UNIT_LEFT: S.Copy, SchemaId.COPY_UNIT_RIGHT: S.Copy,
 }
+ORIENTED = tuple(_REDEX_HEAD)
 _ORIENTED_AT = {head: tuple(s for s in ORIENTED if _REDEX_HEAD[s] is head)
                 for head in _REDEX_HEAD.values()}
 
@@ -713,14 +706,19 @@ def term_size(t: S.Term) -> int:
     return sum(1 for _ in S.subterms(t))
 
 
-def _find_redex(term: S.Term, semiring):
-    for pos, sub in positioned_subterms(term):
+def _next_step(sig, d: Derivation, semiring, memo):
+    """The first oriented step in pre-order and the derivation it yields.
+
+    A row that does not match raises MatchError before any typing, so
+    each candidate is tried by applying it.
+    """
+    for pos, sub in positioned_subterms(d.conclusion.term):
         for schema in _ORIENTED_AT.get(type(sub), ()):
+            step = RewriteStep(schema, pos, "L2R")
             try:
-                _ROWS[schema][0](sub, {}, semiring)
+                return step, apply_step(sig, d, step, semiring, memo)
             except MatchError:
                 continue
-            return RewriteStep(schema, pos, "L2R")
     return None
 
 
@@ -728,21 +726,19 @@ def beta_normalize(sig: S.Signature, d: Derivation, fuel: int = None,
                    semiring: Semiring = NatSemiring()):
     """Reduce to a fixpoint of the oriented rows.
 
-    Returns (derivation, steps, exhausted).  The steps share one typing
-    memo, so each step types only the nodes it rebuilt.
+    Returns (derivation, steps, exhausted), each step paired with the term
+    it rewrote: (term, step).  The steps share one typing memo, so each
+    step types only the nodes it rebuilt.
     """
     if fuel is None:
         fuel = 10 * term_size(d.conclusion.term)
     steps = []
     current = d
     memo = {}
-    for _ in range(fuel):
-        step = _find_redex(current.conclusion.term, semiring)
-        if step is None:
-            return current, steps, False
-        current = apply_step(sig, current, step, semiring, memo)
-        steps.append(step)
-    if _find_redex(current.conclusion.term, semiring) is None:
-        return current, steps, False
-    return current, steps, True
-
+    while (found := _next_step(sig, current, semiring, memo)) is not None:
+        if len(steps) == fuel:
+            return current, steps, True
+        step, nxt = found
+        steps.append((current.conclusion.term, step))
+        current = nxt
+    return current, steps, False

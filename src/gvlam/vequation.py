@@ -15,6 +15,7 @@ normalize-and-retry fallback whose rewrite steps cost the unit bound.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
@@ -460,44 +461,25 @@ def synthesize(theory: TheorySpec, ctx: S.Context, v: S.Term, w: S.Term,
     except SynthesisFailure:
         if not normalize_first:
             raise
-    # Normalize both sides at the unit bound and retry on the normal forms.
+    # Normalize both sides at the unit bound and retry on the normal forms;
+    # each step is a schema leaf on the term it rewrote.
     dnv, steps_v, _ = beta_normalize(sig, dv, semiring=sr)
     dnw, steps_w, _ = beta_normalize(sig, dw, semiring=sr)
     proof, pctx = _synth(theory, dnv, dnw.conclusion.term, instances)
     proof = _to_ctx(proof, pctx, tuple(ctx))
-    chain = _step_chain(ctx, v, steps_v, flip=False)
-    back = _step_chain(ctx, w, steps_w, flip=True)
-    for node in [proof] + back:
-        chain = _trans(chain, node) if chain is not None else node
-    full = chain
+
+    def schema(term, step, flip):
+        return VProof("schema", (), {
+            "ctx": tuple(ctx), "term": term, "step": step, "flip": flip})
+
+    forward = [schema(term, step, False) for term, step in steps_v]
+    back = [schema(term, step, True) for term, step in steps_w]
+    full = functools.reduce(_trans, [*forward, proof, *reversed(back)])
     return validate(theory, full), full
 
 
 def _trans(a, b):
-    if a is None:
-        return b
-    if b is None:
-        return a
     return VProof("trans", (a, b))
-
-
-def _step_chain(ctx, term, steps, flip: bool):
-    """Schema-step nodes tracing a normalization; flipped when the chain
-    must run from the normal form back to the source term."""
-    nodes = []
-    current = term
-    for step in steps:
-        nxt = rewrite_term(current, step)
-        nodes.append(VProof("schema", (), {
-            "ctx": tuple(ctx), "term": current, "step": step, "flip": flip}))
-        current = nxt
-    if flip:
-        nodes.reverse()
-        return nodes
-    chain = None
-    for n in nodes:
-        chain = _trans(chain, n)
-    return chain
 
 
 def _to_ctx(proof: VProof, have: S.Context, want: S.Context) -> VProof:

@@ -146,6 +146,19 @@ def test_bound_normalize_first(capsys):
     assert out.strip() == "1"
 
 
+def test_bound_normalize_first_in_the_theory_semiring(capsys, tmp_path):
+    # In the trivial semiring the grade inf is the unit, so bang-beta
+    # fires here; the proof's steps must be read in that semiring too.
+    thy = tmp_path / "trivial.thy"
+    thy.write_text(Path(TIMED).read_text().replace("semiring nat",
+                                                   "semiring trivial"))
+    assert run(capsys, [
+        "bound", str(thy),
+        "derelict promote[inf; inf](x; z => wait_1(derelict z))",
+        "wait_2(derelict x)", "--context", "x : !inf X",
+        "--normalize-first"]) == (0, "1\n", "")
+
+
 def test_usage_errors(capsys):
     assert run(capsys, [])[0] == 64
     assert run(capsys, ["frobnicate"])[0] == 64
@@ -319,6 +332,7 @@ def test_malformed_scripts_exit_with_documented_codes(capsys, tmp_path,
     ["verify-laws", "--grades", ""],
     ["verify-laws", "--grades=-1,2"],
     ["verify-laws", "--max-space", "0"],
+    ["verify-laws", "--max-space", "5"],
     ["verify-axioms", TIMED, "--max", "-2"],
     ["prob-sweep", "--max", "-3"],
     ["prob-sweep", "--max", "0"],

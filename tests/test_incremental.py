@@ -8,10 +8,11 @@ import pytest
 
 import gvlam
 from gvlam import syntax as S
-from gvlam import oracles, typecheck, vequation
+from gvlam import oracles, rewrite, typecheck, vequation
 from gvlam.oracles import reference_beta_normalize, reference_infer
 from gvlam.parser import parse_context, parse_term
-from gvlam.rewrite import beta_normalize, positioned_subterms, rewrite_term
+from gvlam.rewrite import (SchemaId, beta_normalize, positioned_subterms,
+                           rewrite_term)
 from gvlam.theory import load_theory
 from gvlam.typecheck import TypeError_, infer
 
@@ -82,7 +83,8 @@ def test_shared_memo_along_rewrite_chains():
         memo = {}
         before = infer(SIG, ctx, term, memo=memo)
         assert before == d
-        for step in steps:
+        for source, step in steps:
+            assert source == term
             term = rewrite_term(term, step)
             after = infer(SIG, ctx, term, memo=memo)
             assert after == reference_infer(SIG, ctx, term)
@@ -119,7 +121,7 @@ def test_memo_types_only_the_rebuilt_spine(monkeypatch):
     memo = {}
     infer(SIG, ctx, term, memo=memo)
     monkeypatch.setattr(typecheck, "_infer", counted)
-    for step in steps:
+    for _, step in steps:
         term = rewrite_term(term, step)
         visits.clear()
         assert infer(SIG, ctx, term, memo=memo).conclusion.type == X
@@ -139,7 +141,7 @@ def test_normalise_and_validate_type_spines_only(monkeypatch):
         w = S.OpApp(f"wait_{k}", (w,))
     d = infer(sig, ctx, v)
     _, steps, _ = reference_beta_normalize(sig, d)
-    spines = sum(len(step.position) + 2 for step in steps)
+    spines = sum(len(step.position) + 2 for _, step in steps)
     eq, proof = vequation.synthesize(theory, ctx, v, w, normalize_first=True)
     assert eq.bound == 1
     # The suite's validate also runs the oracle; its typings are not
@@ -173,6 +175,44 @@ def test_normalise_and_validate_type_spines_only(monkeypatch):
     # The proof between the normal forms, the axiom instance and the root
     # add a few typings of the 31-node normal form.
     assert len(visits) <= full + 2 * spines + 4 * 31
+
+
+def test_each_step_runs_its_row_once(monkeypatch):
+    """The search applies each candidate step, so normalising a 20-deep
+    nest runs the lolli-beta row once per step; synthesize runs it once
+    more per step, in validate's schema leaves, and replays none."""
+    theory = load_theory(TIMED)
+    sig, ctx = theory.signature, (("y", X),)
+    calls = []
+    in_oracle = []
+    l2r, r2l = rewrite._ROWS[SchemaId.LOLLI_BETA]
+    reference = oracles.reinfer_validate
+
+    def counted(t, b, sr):
+        if not in_oracle:
+            calls.append(t)
+        return l2r(t, b, sr)
+
+    def uncounted(*args):
+        in_oracle.append(True)
+        try:
+            return reference(*args)
+        finally:
+            in_oracle.pop()
+
+    monkeypatch.setitem(rewrite._ROWS, SchemaId.LOLLI_BETA, (counted, r2l))
+    # The suite's validate also runs the oracle; its rows are not counted.
+    monkeypatch.setattr(oracles, "reinfer_validate", uncounted)
+    v = nest([1] * 20)
+    w = S.Var("y")
+    for k in [1] * 19 + [2]:
+        w = S.OpApp(f"wait_{k}", (w,))
+    _, steps, _ = beta_normalize(sig, infer(sig, ctx, v))
+    assert len(steps) == len(calls) == 20
+    calls.clear()
+    eq, _ = vequation.synthesize(theory, ctx, v, w, normalize_first=True)
+    assert eq.bound == 1
+    assert len(calls) == 40
 
 
 def test_memo_is_keyed_by_context():

@@ -8,7 +8,7 @@ from gvlam import oracles
 from gvlam import syntax as S
 from gvlam.parser import parse_context, parse_term, parse_type
 from gvlam.proofscript import (ScriptError, load_proof, parse_bound_literal,
-                               parse_proof, proof_sexpr)
+                               parse_proof)
 from gvlam.quantale import INF
 from gvlam.rewrite import SchemaId
 from gvlam.theory import load_theory, load_theory_text
@@ -123,17 +123,6 @@ def test_bundled_proof_parses():
     assert p.kind == "cong-copy"
     assert p.premises[0].kind == "cong-promote"
     assert p.premises[0].info["r"] == 3
-
-
-def test_proof_sexpr_round_trip():
-    src = ('(cong-promote :r 2 (axiom wait :n 1 :m 2) '
-           '(trans (refl :ctx "x : X" "wait_1(x)") '
-           '(schema lolli-beta :ctx "y : X" :term "(fn x : X => x) y" '
-           ':dir L2R)))')
-    p = parse_proof(src)
-    again = parse_proof(proof_sexpr(p))
-    assert again == p and again.info == p.info
-    assert proof_sexpr(again) == proof_sexpr(p)
 
 
 def _outcome(validate_fn, theory, proof):

@@ -132,9 +132,9 @@ def test_beta_normalize():
     out, steps, exhausted = beta_normalize(SIG, d)
     assert not exhausted
     assert out.conclusion.term == parse_term("wait_1(wait_2(y))")
-    assert sorted(s.schema.value for s in steps) \
+    assert sorted(s.schema.value for _, s in steps) \
         == ["lolli-beta", "unit-beta"]
-    for s in steps:
+    for _, s in steps:
         assert s.schema in ORIENTED
 
 
