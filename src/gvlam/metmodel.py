@@ -426,10 +426,27 @@ def model_distance(m: ModelAssignment, sig: S.Signature, ctx, lhs, rhs):
 # ---------------------------------------------------------------------------
 # The timed model
 
-def timed_space(n_max: int) -> ExplicitSpace:
-    pts = tuple(range(n_max + 1))
-    dist = {(i, j): Fraction(abs(i - j)) for i in pts for j in pts if i != j}
-    return ExplicitSpace(pts, dist, name=f"timed({n_max})")
+class TimedSpace(FinMetSpace):
+    """The ticks 0, ..., n_max at distance |i - j|: one Fraction per
+    distance, not one per pair of points."""
+
+    def __init__(self, n_max: int):
+        self._points = tuple(range(n_max + 1))
+        self._dists = tuple(map(Fraction, self._points))
+
+    @property
+    def points(self):
+        return self._points
+
+    def dist(self, a, b):
+        return self._dists[abs(a - b)]
+
+    def __repr__(self):
+        return f"timed({len(self._points) - 1})"
+
+
+def timed_space(n_max: int) -> TimedSpace:
+    return TimedSpace(n_max)
 
 
 def timed_model(sig: S.Signature, n_max: int = 32,

@@ -25,8 +25,8 @@ Grammar summary (full EBNF in docs/grammar.ebnf):
 
 from __future__ import annotations
 
+import itertools
 import re
-from dataclasses import dataclass
 
 from .quantale import parse_grade, grade_repr
 from . import syntax as S
@@ -41,17 +41,21 @@ class ParseError(ValueError):
         self.col = col
 
 
-_TOKEN_RE = re.compile(
-    r"""
-    (?P<ws>\s+)
-  | (?P<tpair>\(\*\))
-  | (?P<arrow>=>|-o|->)
-  | (?P<ident>[A-Za-z_][A-Za-z0-9_']*)
-  | (?P<num>[0-9]+)
-  | (?P<punct>[()\[\];:,=*!.])
-    """,
+# One token, longest alternative first where two share a prefix; each
+# match of _TOKENS_RE is the whitespace before a token and the token.
+_TOKENS_RE = re.compile(
+    r"""(\s*)(
+        \(\*\)
+      | =>|-o|->
+      | [A-Za-z_][A-Za-z0-9_']*
+      | [0-9]+
+      | [()\[\];:,=*!.]
+    )""",
     re.VERBOSE,
 )
+_SPACE_RE = re.compile(r"\s*")
+_IDENT_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZ"
+                         "abcdefghijklmnopqrstuvwxyz_")
 
 KEYWORDS = {
     "fn", "let", "in", "unit", "promote", "derelict", "discard",
@@ -59,88 +63,95 @@ KEYWORDS = {
 }
 
 
-@dataclass
-class Token:
-    kind: str
-    text: str
-    line: int
-    col: int
-    glued: bool  # True when no whitespace separates it from the previous token
+def _is_ident(tok: str) -> bool:
+    return tok[:1] in _IDENT_START
 
 
 def tokenize(text: str):
-    tokens = []
-    pos, line, col = 0, 1, 1
-    glued = True
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
-        kind = m.lastgroup
-        chunk = m.group()
-        if kind == "ws":
-            glued = False
-        else:
-            tokens.append(Token(kind, chunk, line, col, glued))
-            glued = True
-        newlines = chunk.count("\n")
-        if newlines:
-            line += newlines
-            col = len(chunk) - chunk.rfind("\n")
-        else:
-            col += len(chunk)
-        pos = m.end()
-    tokens.append(Token("eof", "", line, col, False))
-    return tokens
+    """(texts, glued): the token texts, then "" for the end of input, and
+    for each whether no whitespace separates it from the token before.
+
+    findall skips what it cannot match, so the matched length is compared
+    with the input and the first gap reported as a ParseError."""
+    pairs = _TOKENS_RE.findall(text)
+    spaces = [ws for ws, _ in pairs]
+    texts = [tok for _, tok in pairs]
+    n = len("".join(spaces)) + len("".join(texts))
+    if n != len(text) and not _SPACE_RE.fullmatch(text, n):
+        pos = 0
+        for m in _TOKENS_RE.finditer(text):
+            if m.start() != pos:
+                break
+            pos = m.end()
+        pos = _SPACE_RE.match(text, pos).end()
+        raise ParseError(f"unexpected character {text[pos]!r}",
+                         *_line_col(text, pos))
+    texts.append("")
+    glued = [not ws for ws in spaces]
+    glued.append(False)
+    return texts, glued
+
+
+def _line_col(text: str, offset: int):
+    return (text.count("\n", 0, offset) + 1,
+            offset - text.rfind("\n", 0, offset))
 
 
 class _Parser:
     def __init__(self, text: str):
-        self.tokens = tokenize(text)
+        self.text = text
+        self.texts, self.glued = tokenize(text)
         self.i = 0
 
     # -- token plumbing
 
-    def peek(self) -> Token:
-        return self.tokens[self.i]
+    def peek(self) -> str:
+        return self.texts[self.i]
 
-    def next(self) -> Token:
-        tok = self.tokens[self.i]
+    def next(self) -> str:
+        tok = self.texts[self.i]
         self.i += 1
         return tok
 
     def at(self, text: str) -> bool:
-        tok = self.peek()
-        return tok.text == text and tok.kind != "eof"
+        return self.texts[self.i] == text
 
-    def expect(self, text: str) -> Token:
+    def error(self, message: str, i: int) -> ParseError:
+        """A ParseError at token i, located by line and column."""
+        if i == len(self.texts) - 1:
+            offset = len(self.text)
+        else:
+            offset = next(itertools.islice(
+                _TOKENS_RE.finditer(self.text), i, None)).start(2)
+        return ParseError(message, *_line_col(self.text, offset))
+
+    def found(self, message: str, i: int) -> ParseError:
+        """message, then the text of token i, found there."""
+        shown = self.texts[i] or "end of input"
+        return self.error(f"{message}, found {shown!r}", i)
+
+    def expect(self, text: str) -> str:
         tok = self.next()
-        if tok.text != text:
-            shown = tok.text or "end of input"
-            raise ParseError(f"expected {text!r}, found {shown!r}",
-                             tok.line, tok.col)
+        if tok != text:
+            raise self.found(f"expected {text!r}", self.i - 1)
         return tok
 
     def ident(self) -> str:
         tok = self.next()
-        if tok.kind != "ident" or tok.text in KEYWORDS:
-            shown = tok.text or "end of input"
-            raise ParseError(f"expected an identifier, found {shown!r}",
-                             tok.line, tok.col)
-        return tok.text
+        if not _is_ident(tok) or tok in KEYWORDS:
+            raise self.found("expected an identifier", self.i - 1)
+        return tok
 
     def grade(self):
         tok = self.next()
-        if tok.kind == "num" or tok.text == "inf":
-            return parse_grade(tok.text)
-        raise ParseError(f"unknown grade literal {tok.text!r}",
-                         tok.line, tok.col)
+        if tok.isdigit() or tok == "inf":
+            return parse_grade(tok)
+        raise self.error(f"unknown grade literal {tok!r}", self.i - 1)
 
     def done(self):
-        tok = self.peek()
-        if tok.kind != "eof":
-            raise ParseError(f"trailing input starting at {tok.text!r}",
-                             tok.line, tok.col)
+        if self.peek():
+            raise self.error(
+                f"trailing input starting at {self.peek()!r}", self.i)
 
     # -- types
 
@@ -167,32 +178,31 @@ class _Parser:
 
     def type_atom(self) -> S.TypeExpr:
         tok = self.peek()
-        if tok.text == "I":
+        if tok == "I":
             self.next()
             return S.UnitType()
-        if tok.text == "(":
+        if tok == "(":
             self.next()
             out = self.type_()
             self.expect(")")
             return out
-        if tok.kind == "ident" and tok.text not in KEYWORDS:
+        if _is_ident(tok) and tok not in KEYWORDS:
             self.next()
-            return S.Ground(tok.text)
-        shown = tok.text or "end of input"
-        raise ParseError(f"expected a type, found {shown!r}", tok.line, tok.col)
+            return S.Ground(tok)
+        raise self.found("expected a type", self.i)
 
     # -- terms
 
     def term(self) -> S.Term:
         tok = self.peek()
-        if tok.text == "fn":
+        if tok == "fn":
             self.next()
             x = self.ident()
             self.expect(":")
             ty = self.type_()
             self.expect("=>")
             return S.Lambda(x, ty, self.term())
-        if tok.text == "let":
+        if tok == "let":
             self.next()
             if self.at("unit"):
                 self.next()
@@ -207,12 +217,12 @@ class _Parser:
             value = self.term_tensor()
             self.expect("in")
             return S.TensorLet(value, x, y, self.term())
-        if tok.text == "discard":
+        if tok == "discard":
             self.next()
             value = self.term_tensor()
             self.expect("in")
             return S.Discard(value, self.term())
-        if tok.text == "copy":
+        if tok == "copy":
             self.next()
             self.expect("[")
             n = self.grade()
@@ -243,11 +253,9 @@ class _Parser:
 
     def _starts_atom(self) -> bool:
         tok = self.peek()
-        if tok.kind == "eof":
-            return False
-        if tok.text in ("(", "unit", "promote", "derelict", "!"):
+        if tok in ("(", "unit", "promote", "derelict", "!"):
             return True
-        return tok.kind == "ident" and tok.text not in KEYWORDS
+        return _is_ident(tok) and tok not in KEYWORDS
 
     def term_prefix(self) -> S.Term:
         if self.at("derelict"):
@@ -257,37 +265,35 @@ class _Parser:
 
     def term_atom(self) -> S.Term:
         tok = self.peek()
-        if tok.text == "unit":
+        if tok == "unit":
             self.next()
             return S.Star()
-        if tok.text == "(":
+        if tok == "(":
             self.next()
             out = self.term()
             self.expect(")")
             return out
-        if tok.text == "!":
+        if tok == "!":
             self.next()
             g = self.grade()
             self.expect("(")
             body = self.term()
             self.expect(")")
             return S.Promote(g, (), (), (), body)
-        if tok.text == "promote":
+        if tok == "promote":
             return self.term_promote()
-        if tok.kind == "ident" and tok.text not in KEYWORDS:
+        if _is_ident(tok) and tok not in KEYWORDS:
             self.next()
-            nxt = self.peek()
-            if nxt.text == "(" and nxt.glued:
+            if self.at("(") and self.glued[self.i]:
                 self.next()
                 args = [self.term()]
                 while self.at(","):
                     self.next()
                     args.append(self.term())
                 self.expect(")")
-                return S.OpApp(tok.text, tuple(args))
-            return S.Var(tok.text)
-        shown = tok.text or "end of input"
-        raise ParseError(f"expected a term, found {shown!r}", tok.line, tok.col)
+                return S.OpApp(tok, tuple(args))
+            return S.Var(tok)
+        raise self.found("expected a term", self.i)
 
     def term_promote(self) -> S.Term:
         self.expect("promote")
@@ -326,7 +332,7 @@ class _Parser:
 
     def context(self) -> S.Context:
         entries = []
-        if self.peek().kind != "eof":
+        if self.peek():
             entries.append(self.context_entry())
             while self.at(","):
                 self.next()

@@ -10,6 +10,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
+from . import syntax as S
 from .parser import parse_context, parse_term, parse_type
 from .quantale import INF
 from .rewrite import RewriteStep, SchemaId
@@ -130,20 +131,25 @@ def _position(value):
     return tuple(int(p) for p in pieces)
 
 
-def build_proof(sexpr) -> VProof:
+def build_proof(sexpr, table: dict) -> VProof:
+    """The proof an S-expression writes; its terms are shared through
+    table (syntax.share), one node for each distinct subterm."""
     if not isinstance(sexpr, list) or not sexpr:
         raise ScriptError("a proof node must be a parenthesized list")
     head = _as_text(sexpr[0], "node head")
     kwargs, children = _split_args(sexpr[1:])
 
     def premises():
-        return tuple(build_proof(c) for c in children)
+        return tuple(build_proof(c, table) for c in children)
+
+    def shared_term(value, what):
+        return S.share(parse_term(_as_text(value, what)), table)
 
     if head == "refl":
         if len(children) != 1:
             raise ScriptError("refl takes exactly one term")
         ctx = parse_context(_as_text(kwargs.get("ctx", ("str", "")), "ctx"))
-        term = parse_term(_as_text(children[0], "refl term"))
+        term = shared_term(children[0], "refl term")
         return VProof("refl", (), {"ctx": ctx, "term": term})
 
     if head == "trans":
@@ -194,7 +200,7 @@ def build_proof(sexpr) -> VProof:
         except ValueError:
             raise ScriptError(f"unknown schema row {row_name!r}") from None
         ctx = parse_context(_as_text(kwargs.get("ctx", ("str", "")), "ctx"))
-        term = parse_term(_as_text(_required(kwargs, "term", head), "term"))
+        term = shared_term(_required(kwargs, "term", head), "term")
         pos = _position(kwargs["pos"]) if "pos" in kwargs else ()
         direction = _as_text(kwargs.get("dir", ("atom", "L2R")), "dir")
         flip = "flip" in kwargs and _as_text(kwargs["flip"], "flip") != "no"
@@ -203,7 +209,7 @@ def build_proof(sexpr) -> VProof:
             if key in ("ctx", "term", "pos", "dir", "flip"):
                 continue
             if key in ("u", "w", "v"):
-                bindings[key] = parse_term(_as_text(value, key))
+                bindings[key] = shared_term(value, key)
             elif key == "ty":
                 bindings[key] = parse_type(_as_text(value, key))
             elif key in ("ss",):
@@ -225,7 +231,7 @@ def build_proof(sexpr) -> VProof:
         if not children:
             raise ScriptError("cong-op needs the operation name")
         op = _as_text(children[0], "operation name")
-        prems = tuple(build_proof(c) for c in children[1:])
+        prems = tuple(build_proof(c, table) for c in children[1:])
         return VProof("cong-op", prems, {"op": op})
 
     if head == "cong-promote":
@@ -243,11 +249,14 @@ def build_proof(sexpr) -> VProof:
 
 
 def parse_proof(text: str) -> VProof:
+    """The proof a script writes.  Equal subterms anywhere in the script
+    are one object, so validate types each once and compares shared
+    middle terms by identity."""
     tokens = _tokenize(text)
     sexpr, i = _parse_sexpr(tokens, 0)
     if i != len(tokens):
         raise ScriptError("trailing input after the proof")
-    return build_proof(sexpr)
+    return build_proof(sexpr, {})
 
 
 def load_proof(path: str) -> VProof:

@@ -678,6 +678,12 @@ def apply_step(sig: S.Signature, d: Derivation, step: RewriteStep,
     position with d's term, so only the rebuilt nodes are typed again.
     """
     new_term = rewrite_term(d.conclusion.term, step, semiring)
+    return _retype(sig, d, new_term, step, semiring, memo)
+
+
+def _retype(sig, d: Derivation, new_term, step, semiring, memo):
+    """The derivation of new_term, d's term rewritten by step, in d's
+    context; it must keep d's type."""
     out = infer(sig, d.conclusion.context, new_term, semiring, memo)
     if out.conclusion.type != d.conclusion.type:
         raise EngineError(
@@ -709,32 +715,36 @@ def term_size(t: S.Term) -> int:
 def _next_step(sig, d: Derivation, semiring, memo):
     """The first oriented step in pre-order and the derivation it yields.
 
-    A row that does not match raises MatchError before any typing, so
-    each candidate is tried by applying it.
+    Each candidate row runs on the subterm the search holds; only a
+    match rebuilds the term around its reduct and types it.
     """
-    for pos, sub in positioned_subterms(d.conclusion.term):
+    term = d.conclusion.term
+    for pos, sub in positioned_subterms(term):
         for schema in _ORIENTED_AT.get(type(sub), ()):
-            step = RewriteStep(schema, pos, "L2R")
             try:
-                return step, apply_step(sig, d, step, semiring, memo)
+                reduct = _ROWS[schema][0](sub, {}, semiring)
             except MatchError:
                 continue
+            step = RewriteStep(schema, pos, "L2R")
+            new_term = replace_subterm(term, pos, reduct)
+            return step, _retype(sig, d, new_term, step, semiring, memo)
     return None
 
 
 def beta_normalize(sig: S.Signature, d: Derivation, fuel: int = None,
-                   semiring: Semiring = NatSemiring()):
+                   semiring: Semiring = NatSemiring(), memo: dict = None):
     """Reduce to a fixpoint of the oriented rows.
 
     Returns (derivation, steps, exhausted), each step paired with the term
     it rewrote: (term, step).  The steps share one typing memo, so each
-    step types only the nodes it rebuilt.
+    step types only the nodes it rebuilt; memo, as for apply_step, may be
+    the table d was inferred with, so the first step does too.
     """
     if fuel is None:
         fuel = 10 * term_size(d.conclusion.term)
     steps = []
     current = d
-    memo = {}
+    memo = {} if memo is None else memo
     while (found := _next_step(sig, current, semiring, memo)) is not None:
         if len(steps) == fuel:
             return current, steps, True

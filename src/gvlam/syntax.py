@@ -311,6 +311,28 @@ def all_names(t: Term) -> set:
     return out
 
 
+def share(t: Term, table: dict) -> Term:
+    """t with every subterm replaced by table's one node equal to it.
+
+    table maps (constructor, notes, binders, ids of the shared children)
+    to a node; the node keeps its children alive, so their ids stay
+    valid while the table lives.  Terms shared through one table are
+    equal exactly when they are the same object.
+    """
+    shape = SHAPES[type(t)]
+    kids, binders = shape.parts(t)
+    new = []
+    for k in kids:  # a loop, not a comprehension: one frame per level
+        new.append(share(k, table))
+    key = (type(t), shape.notes(t), binders, tuple(map(id, new)))
+    node = table.get(key)
+    if node is None:
+        if any(a is not b for a, b in zip(new, kids)):
+            t = shape.rebuild(t, new, binders)
+        node = table[key] = t
+    return node
+
+
 def fresh_name(base: str, avoid) -> str:
     if base not in avoid:
         return base

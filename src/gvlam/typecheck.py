@@ -22,8 +22,16 @@ from .quantale import Semiring, NatSemiring, grade_repr
 
 
 class TypeError_(ValueError):
+    """path is where the error is: () at the root, else (parent, step),
+    the parent node's path and the step from it; .path is the flat tuple
+    of steps, outermost first."""
+
     def __init__(self, message, path=()):
-        self.path = tuple(path)
+        steps = []
+        while path:
+            path, step = path
+            steps.append(step)
+        self.path = tuple(reversed(steps))
         if self.path:
             message = f"at {'/'.join(self.path)}: {message}"
         super().__init__(message)
@@ -170,36 +178,33 @@ def check(sig: S.Signature, ctx: S.Context, term: S.Term, ty: S.TypeExpr,
     return d
 
 
+def _conclude(table, ctx, term, rule, ty, premises, splits) -> Derivation:
+    """The derivation of ctx |- term : ty by rule, remembered in table."""
+    d = Derivation(rule, Judgement(ctx, term, ty),
+                   tuple(premises), tuple(splits))
+    table[id(term)] = (term, _free(term, table), d)
+    return d
+
+
 def _infer(sig, semiring, ctx, term, path, table) -> Derivation:
+    """path is this node's place for error messages: () at the root, else
+    (the parent's path, the step from the parent), as TypeError_ reads it."""
     entry = table.get(id(term))
     if entry is not None and entry[2] is not None \
             and entry[2].conclusion.context == ctx:
         return entry[2]
-    ctx_names = set(S.ctx_names(ctx))
-
-    def fv(t):
-        return _free(t, table)
-
-    def sub(premise_ctx, t, step):
-        return _infer(sig, semiring, premise_ctx, t, path + (step,), table)
-
-    def conclude(rule, ty, premises, splits):
-        d = Derivation(rule, Judgement(ctx, term, ty),
-                       tuple(premises), tuple(splits))
-        table[id(term)] = (term, fv(term), d)
-        return d
 
     match term:
         case S.Var(name):
             if len(ctx) != 1 or ctx[0][0] != name:
                 raise TypeError_(f"unbound variable {name}", path)
-            return conclude("hp", ctx[0][1], (), ())
+            return _conclude(table, ctx, term, "hp", ctx[0][1], (), ())
 
         case S.Star():
             if ctx:
                 raise TypeError_(
                     f"variable {ctx[0][0]} unused by the term", path)
-            return conclude("I_i", S.UnitType(), (), ())
+            return _conclude(table, ctx, term, "I_i", S.UnitType(), (), ())
 
         case S.OpApp(op, args):
             sort = sig.lookup(op)
@@ -210,44 +215,55 @@ def _infer(sig, semiring, ctx, term, path, table) -> Derivation:
                 raise TypeError_(
                     f"operation {op} expects {len(arg_types)} arguments, "
                     f"got {len(args)}", path)
-            parts = _split_context(ctx, [fv(a) for a in args], path)
+            parts = _split_context(
+                ctx, [_free(a, table) for a in args], path)
             premises = []
             for i, (part, a, want) in enumerate(zip(parts, args, arg_types)):
-                d = sub(part, a, f"{op}#{i}")
+                d = _infer(sig, semiring, part, a, (path, f"{op}#{i}"), table)
                 if d.conclusion.type != want:
                     raise TypeError_(
                         f"argument {i} of {op} has type "
                         f"{print_type(d.conclusion.type)}, expected "
                         f"{print_type(want)}", path)
                 premises.append(d)
-            return conclude("ax", result, premises, parts)
+            return _conclude(table, ctx, term, "ax", result, premises, parts)
 
         case S.UnitLet(value, body):
-            gv, gb = _split_context(ctx, [fv(value), fv(body)], path)
-            dv = sub(gv, value, "let-unit-value")
+            gv, gb = _split_context(
+                ctx, [_free(value, table), _free(body, table)], path)
+            dv = _infer(sig, semiring, gv, value, (path, "let-unit-value"),
+                        table)
             if dv.conclusion.type != S.UnitType():
                 raise TypeError_(
                     "let unit scrutinee must have the unit type", path)
-            db = sub(gb, body, "let-unit-body")
-            return conclude("I_e", db.conclusion.type, (dv, db), (gv, gb))
+            db = _infer(sig, semiring, gb, body, (path, "let-unit-body"),
+                        table)
+            return _conclude(table, ctx, term, "I_e", db.conclusion.type,
+                             (dv, db), (gv, gb))
 
         case S.TensorPair(left, right):
-            gl, gr = _split_context(ctx, [fv(left), fv(right)], path)
-            dl = sub(gl, left, "pair-left")
-            dr_ = sub(gr, right, "pair-right")
+            gl, gr = _split_context(
+                ctx, [_free(left, table), _free(right, table)], path)
+            dl = _infer(sig, semiring, gl, left, (path, "pair-left"), table)
+            dr_ = _infer(sig, semiring, gr, right, (path, "pair-right"),
+                         table)
             ty = S.TensorType(dl.conclusion.type, dr_.conclusion.type)
-            return conclude("tensor_i", ty, (dl, dr_), (gl, gr))
+            return _conclude(table, ctx, term, "tensor_i", ty, (dl, dr_),
+                             (gl, gr))
 
         case S.TensorLet(value, x, y, body):
-            (x, y), body = _rename_binders((x, y), body, ctx_names)
+            (x, y), body = _rename_binders((x, y), body,
+                                           set(S.ctx_names(ctx)))
             gv, gb = _split_context(
-                ctx, [fv(value), fv(body) - {x, y}], path)
-            dv = sub(gv, value, "let-tensor-value")
+                ctx, [_free(value, table), _free(body, table) - {x, y}], path)
+            dv = _infer(sig, semiring, gv, value, (path, "let-tensor-value"),
+                        table)
             match dv.conclusion.type:
                 case S.TensorType(a, b):
-                    db = sub(gb + ((x, a), (y, b)), body, "let-tensor-body")
-                    return conclude("tensor_e", db.conclusion.type,
-                                    (dv, db), (gv, gb))
+                    db = _infer(sig, semiring, gb + ((x, a), (y, b)), body,
+                                (path, "let-tensor-body"), table)
+                    return _conclude(table, ctx, term, "tensor_e",
+                                     db.conclusion.type, (dv, db), (gv, gb))
                 case other:
                     raise TypeError_(
                         f"let-tensor scrutinee has non-tensor type "
@@ -255,35 +271,43 @@ def _infer(sig, semiring, ctx, term, path, table) -> Derivation:
 
         case S.Lambda(x, ty, body):
             check_grounds(sig, ty, path)
-            (x,), body = _rename_binders((x,), body, ctx_names)
-            db = sub(ctx + ((x, ty),), body, "fn-body")
-            return conclude("lolli_i", S.LolliType(ty, db.conclusion.type),
-                            (db,), (ctx,))
+            (x,), body = _rename_binders((x,), body, set(S.ctx_names(ctx)))
+            db = _infer(sig, semiring, ctx + ((x, ty),), body,
+                        (path, "fn-body"), table)
+            return _conclude(table, ctx, term, "lolli_i",
+                             S.LolliType(ty, db.conclusion.type), (db,),
+                             (ctx,))
 
         case S.App(fn, arg):
-            gf, ga = _split_context(ctx, [fv(fn), fv(arg)], path)
-            df = sub(gf, fn, "app-fn")
+            gf, ga = _split_context(
+                ctx, [_free(fn, table), _free(arg, table)], path)
+            df = _infer(sig, semiring, gf, fn, (path, "app-fn"), table)
             match df.conclusion.type:
                 case S.LolliType(a, b):
-                    da = sub(ga, arg, "app-arg")
+                    da = _infer(sig, semiring, ga, arg, (path, "app-arg"),
+                                table)
                     if da.conclusion.type != a:
                         raise TypeError_(
                             f"function expects {print_type(a)}, argument "
                             f"has type {print_type(da.conclusion.type)}",
                             path)
-                    return conclude("lolli_e", b, (df, da), (gf, ga))
+                    return _conclude(table, ctx, term, "lolli_e", b,
+                                     (df, da), (gf, ga))
                 case other:
                     raise TypeError_(
                         f"applied term has non-function type "
                         f"{print_type(other)}", path)
 
         case S.Promote(r, grades, args, binders, body):
-            binders, body = _rename_binders(binders, body, ctx_names)
-            parts = _split_context(ctx, [fv(a) for a in args], path)
+            binders, body = _rename_binders(binders, body,
+                                            set(S.ctx_names(ctx)))
+            parts = _split_context(
+                ctx, [_free(a, table) for a in args], path)
             premises = []
             body_ctx = []
             for i, (part, a, s) in enumerate(zip(parts, args, grades)):
-                d = sub(part, a, f"promote-arg#{i}")
+                d = _infer(sig, semiring, part, a,
+                           (path, f"promote-arg#{i}"), table)
                 match d.conclusion.type:
                     case S.BangType(g, inner) if g == semiring.mul(r, s):
                         body_ctx.append((binders[i], S.BangType(s, inner)))
@@ -294,16 +318,19 @@ def _infer(sig, semiring, ctx, term, path, table) -> Derivation:
                             f"promotion argument {i} has type "
                             f"{print_type(other)}, expected modality of "
                             f"grade {want}", path)
-            db = sub(tuple(body_ctx), body, "promote-body")
+            db = _infer(sig, semiring, tuple(body_ctx), body,
+                        (path, "promote-body"), table)
             premises.append(db)
-            return conclude("bang_i", S.BangType(r, db.conclusion.type),
-                            premises, parts)
+            return _conclude(table, ctx, term, "bang_i",
+                             S.BangType(r, db.conclusion.type), premises,
+                             parts)
 
         case S.Derelict(value):
-            dv = sub(ctx, value, "derelict")
+            dv = _infer(sig, semiring, ctx, value, (path, "derelict"), table)
             match dv.conclusion.type:
                 case S.BangType(g, inner) if g == semiring.one:
-                    return conclude("bang_e", inner, (dv,), (ctx,))
+                    return _conclude(table, ctx, term, "bang_e", inner,
+                                     (dv,), (ctx,))
                 case other:
                     raise TypeError_(
                         f"dereliction requires modality grade "
@@ -311,13 +338,16 @@ def _infer(sig, semiring, ctx, term, path, table) -> Derivation:
                         f"{print_type(other)}", path)
 
         case S.Discard(value, body):
-            gv, gb = _split_context(ctx, [fv(value), fv(body)], path)
-            dv = sub(gv, value, "discard-value")
+            gv, gb = _split_context(
+                ctx, [_free(value, table), _free(body, table)], path)
+            dv = _infer(sig, semiring, gv, value, (path, "discard-value"),
+                        table)
             match dv.conclusion.type:
                 case S.BangType(g, _) if g == semiring.zero:
-                    db = sub(gb, body, "discard-body")
-                    return conclude("bang_0", db.conclusion.type,
-                                    (dv, db), (gv, gb))
+                    db = _infer(sig, semiring, gb, body,
+                                (path, "discard-body"), table)
+                    return _conclude(table, ctx, term, "bang_0",
+                                     db.conclusion.type, (dv, db), (gv, gb))
                 case other:
                     raise TypeError_(
                         f"discard requires modality grade "
@@ -325,17 +355,19 @@ def _infer(sig, semiring, ctx, term, path, table) -> Derivation:
                         f"{print_type(other)}", path)
 
         case S.Copy(n, m, value, x, y, body):
-            (x, y), body = _rename_binders((x, y), body, ctx_names)
+            (x, y), body = _rename_binders((x, y), body,
+                                           set(S.ctx_names(ctx)))
             gv, gb = _split_context(
-                ctx, [fv(value), fv(body) - {x, y}], path)
-            dv = sub(gv, value, "copy-value")
+                ctx, [_free(value, table), _free(body, table) - {x, y}], path)
+            dv = _infer(sig, semiring, gv, value, (path, "copy-value"), table)
             match dv.conclusion.type:
                 case S.BangType(g, inner) if g == semiring.add(n, m):
                     body_ctx = gb + ((x, S.BangType(n, inner)),
                                      (y, S.BangType(m, inner)))
-                    db = sub(body_ctx, body, "copy-body")
-                    return conclude("bang_sum", db.conclusion.type,
-                                    (dv, db), (gv, gb))
+                    db = _infer(sig, semiring, body_ctx, body,
+                                (path, "copy-body"), table)
+                    return _conclude(table, ctx, term, "bang_sum",
+                                     db.conclusion.type, (dv, db), (gv, gb))
                 case other:
                     want = grade_repr(semiring.add(n, m))
                     raise TypeError_(

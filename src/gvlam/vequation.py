@@ -447,8 +447,11 @@ def synthesize(theory: TheorySpec, ctx: S.Context, v: S.Term, w: S.Term,
     finds nothing, and TypeError_ when the terms do not share a judgement.
     """
     sig, sr = theory.signature, theory.semiring
-    dv = infer(sig, ctx, v, sr)
-    dw = infer(sig, ctx, w, sr)
+    # One typing memo for both sides and both normalisations, so the first
+    # step of each types only what it rebuilds.
+    memo = {}
+    dv = infer(sig, ctx, v, sr, memo)
+    dw = infer(sig, ctx, w, sr, memo)
     if dv.conclusion.type != dw.conclusion.type:
         raise ProofError("the terms have different types")
     # Axiom instances by (name, sorted params), failures included; only the
@@ -463,8 +466,8 @@ def synthesize(theory: TheorySpec, ctx: S.Context, v: S.Term, w: S.Term,
             raise
     # Normalize both sides at the unit bound and retry on the normal forms;
     # each step is a schema leaf on the term it rewrote.
-    dnv, steps_v, _ = beta_normalize(sig, dv, semiring=sr)
-    dnw, steps_w, _ = beta_normalize(sig, dw, semiring=sr)
+    dnv, steps_v, _ = beta_normalize(sig, dv, semiring=sr, memo=memo)
+    dnw, steps_w, _ = beta_normalize(sig, dw, semiring=sr, memo=memo)
     proof, pctx = _synth(theory, dnv, dnw.conclusion.term, instances)
     proof = _to_ctx(proof, pctx, tuple(ctx))
 

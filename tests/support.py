@@ -1,16 +1,20 @@
 """Shared test helpers: signatures, models, a random derivation generator
-that mirrors the checker's node layout, and per-row instantiators for the
-program-equation schema."""
+that mirrors the checker's node layout, per-row instantiators for the
+program-equation schema, beta-nest proof scripts, and the reference term
+tokenizer."""
 
 from __future__ import annotations
 
 import itertools
 import random
+import re
+from dataclasses import dataclass
 from fractions import Fraction
 
 from gvlam import syntax as S
 from gvlam import theory
 from gvlam.metmodel import ModelAssignment, timed_space
+from gvlam.parser import ParseError
 from gvlam.rewrite import RewriteStep, SchemaId
 from gvlam.typecheck import Derivation, Judgement
 
@@ -678,3 +682,134 @@ SCHEMA_BUILDERS = {
     SchemaId.CC_DISCARD: _b_cc_discard,
     SchemaId.CC_COPY: _b_cc_copy,
 }
+
+
+# ---------------------------------------------------------------------------
+# Beta scripts, written as the benchmark writes them: one lolli-beta schema
+# leaf per outermost step of a beta-redex nest, then a congruence proof
+# from the nest's normal form to a wait chain that differs from it in
+# wait indices.  The terms are built and printed here, not by gvlam.
+
+def wait_chain(ks, base=None):
+    """wait_{ks[-1]}(… wait_{ks[0]}(base)), base defaulting to y."""
+    t = S.Var("y") if base is None else base
+    for k in ks:
+        t = S.OpApp(f"wait_{k}", (t,))
+    return t
+
+
+def beta_nest(ks):
+    """(fn x_{d-1} : X => wait(x_{d-1})) (… ((fn x0 : X => wait(x0)) y))"""
+    t = S.Var("y")
+    for i, k in enumerate(ks):
+        x = f"x{i}"
+        t = S.App(S.Lambda(x, X, S.OpApp(f"wait_{k}", (S.Var(x),))), t)
+    return t
+
+
+def show_nest(t) -> str:
+    match t:
+        case S.Var(name):
+            return name
+        case S.OpApp(op, args):
+            return f"{op}({', '.join(show_nest(a) for a in args)})"
+        case S.Lambda(x, _, body):
+            return f"(fn {x} : X => {show_nest(body)})"
+        case S.App(f, a):
+            return f"({show_nest(f)}) ({show_nest(a)})"
+    raise ValueError(f"no printer for {t!r}")
+
+
+def beta_script(ks, ks2) -> str:
+    """A proof of beta_nest(ks) = wait_chain(ks2) at sum |ks - ks2|."""
+    d = len(ks)
+    steps = []
+    for j in range(d):
+        current = wait_chain(ks[d - j:], beta_nest(ks[:d - j]))
+        pos = f" :pos {'.'.join('0' * j)}" if j else ""
+        steps.append(f'(schema lolli-beta :ctx "y : X" '
+                     f':term "{show_nest(current)}"{pos})')
+    steps.append(_wait_congruence(wait_chain(ks), wait_chain(ks2)))
+    return "(trans " + " ".join(steps) + ")"
+
+
+def random_beta_script(rng, d):
+    """A beta script on a d-deep nest with two wait_1 nodes, proved equal
+    to a chain that differs at one site."""
+    ks = [0] * d
+    for i in rng.sample(range(d), min(2, d)):
+        ks[i] = 1
+    ks2 = list(ks)
+    i = rng.randrange(d)
+    ks2[i] = rng.choice([c for c in (0, 1, 2, 3) if c != ks[i]])
+    return beta_script(ks, ks2)
+
+
+def _wait_congruence(v, w) -> str:
+    if v == w:
+        return f'(refl :ctx "y : X" "{show_nest(v)}")'
+    (a,), (b,) = v.args, w.args
+    if v.op == w.op:
+        return f"(cong-op {v.op} {_wait_congruence(a, b)})"
+    n, m = v.op[len("wait_"):], w.op[len("wait_"):]
+    if type(b) is S.Var:
+        step = f'(axiom wait :n {n} :m {m} :rename "x=y")'
+    else:
+        step = (f"(cong-subst :x x (axiom wait :n {n} :m {m}) "
+                f'(refl :ctx "y : X" "{show_nest(b)}"))')
+    if a == b:
+        return step
+    return f"(trans (cong-op {v.op} {_wait_congruence(a, b)}) {step})"
+
+
+# ---------------------------------------------------------------------------
+# The term tokenizer before it tokenized in one pass: one match per token
+# and its line and column kept on every token.  The reference for
+# parser.tokenize.
+
+_REFERENCE_TOKEN_RE = re.compile(
+    r"""
+    (?P<ws>\s+)
+  | (?P<tpair>\(\*\))
+  | (?P<arrow>=>|-o|->)
+  | (?P<ident>[A-Za-z_][A-Za-z0-9_']*)
+  | (?P<num>[0-9]+)
+  | (?P<punct>[()\[\];:,=*!.])
+    """,
+    re.VERBOSE,
+)
+
+
+@dataclass
+class ReferenceToken:
+    kind: str
+    text: str
+    line: int
+    col: int
+    glued: bool  # True when no whitespace separates it from the previous token
+
+
+def reference_tokenize(text: str):
+    tokens = []
+    pos, line, col = 0, 1, 1
+    glued = True
+    while pos < len(text):
+        m = _REFERENCE_TOKEN_RE.match(text, pos)
+        if not m:
+            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
+        kind = m.lastgroup
+        chunk = m.group()
+        if kind == "ws":
+            glued = False
+        else:
+            tokens.append(ReferenceToken(kind, chunk, line, col, glued))
+            glued = True
+        newlines = chunk.count("\n")
+        if newlines:
+            line += newlines
+            col = len(chunk) - chunk.rfind("\n")
+        else:
+            col += len(chunk)
+        pos = m.end()
+    tokens.append(ReferenceToken("eof", "", line, col, False))
+    return tokens

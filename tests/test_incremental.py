@@ -319,3 +319,85 @@ def test_synthesize_instantiates_each_axiom_once(monkeypatch):
     *search, last = calls
     assert last == ("wait", (("m", 2), ("n", 1)))
     assert len(search) == len(set(search)) >= 3
+
+
+def test_redex_search_reads_no_position_from_the_root(monkeypatch):
+    """The search runs each row on the subterm it holds: on a 200-deep
+    chain of applied function variables, which has no redex, neither
+    get_subterm nor replace_subterm runs; on a nest, get_subterm does
+    not run either."""
+    calls = []
+
+    def counted(name):
+        real = getattr(rewrite, name)
+
+        def wrapper(*args):
+            calls.append(name)
+            return real(*args)
+        return wrapper
+
+    for name in ("get_subterm", "replace_subterm"):
+        monkeypatch.setattr(rewrite, name, counted(name))
+    chain, ctx = S.Var("y"), [("y", X)]
+    for i in range(200):
+        chain = S.App(S.Var(f"f{i}"), chain)
+        ctx.append((f"f{i}", support.X2X))
+    d = infer(SIG, tuple(ctx), chain)
+    out, steps, exhausted = beta_normalize(SIG, d)
+    assert out is d and steps == [] and not exhausted
+    assert calls == []
+    _, steps, _ = beta_normalize(SIG, infer(SIG, (("y", X),),
+                                            nest([1] * 10)))
+    assert len(steps) == 10
+    assert "get_subterm" not in calls
+
+
+def test_seeded_memo_types_only_rebuilt_nodes(monkeypatch):
+    """beta_normalize with the memo its input was inferred with: the first
+    step of a 30-deep nest types only the one node it rebuilt, and the
+    step at position p the p + 1 nodes it rebuilt."""
+    missed = []
+    infer_node = typecheck._infer
+
+    def counted(sig, semiring, ctx, term, path, table):
+        entry = table.get(id(term))
+        if entry is None or entry[2] is None \
+                or entry[2].conclusion.context != ctx:
+            missed.append(term)
+        return infer_node(sig, semiring, ctx, term, path, table)
+
+    ctx = (("y", X),)
+    memo = {}
+    d = infer(SIG, ctx, nest([1] * 30), memo=memo)
+    monkeypatch.setattr(typecheck, "_infer", counted)
+    _, steps, _ = beta_normalize(SIG, d, memo=memo)
+    assert len(steps) == 30
+    assert len(missed) == sum(len(step.position) + 1 for _, step in steps)
+    missed.clear()
+    beta_normalize(SIG, d)
+    # With a fresh memo the first step types its reduct whole: the
+    # 121-node nest but the root redex's application, lambda, body and
+    # bound variable.
+    assert len(missed) == 121 - 4 + sum(len(step.position) + 1
+                                        for _, step in steps)
+
+
+def test_synthesize_seeds_both_normalisations(monkeypatch):
+    """synthesize hands each normalisation the memo in which it inferred
+    both sides, so the first step finds every side node typed."""
+    theory = load_theory(TIMED)
+    ctx = (("y", X),)
+    v, w = nest([1] * 6), S.Var("y")
+    for k in [1] * 5 + [2]:
+        w = S.OpApp(f"wait_{k}", (w,))
+    seeded = []
+    real = vequation.beta_normalize
+
+    def recorded(sig, d, fuel=None, semiring=None, memo=None):
+        seeded.append(memo is not None and id(d.conclusion.term) in memo)
+        return real(sig, d, fuel, semiring, memo)
+
+    monkeypatch.setattr(vequation, "beta_normalize", recorded)
+    eq, _ = vequation.synthesize(theory, ctx, v, w, normalize_first=True)
+    assert eq.bound == 1
+    assert seeded == [True, True]

@@ -151,3 +151,16 @@ def test_comonad_laws_small():
     assert report.checks and not report.failures
     assert "ok" in report.summary()
     assert any("grade 0" in n for n in report.notes)
+
+
+def test_timed_space_matches_its_explicit_table():
+    """timed(n) keeps one distance per value of |i - j|; it reads as the
+    explicit space of all pairs."""
+    for n in (0, 1, 4, 9):
+        pts = tuple(range(n + 1))
+        table = ExplicitSpace(pts, {(i, j): Fraction(abs(i - j))
+                                    for i in pts for j in pts if i != j})
+        sp = timed_space(n)
+        assert sp.points == pts and repr(sp) == f"timed({n})"
+        assert all(sp.dist(i, j) == table.dist(i, j)
+                   for i in pts for j in pts)

@@ -175,3 +175,38 @@ def test_derivation_sexpr():
     text = derivation_sexpr(D("x : X", "wait_1(x)"))
     assert text.startswith('(ax "x : X |- wait_1(x) : X"')
     assert "(hp" in text
+
+
+@pytest.mark.parametrize("ctx, text, message, path", [
+    ("", "fn x : X => (fn y : X => c(y)) x",
+     "at fn-body/app-fn/fn-body: argument 0 of c has type X, expected I",
+     ("fn-body", "app-fn", "fn-body")),
+    ("y : X", "(fn x0 : X => wait_0(x0)) ((fn x1 : X => wait_1(x1)) (c(y)))",
+     "at app-arg/app-arg: argument 0 of c has type X, expected I",
+     ("app-arg", "app-arg")),
+    ("x : !2 X",
+     "copy[1,1] x as a, b in plus(derelict a, wait_1(c(derelict b)))",
+     "at copy-body/plus#1/wait_1#0: argument 0 of c has type X, expected I",
+     ("copy-body", "plus#1", "wait_1#0")),
+    ("p : X * X", "let a (*) b = p in plus(a, derelict b)",
+     "at let-tensor-body/plus#1: dereliction requires modality grade 1, "
+     "got X", ("let-tensor-body", "plus#1")),
+    ("x : !1 X", "promote[1; 1](x; z => wait_1(fn w : X => derelict z))",
+     "at promote-body/wait_1#0/fn-body/derelict: unbound variable z",
+     ("promote-body", "wait_1#0", "fn-body", "derelict")),
+    ("u : I", "let unit = u in discard unit in (fn q : X => q) unit",
+     "at let-unit-body: discard requires modality grade 0, got I",
+     ("let-unit-body",)),
+    ("", "fn a : X => fn b : X => a",
+     "at fn-body/fn-body: unbound variable a", ("fn-body", "fn-body")),
+    ("", "fn y : X => fn f : X -o !2 Foo => y",
+     "at fn-body: undeclared ground type Foo", ("fn-body",)),
+])
+def test_deep_error_paths(ctx, text, message, path):
+    """The error path, built as a parent-linked chain while typing, reads
+    as the flat tuple of steps from the root."""
+    with pytest.raises(TypeError_) as exc:
+        D(ctx, text)
+    assert str(exc.value) == message
+    assert exc.value.path == path
+    assert type(exc.value.path) is tuple
