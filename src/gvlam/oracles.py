@@ -22,8 +22,7 @@ from .probmodel import FinDist
 from .quantale import NatSemiring, Semiring, scalar_mul, value_repr
 from .rewrite import (_ROWS, ORIENTED, EngineError, MatchError, RewriteStep,
                       all_positions, get_subterm, rewrite_term, term_size)
-from .typecheck import (Derivation, _check_variable_use, _free, _infer,
-                        check_grounds)
+from .typecheck import Derivation, _check_variable_use, _infer, check_grounds
 from .vequation import (ProofError, TheorySpec, VEquation, VProof,
                         _bang_grade, _concat_contexts, _tensor_all,
                         axiom_instantiate, check_arity)
@@ -105,9 +104,7 @@ def reference_infer(sig: S.Signature, ctx: S.Context, term: S.Term,
     for _, ty in ctx:
         check_grounds(sig, ty)
     _check_variable_use(ctx, term)
-    table = {}
-    _free(term, table)
-    return _infer(sig, semiring, ctx, term, (), table)
+    return _infer(sig, semiring, ctx, term, (), {})
 
 
 def reference_beta_normalize(sig: S.Signature, d: Derivation,

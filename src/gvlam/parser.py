@@ -67,6 +67,14 @@ def _is_ident(tok: str) -> bool:
     return tok[:1] in _IDENT_START
 
 
+IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_']*")
+
+
+def is_identifier(text: str) -> bool:
+    """Whether text is one identifier that is not a keyword."""
+    return IDENT_RE.fullmatch(text) is not None and text not in KEYWORDS
+
+
 def tokenize(text: str):
     """(texts, glued): the token texts, then "" for the end of input, and
     for each whether no whitespace separates it from the token before.

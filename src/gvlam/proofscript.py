@@ -11,7 +11,7 @@ import re
 from fractions import Fraction
 
 from . import syntax as S
-from .parser import parse_context, parse_term, parse_type
+from .parser import is_identifier, parse_context, parse_term, parse_type
 from .quantale import INF
 from .rewrite import RewriteStep, SchemaId
 from .vequation import CONGRUENCES, VProof
@@ -21,9 +21,10 @@ class ScriptError(ValueError):
     pass
 
 
-_TOKEN_RE = re.compile(r'''\s+|(?P<lp>\()|(?P<rp>\))
+# A ; outside a string comments out the rest of its line.
+_TOKEN_RE = re.compile(r'''\s+|;.*|(?P<lp>\()|(?P<rp>\))
                            |(?P<str>"(?:[^"\\]|\\.)*")
-                           |(?P<atom>[^\s()"]+)''', re.VERBOSE)
+                           |(?P<atom>[^\s()";]+)''', re.VERBOSE)
 
 
 def _tokenize(text: str):
@@ -184,8 +185,11 @@ def build_proof(sexpr, table: dict) -> VProof:
         rename = {}
         if "rename" in kwargs:
             for piece in _as_text(kwargs["rename"], "rename").split(","):
-                old, _, new = piece.partition("=")
-                rename[old.strip()] = new.strip()
+                old, eq, new = (s.strip() for s in piece.partition("="))
+                if not (eq and is_identifier(old) and is_identifier(new)):
+                    raise ScriptError(f"rename piece {piece.strip()!r} is "
+                                      f"not old=new with two identifiers")
+                rename[old] = new
         params = {k: _as_int(vv, k) for k, vv in kwargs.items()
                   if k != "rename"}
         return VProof("axiom", (),
@@ -261,8 +265,5 @@ def parse_proof(text: str) -> VProof:
 
 def load_proof(path: str) -> VProof:
     with open(path, encoding="utf-8") as fh:
-        text = fh.read()
-    # Allow ; line comments.
-    text = "\n".join(line.split(";", 1)[0] for line in text.splitlines())
-    return parse_proof(text)
+        return parse_proof(fh.read())
 

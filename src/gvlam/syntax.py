@@ -292,8 +292,26 @@ def _fv(t, out: Counter, bound: frozenset):
         _fv(kids[n], out, bound.union(binders))
 
 
-def free_vars(t: Term) -> set:
-    return set(free_var_counts(t))
+def free_vars(t: Term) -> frozenset:
+    """The free variables of t.  Each node's set is built once, from its
+    children's, and kept on the node: a term is immutable, so the set
+    never goes stale.  It is not a field, so equality, hashing and repr
+    ignore it."""
+    out = t.__dict__.get("_free_vars")
+    if out is not None:
+        return out
+    if type(t) is Var:
+        out = frozenset((t.name,))
+    else:
+        kids, binders = SHAPES[type(t)].parts(t)
+        n = len(kids) - 1 if binders else len(kids)
+        out = frozenset()
+        for i in range(n):  # a loop, not a comprehension: one frame a level
+            out |= free_vars(kids[i])
+        if n < len(kids):
+            out |= free_vars(kids[n]).difference(binders)
+    t.__dict__["_free_vars"] = out
+    return out
 
 
 def all_names(t: Term) -> set:
@@ -393,17 +411,16 @@ def substitute(term: Term, mapping: dict) -> Term:
     of a variable x in mapping becomes mapping[x], in one walk."""
     if not mapping:
         return term
-    return _subst(term, {x: (w, free_vars(w)) for x, w in mapping.items()})
+    return _subst(term, mapping)
 
 
 def _subst(t, plugs):
-    """t with plugs substituted; plugs maps a variable to its plug and the
-    plug's free variables.  A binder drops the variables it shadows from
-    plugs over its scope, and is renamed, by one more plug, when it is
-    free in a plug still substituted there."""
+    """t with plugs substituted; plugs maps a variable to its plug.  A
+    binder drops the variables it shadows from plugs over its scope, and
+    is renamed, by one more plug, when it is free in a plug still
+    substituted there."""
     if type(t) is Var:
-        plug = plugs.get(t.name)
-        return t if plug is None else plug[0]
+        return plugs.get(t.name, t)
     shape = SHAPES[type(t)]
     kids, binders = shape.parts(t)
     if not kids:
@@ -415,15 +432,15 @@ def _subst(t, plugs):
     if n < len(kids):
         body = kids[n]
         inner = {x: p for x, p in plugs.items() if x not in binders}
-        if any(b in fv for _, fv in inner.values() for b in binders):
-            clash = set().union(*(fv for _, fv in inner.values()))
-            taken = free_vars(body) | clash | set(binders)
+        if any(b in free_vars(p) for p in inner.values() for b in binders):
+            clash = set().union(*map(free_vars, inner.values()))
+            taken = clash.union(free_vars(body), binders)
             renamed = []
             for b in binders:
                 if b in clash:
                     nb = fresh_name(b, taken)
                     taken.add(nb)
-                    inner[b] = (Var(nb), {nb})
+                    inner[b] = Var(nb)
                     b = nb
                 renamed.append(b)
             binders = tuple(renamed)

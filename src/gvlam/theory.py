@@ -25,18 +25,16 @@ import re
 from fractions import Fraction
 
 from . import syntax as S
-from .parser import ParseError, parse_context, parse_term, parse_type
+from .parser import (IDENT_RE, ParseError, is_identifier, parse_context,
+                     parse_term, parse_type)
 from .probmodel import ProbError, gaussian_phi
-from .quantale import get_quantale, get_semiring
+from .quantale import QuantaleError, get_quantale, get_semiring
 from .typecheck import TypeError_, check_grounds
 from .vequation import AxiomFamily, AxiomInstance, ProofError, TheorySpec
 
 
 class TheoryError(ValueError):
     pass
-
-
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_']*")
 
 
 def subst_tokens(src: str, params: dict) -> str:
@@ -49,7 +47,7 @@ def subst_tokens(src: str, params: dict) -> str:
         segments = [str(params[s]) if s in params else s for s in segments]
         return "_".join(segments)
 
-    return _IDENT_RE.sub(repl, src)
+    return IDENT_RE.sub(repl, src)
 
 
 class ParamOpFamily:
@@ -276,7 +274,7 @@ class GenericAxiom(AxiomFamily):
             return [{}]
         # Solve parameters from indexed operation names occurring in the
         # declared sides against the terms being matched.
-        templates = _IDENT_RE.findall(self.lhs_src + " " + self.rhs_src)
+        templates = IDENT_RE.findall(self.lhs_src + " " + self.rhs_src)
         term_ops = sorted(_op_names(v) | _op_names(w))
         assignment = {}
         for template in templates:
@@ -341,8 +339,8 @@ _AXIOM_RE = re.compile(
 
 
 def load_theory_text(text: str, where: str = "<theory>") -> TheorySpec:
-    quantale_kind = None
-    semiring_kind = None
+    quantale = None
+    semiring = None
     symmetric = False
     grounds = set()
     ops = []
@@ -358,12 +356,16 @@ def load_theory_text(text: str, where: str = "<theory>") -> TheorySpec:
         rest = rest.strip()
         try:
             if head == "quantale":
-                quantale_kind = rest
+                quantale = get_quantale(rest)
             elif head == "semiring":
-                semiring_kind = rest
+                semiring = get_semiring(rest)
             elif head == "symmetric":
+                if rest:
+                    raise TheoryError("symmetric takes no argument")
                 symmetric = True
             elif head == "ground":
+                if not is_identifier(rest):
+                    raise TheoryError(f"bad ground type name {rest!r}")
                 grounds.add(rest)
             elif head == "op":
                 ops.append((lineno, *_parse_op_line(rest)))
@@ -377,10 +379,10 @@ def load_theory_text(text: str, where: str = "<theory>") -> TheorySpec:
                 axioms.append(_parse_axiom_line(rest))
             else:
                 raise TheoryError(f"unknown directive {head!r}")
-        except (TheoryError, ParseError) as exc:
+        except (TheoryError, ParseError, QuantaleError) as exc:
             raise TheoryError(f"{where}:{lineno}: {exc}") from exc
 
-    if quantale_kind is None or semiring_kind is None:
+    if quantale is None or semiring is None:
         raise TheoryError(f"{where}: theory must declare a quantale and a "
                           f"semiring")
     sig = S.Signature(frozenset(grounds))
@@ -392,8 +394,7 @@ def load_theory_text(text: str, where: str = "<theory>") -> TheorySpec:
         _check_sort(sig, f"operation family {fam.base}", fam.sort(fam.sample),
                     f"{where}:{lineno}")
         sig.families.append(fam)
-    theory = TheorySpec(get_quantale(quantale_kind),
-                        get_semiring(semiring_kind), symmetric, sig)
+    theory = TheorySpec(quantale, semiring, symmetric, sig)
     for b in builtins:
         for cls in BUILTINS[b]:
             theory.add_axiom(cls())
@@ -420,6 +421,8 @@ def _check_sort(sig: S.Signature, what: str, sort, where: str):
 def _parse_op_line(rest: str):
     name, _, sort = rest.partition(":")
     name = name.strip()
+    if not is_identifier(name):
+        raise TheoryError(f"bad operation name {name!r}")
     args_src, _, result_src = sort.partition("->")
     arg_types = tuple(parse_type(a.strip())
                       for a in args_src.split(",") if a.strip())

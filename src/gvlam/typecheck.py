@@ -5,11 +5,12 @@ term, each used exactly once; grades account for non-linear use through the
 modality.  At every term constructor the context is partitioned by
 free-variable ownership of the subterms, which makes the premise contexts
 order-preserving subsequences of the conclusion context and therefore a
-valid shuffle by construction.  The free variables of every subterm are
-computed once per call, bottom-up, into a table keyed by node identity;
-the same table remembers each node's derivation and the context it was
-inferred in, so a caller that re-types a rewritten term with the table of
-an earlier call visits only the nodes the rewrite rebuilt.
+valid shuffle by construction.  Free-variable ownership is read from
+syntax.free_vars, which each node computes once.  A table maps each typed
+node's id to its derivation, whose conclusion holds the node and the
+context it was inferred in, so a caller that re-types a rewritten term
+with the table of an earlier call visits only the nodes the rewrite
+rebuilt.
 """
 
 from __future__ import annotations
@@ -75,33 +76,6 @@ def _split_context(ctx: S.Context, owners, path):
     return [tuple(p) for p in parts]
 
 
-def _free(term: S.Term, table: dict) -> frozenset:
-    """Free variables of term, read from table or computed bottom-up into it.
-
-    table maps id(node) to (node, free variables, derivation), the
-    derivation being None until _infer has typed the node.  The entry
-    keeps its node alive, so no later node can reuse that id while the
-    table lives.  Nodes outside the table, such as the bodies
-    _rename_binders creates, are added on first use, so each node is
-    visited once per table.
-    """
-    entry = table.get(id(term))
-    if entry is not None:
-        return entry[1]
-    if type(term) is S.Var:
-        out = frozenset((term.name,))
-    else:
-        kids, binders = S.SHAPES[type(term)].parts(term)
-        n = len(kids) - 1 if binders else len(kids)
-        out = frozenset()
-        for i in range(n):
-            out |= _free(kids[i], table)
-        if n < len(kids):
-            out |= _free(kids[n], table) - set(binders)
-    table[id(term)] = (term, out, None)
-    return out
-
-
 def _rename_binders(binders, body, taken):
     """Give fresh names to binders clashing with names in `taken`."""
     new, renames = [], {}
@@ -126,7 +100,6 @@ def infer(sig: S.Signature, ctx: S.Context, term: S.Term,
     for _, ty in ctx:
         check_grounds(sig, ty)
     table = {} if memo is None else memo
-    _free(term, table)
     try:
         return _infer(sig, semiring, ctx, term, (), table)
     except Exception:
@@ -182,17 +155,16 @@ def _conclude(table, ctx, term, rule, ty, premises, splits) -> Derivation:
     """The derivation of ctx |- term : ty by rule, remembered in table."""
     d = Derivation(rule, Judgement(ctx, term, ty),
                    tuple(premises), tuple(splits))
-    table[id(term)] = (term, _free(term, table), d)
+    table[id(term)] = d
     return d
 
 
 def _infer(sig, semiring, ctx, term, path, table) -> Derivation:
     """path is this node's place for error messages: () at the root, else
     (the parent's path, the step from the parent), as TypeError_ reads it."""
-    entry = table.get(id(term))
-    if entry is not None and entry[2] is not None \
-            and entry[2].conclusion.context == ctx:
-        return entry[2]
+    d = table.get(id(term))
+    if d is not None and d.conclusion.context == ctx:
+        return d
 
     match term:
         case S.Var(name):
@@ -216,7 +188,7 @@ def _infer(sig, semiring, ctx, term, path, table) -> Derivation:
                     f"operation {op} expects {len(arg_types)} arguments, "
                     f"got {len(args)}", path)
             parts = _split_context(
-                ctx, [_free(a, table) for a in args], path)
+                ctx, [S.free_vars(a) for a in args], path)
             premises = []
             for i, (part, a, want) in enumerate(zip(parts, args, arg_types)):
                 d = _infer(sig, semiring, part, a, (path, f"{op}#{i}"), table)
@@ -230,7 +202,7 @@ def _infer(sig, semiring, ctx, term, path, table) -> Derivation:
 
         case S.UnitLet(value, body):
             gv, gb = _split_context(
-                ctx, [_free(value, table), _free(body, table)], path)
+                ctx, [S.free_vars(value), S.free_vars(body)], path)
             dv = _infer(sig, semiring, gv, value, (path, "let-unit-value"),
                         table)
             if dv.conclusion.type != S.UnitType():
@@ -243,7 +215,7 @@ def _infer(sig, semiring, ctx, term, path, table) -> Derivation:
 
         case S.TensorPair(left, right):
             gl, gr = _split_context(
-                ctx, [_free(left, table), _free(right, table)], path)
+                ctx, [S.free_vars(left), S.free_vars(right)], path)
             dl = _infer(sig, semiring, gl, left, (path, "pair-left"), table)
             dr_ = _infer(sig, semiring, gr, right, (path, "pair-right"),
                          table)
@@ -255,7 +227,7 @@ def _infer(sig, semiring, ctx, term, path, table) -> Derivation:
             (x, y), body = _rename_binders((x, y), body,
                                            set(S.ctx_names(ctx)))
             gv, gb = _split_context(
-                ctx, [_free(value, table), _free(body, table) - {x, y}], path)
+                ctx, [S.free_vars(value), S.free_vars(body) - {x, y}], path)
             dv = _infer(sig, semiring, gv, value, (path, "let-tensor-value"),
                         table)
             match dv.conclusion.type:
@@ -280,7 +252,7 @@ def _infer(sig, semiring, ctx, term, path, table) -> Derivation:
 
         case S.App(fn, arg):
             gf, ga = _split_context(
-                ctx, [_free(fn, table), _free(arg, table)], path)
+                ctx, [S.free_vars(fn), S.free_vars(arg)], path)
             df = _infer(sig, semiring, gf, fn, (path, "app-fn"), table)
             match df.conclusion.type:
                 case S.LolliType(a, b):
@@ -302,7 +274,7 @@ def _infer(sig, semiring, ctx, term, path, table) -> Derivation:
             binders, body = _rename_binders(binders, body,
                                             set(S.ctx_names(ctx)))
             parts = _split_context(
-                ctx, [_free(a, table) for a in args], path)
+                ctx, [S.free_vars(a) for a in args], path)
             premises = []
             body_ctx = []
             for i, (part, a, s) in enumerate(zip(parts, args, grades)):
@@ -339,7 +311,7 @@ def _infer(sig, semiring, ctx, term, path, table) -> Derivation:
 
         case S.Discard(value, body):
             gv, gb = _split_context(
-                ctx, [_free(value, table), _free(body, table)], path)
+                ctx, [S.free_vars(value), S.free_vars(body)], path)
             dv = _infer(sig, semiring, gv, value, (path, "discard-value"),
                         table)
             match dv.conclusion.type:
@@ -358,7 +330,7 @@ def _infer(sig, semiring, ctx, term, path, table) -> Derivation:
             (x, y), body = _rename_binders((x, y), body,
                                            set(S.ctx_names(ctx)))
             gv, gb = _split_context(
-                ctx, [_free(value, table), _free(body, table) - {x, y}], path)
+                ctx, [S.free_vars(value), S.free_vars(body) - {x, y}], path)
             dv = _infer(sig, semiring, gv, value, (path, "copy-value"), table)
             match dv.conclusion.type:
                 case S.BangType(g, inner) if g == semiring.add(n, m):

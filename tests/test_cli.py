@@ -106,6 +106,33 @@ def test_theory_rejects_undeclared_grounds_in_sorts(capsys, tmp_path, decl,
         == (65, "", f"gvlam: error: {thy}:4: {message}\n")
 
 
+@pytest.mark.parametrize("lineno, line, message", [
+    (1, "quantale metrc", "unknown quantale kind 'metrc'"),
+    (2, "semiring natt", "unknown semiring kind 'natt'"),
+    (3, "ground X Y", "bad ground type name 'X Y'"),
+    (3, "symmetric no", "symmetric takes no argument"),
+    (4, "op f g : X -> X", "bad operation name 'f g'"),
+])
+def test_theory_directive_errors_name_their_line(capsys, tmp_path, lineno,
+                                                 line, message):
+    lines = ["quantale metric", "semiring nat", "ground X",
+             "op f : X -> X"]
+    lines[lineno - 1] = line
+    thy = tmp_path / "bad.thy"
+    thy.write_text("\n".join(lines) + "\n")
+    assert run(capsys, ["check", str(thy), "unit"]) \
+        == (65, "", f"gvlam: error: {thy}:{lineno}: {message}\n")
+
+
+def test_prove_rejects_a_rename_that_is_not_old_equals_new(capsys,
+                                                           tmp_path):
+    script = tmp_path / "rename.proof"
+    script.write_text('(axiom wait :n 1 :m 2 :rename "x")')
+    assert run(capsys, ["prove", TIMED, str(script)]) \
+        == (65, "", "gvlam: error: rename piece 'x' is not old=new with "
+                    "two identifiers\n")
+
+
 def test_prove_bundled_walk(capsys):
     code, out, _ = run(capsys, ["prove", PROB, WALK])
     assert code == 0

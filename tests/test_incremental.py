@@ -129,6 +129,23 @@ def test_memo_types_only_the_rebuilt_spine(monkeypatch):
         assert len(visits) == len(step.position) + 2
 
 
+def test_beta_normalize_walks_no_term_for_free_variables(monkeypatch):
+    """Normalising a 50-deep nest reads each free-variable set off its
+    node: the walk behind free_var_counts never runs."""
+    walked = []
+    real = S._fv
+
+    def counted(t, out, bound):
+        walked.append(t)
+        return real(t, out, bound)
+
+    d = infer(SIG, (("y", X),), nest([1] * 50))
+    monkeypatch.setattr(S, "_fv", counted)
+    _, steps, _ = beta_normalize(SIG, d)
+    assert len(steps) == 50
+    assert walked == []
+
+
 def test_normalise_and_validate_type_spines_only(monkeypatch):
     """beta_normalize types the nest once and then each step's spine;
     validate types the chain's first term once and then, at each schema
@@ -360,9 +377,8 @@ def test_seeded_memo_types_only_rebuilt_nodes(monkeypatch):
     infer_node = typecheck._infer
 
     def counted(sig, semiring, ctx, term, path, table):
-        entry = table.get(id(term))
-        if entry is None or entry[2] is None \
-                or entry[2].conclusion.context != ctx:
+        d = table.get(id(term))
+        if d is None or d.conclusion.context != ctx:
             missed.append(term)
         return infer_node(sig, semiring, ctx, term, path, table)
 

@@ -51,6 +51,8 @@ def test_axiom_node():
     assert p.info["name"] == "wait"
     assert p.info["params"] == {"n": 1, "m": 2}
     assert p.info["rename"] == {"x": "u"}
+    p = parse_proof('(axiom wait :n 1 :m 2 :rename " x = u ,y=v")')
+    assert p.info["rename"] == {"x": "u", "y": "v"}
 
 
 def test_schema_node():
@@ -116,6 +118,32 @@ def test_load_proof_strips_comments(tmp_path):
     path.write_text('; header comment\n(weak :q 1 ; inline\n (refl "x"))\n')
     p = load_proof(str(path))
     assert p.kind == "weak" and p.info["q"] == Fraction(1)
+
+
+PROMOTE_SYMM = ('(schema promote-symm :ctx "a : !1 X, b : !1 X" :i 0 '
+                ':term "promote[1; 1,1](a, b; x, y => '
+                'wait_1(derelict x) (*) derelict y)")')
+
+
+def test_semicolons_in_strings_are_not_comments(tmp_path):
+    """A ; inside a quoted term belongs to the term; outside strings it
+    comments out the rest of the line, in a file as in text."""
+    theory = load_theory(str(DATA / "timed.thy"))
+    eq = validate(theory, parse_proof(PROMOTE_SYMM))
+    path = tmp_path / "symm.proof"
+    path.write_text(f"; swap the arguments\n{PROMOTE_SYMM} ; once\n")
+    assert validate(theory, load_proof(str(path))) == eq
+    assert validate(theory, parse_proof(f"{PROMOTE_SYMM};(")) == eq
+
+
+@pytest.mark.parametrize("rename, piece", [
+    ("x", "x"), ("x=", "x="), ("=u", "=u"), ("x=u=v", "x=u=v"),
+    ("x=fn", "x=fn"), ("x=u, y", "y"), ("x=1u", "x=1u"), ("", "")])
+def test_rename_pieces_are_old_equals_new(rename, piece):
+    with pytest.raises(ScriptError) as exc:
+        parse_proof(f'(axiom wait :n 1 :m 2 :rename "{rename}")')
+    assert str(exc.value) \
+        == f"rename piece {piece!r} is not old=new with two identifiers"
 
 
 def test_bundled_proof_parses():

@@ -125,9 +125,8 @@ def typings(monkeypatch, proof):
     infer_node, reference = typecheck._infer, oracles.reference_infer
 
     def counted(sig, semiring, ctx, term, path, table):
-        entry = table.get(id(term))
-        hit = entry is not None and entry[2] is not None \
-            and entry[2].conclusion.context == ctx
+        d = table.get(id(term))
+        hit = d is not None and d.conclusion.context == ctx
         if not hit and not in_oracle:
             typed.append((id(table), id(term), ctx))
             held.append((table, term))  # keeps ids unique while counting

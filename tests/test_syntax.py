@@ -99,6 +99,24 @@ def test_free_vars_and_counts():
     assert "a" in S.all_names(t) and "p" in S.all_names(t)
 
 
+def test_free_vars_are_kept_on_the_node():
+    """free_vars builds each node's set once and keeps it off the node's
+    fields: a second call returns the same object, and fields, match
+    arguments, equality, hash and repr are those of a node never asked."""
+    src = ("let a (*) b = p in copy [1,1] q as c, d in "
+           "promote[1; 1](r; e => (fn f : X => plus(f, y)) unit)")
+    t, fresh = T(src), T(src)
+    first = S.free_vars(t)
+    assert first == {"p", "q", "r", "y"}
+    assert S.free_vars(t) is first
+    for u, v in zip(S.subterms(t), S.subterms(fresh)):
+        assert S.free_vars(u) is S.free_vars(u)
+        assert dataclasses.fields(u) == dataclasses.fields(v)
+        assert type(u).__match_args__ == tuple(
+            f.name for f in dataclasses.fields(u))
+        assert u == v and hash(u) == hash(v) and repr(u) == repr(v)
+
+
 def test_alpha_eq():
     assert S.alpha_eq(T("fn x : X => x"), T("fn y : X => y"))
     assert S.alpha_eq(T("fn x : X => fn x : X => x"),

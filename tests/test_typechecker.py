@@ -3,8 +3,8 @@ import random
 import pytest
 
 from gvlam import syntax as S
-from gvlam import typecheck
 from gvlam.parser import parse_context, parse_term
+from gvlam.rewrite import rewrite_term
 from gvlam.typecheck import (TypeError_, check, derivation_sexpr, exchange,
                              infer, subst_derivation)
 
@@ -132,19 +132,15 @@ def test_generated_derivations_round_trip():
         assert infer(SIG, d.conclusion.context, d.conclusion.term) == d
 
 
-def test_free_variable_table_matches_free_vars(monkeypatch):
-    """Every free-variable set infer reads agrees with S.free_vars, also
-    for the bodies renamed when a binder shadows a context variable."""
-    real = typecheck._free
-    read = []
+def test_free_vars_match_free_var_counts():
+    """The free variables each node keeps agree with the walk behind
+    S.free_var_counts: on generated terms once infer has read them, on
+    the bodies infer renames when a binder shadows a context variable,
+    and on the results of substitute and of every schema row."""
+    def agree(t):
+        for u in S.subterms(t):
+            assert S.free_vars(u) == set(S.free_var_counts(u))
 
-    def checked(term, table):
-        out = real(term, table)
-        assert out == S.free_vars(term)
-        read.append(term)
-        return out
-
-    monkeypatch.setattr(typecheck, "_free", checked)
     rng = random.Random(5)
     gen = support.DerivGen(rng)
     renamed = 0
@@ -152,6 +148,7 @@ def test_free_variable_table_matches_free_vars(monkeypatch):
         d = gen.term_of(rng.choice([support.X, support.XX, support.bang(1),
                                     support.X2X]), rng.randrange(1, 5))
         assert infer(SIG, d.conclusion.context, d.conclusion.term) == d
+        agree(d.conclusion.term)
         # let s (*) y = value in body, where s also names a variable of
         # value: infer renames the binder and types the renamed body.
         value = gen.term_tensor(3)
@@ -160,15 +157,21 @@ def test_free_variable_table_matches_free_vars(monkeypatch):
         x, y = gen.fresh(), gen.fresh()
         body = gen.consume2(x, support.X, y, support.X, 3)
         s = value.conclusion.context[0][0]
-        term = S.TensorLet(value.conclusion.term, s, y, S.substitute(
-            body.conclusion.term, {x: S.Var(s)}))
+        inner = S.substitute(body.conclusion.term, {x: S.Var(s)})
+        agree(inner)
+        term = S.TensorLet(value.conclusion.term, s, y, inner)
         ctx = value.conclusion.context + body.conclusion.context[:-2]
-        original = {}
-        real(term, original)
-        read.clear()
-        assert infer(SIG, ctx, term).conclusion.type == support.X
-        renamed += any(id(t) not in original for t in read)
+        d = infer(SIG, ctx, term)
+        assert d.conclusion.type == support.X
+        typed_body = d.premises[1].conclusion.term
+        agree(typed_body)
+        renamed += typed_body is not inner
     assert renamed >= 20
+    for schema, builder in support.SCHEMA_BUILDERS.items():
+        for _ in range(3):
+            ctx, lhs, step = builder(rng)
+            infer(SIG, ctx, lhs)
+            agree(rewrite_term(lhs, step))
 
 
 def test_derivation_sexpr():
