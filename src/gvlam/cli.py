@@ -26,8 +26,8 @@ from fractions import Fraction
 from . import __version__
 from . import syntax as S
 from .metmodel import (ModelError, check_axiom, check_comonad_laws,
-                       ExplicitSpace, interp, model_distance, timed_model,
-                       timed_space)
+                       ExplicitSpace, FuncSpace, interp, model_distance,
+                       timed_model, timed_space)
 from .oracles import (brute_interleavings, brute_tv, enumerate_nonexpansive,
                       perm_group)
 from .parser import (ParseError, parse_context, parse_term, print_context,
@@ -111,8 +111,9 @@ def _parse_grades(spec: str):
     return grades
 
 
-def _at_least(lo: int):
-    """An argparse type: an integer no smaller than lo."""
+def _at_least(lo: int, hi: int | None = None):
+    """An argparse type: an integer no smaller than lo and, when hi is
+    given, no larger than hi."""
 
     def parse(text: str) -> int:
         try:
@@ -123,6 +124,9 @@ def _at_least(lo: int):
         if value < lo:
             raise argparse.ArgumentTypeError(
                 f"must be at least {lo}, got {value}")
+        if hi is not None and value > hi:
+            raise argparse.ArgumentTypeError(
+                f"must be at most {hi}, got {value}")
         return value
     return parse
 
@@ -205,8 +209,7 @@ def _axiom_param_grid(name, family, max_index):
     if name in ("wait", "wait_sum"):
         return [{"n": i, "m": j}
                 for i in range(max_index + 1) for j in range(max_index + 1)]
-    params = getattr(family, "params", ())
-    if not params:
+    if not family.params:
         return [{}]
     return None  # schematic family with no default grid
 
@@ -227,7 +230,7 @@ def cmd_model_verify_axioms(args) -> int:
                 inst = family.instantiate(theory, dict(params))
                 ok = check_axiom(model, theory.signature, inst.context,
                                  inst.lhs, inst.rhs, inst.bound)
-            except (ProofError, ModelError) as exc:
+            except (ProofError, TheoryError, TypeError_, ModelError) as exc:
                 print(f"skip {name}[{label}] ({exc})")
                 continue
             status = "ok" if ok else "FAIL"
@@ -328,9 +331,8 @@ def cmd_oracle_shuffles(args) -> int:
 
 
 def cmd_oracle_nonexpansive(args) -> int:
-    from .metmodel import enumerate_tables
     x, y = timed_space(args.dom), timed_space(args.cod)
-    primary = list(enumerate_tables(x, y))
+    primary = FuncSpace(x, y).points  # checks GVLAM_GUARD before enumerating
     reference = enumerate_nonexpansive(x, y)
     print(f"primary:   {len(primary)}")
     print(f"reference: {len(reference)}")
@@ -412,7 +414,7 @@ def build_parser() -> _Parser:
     osubs = oracle.add_subparsers(dest="oracle_command", required=True)
 
     p = osubs.add_parser("perms")
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=_at_least(0, 8))
     p.set_defaults(fn=cmd_oracle_perms)
 
     p = osubs.add_parser("tv")
@@ -427,8 +429,10 @@ def build_parser() -> _Parser:
     p.set_defaults(fn=cmd_oracle_shuffles)
 
     p = osubs.add_parser("nonexpansive")
-    p.add_argument("dom", type=int, help="largest point of the domain line")
-    p.add_argument("cod", type=int, help="largest point of the codomain line")
+    p.add_argument("dom", type=_at_least(0),
+                   help="largest point of the domain line")
+    p.add_argument("cod", type=_at_least(0),
+                   help="largest point of the codomain line")
     p.set_defaults(fn=cmd_oracle_nonexpansive)
 
     return top

@@ -296,7 +296,8 @@ def free_vars(t: Term) -> frozenset:
     """The free variables of t.  Each node's set is built once, from its
     children's, and kept on the node: a term is immutable, so the set
     never goes stale.  It is not a field, so equality, hashing and repr
-    ignore it."""
+    ignore it.  A node that adds or removes no variable shares a child's
+    set."""
     out = t.__dict__.get("_free_vars")
     if out is not None:
         return out
@@ -307,11 +308,21 @@ def free_vars(t: Term) -> frozenset:
         n = len(kids) - 1 if binders else len(kids)
         out = frozenset()
         for i in range(n):  # a loop, not a comprehension: one frame a level
-            out |= free_vars(kids[i])
+            out = _union(out, free_vars(kids[i]))
         if n < len(kids):
-            out |= free_vars(kids[n]).difference(binders)
+            body = free_vars(kids[n])
+            if not body.isdisjoint(binders):
+                body = body.difference(binders)
+            out = _union(out, body)
     t.__dict__["_free_vars"] = out
     return out
+
+
+def _union(a: frozenset, b: frozenset) -> frozenset:
+    """a | b, or one of the two when it already holds the other."""
+    if a <= b:
+        return b
+    return a if b <= a else a | b
 
 
 def all_names(t: Term) -> set:

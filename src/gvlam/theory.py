@@ -13,21 +13,28 @@ the axioms.  Example:
 
 Operation families declare an infinite family of symbols indexed by
 natural-number name segments; the index parameters may also appear in
-grade position of the declared sorts.  Builtins install the schematic
-axiom families whose bounds need real arithmetic.  Generic `axiom` lines
-declare schematic axioms with rational bound expressions over the
-parameters (abs, +, -, *, / allowed).
+grade position of the declared sorts.  Every axiom family is one
+AxiomTemplate: a context and two sides written over index parameters,
+and a bound computed from their values.  Builtins install the `wait`,
+`diaconis` and `gaussians` templates, whose bounds are exact fractions or
+need real arithmetic.  Generic `axiom` lines declare templates with
+rational bound expressions over the parameters (abs, +, -, *, /
+allowed), evaluated per instance.  Synthesis reads a template's
+parameters off a goal by position: where a parameter's segment sits in an
+operation name of a side, the goal's operation at the same place gives
+its value.
 """
 
 from __future__ import annotations
 
+import itertools
 import re
 from fractions import Fraction
 
 from . import syntax as S
 from .parser import (IDENT_RE, ParseError, is_identifier, parse_context,
                      parse_term, parse_type)
-from .probmodel import ProbError, gaussian_phi
+from .probmodel import gaussian_phi
 from .quantale import QuantaleError, get_quantale, get_semiring
 from .typecheck import TypeError_, check_grounds
 from .vequation import AxiomFamily, AxiomInstance, ProofError, TheorySpec
@@ -50,6 +57,24 @@ def subst_tokens(src: str, params: dict) -> str:
     return IDENT_RE.sub(repl, src)
 
 
+def _read_name(pattern: tuple, name: str, values: dict) -> bool:
+    """Whether an operation name fits a pattern of its "_"-separated
+    segments: a string is a literal segment, and a one-element tuple a
+    parameter, bound in values to the digit segment at its place.  A
+    parameter bound before must get the same value."""
+    segments = name.split("_")
+    if len(segments) != len(pattern):
+        return False
+    for want, seg in zip(pattern, segments):
+        if type(want) is str:
+            if want != seg:
+                return False
+        elif not seg.isdigit() or values.setdefault(want[0], int(seg)) \
+                != int(seg):
+            return False
+    return True
+
+
 class ParamOpFamily:
     """Operation family whose symbols carry numeric name segments that may
     also occur in grade position of the sort."""
@@ -60,36 +85,24 @@ class ParamOpFamily:
         self.arg_srcs = tuple(arg_srcs)
         self.result_src = result_src
         self.sample = "_".join([base] + ["1"] * len(self.params))
-        self._sorts = {}  # symbol name -> sort; sorts are immutable
+        self._pattern = (*base.split("_"), *((p,) for p in self.params))
+        self._sorts = {}  # symbol name -> sort
 
     def match(self, name: str) -> bool:
         return self._values(name) is not None
 
     def _values(self, name: str):
-        prefix = self.base + "_"
-        if not name.startswith(prefix):
-            return None
-        rest = name[len(prefix):].split("_")
-        if len(rest) != len(self.params) or not all(
-                seg.isdigit() for seg in rest):
-            return None
-        return dict(zip(self.params, (int(seg) for seg in rest)))
+        values = {}
+        return values if _read_name(self._pattern, name, values) else None
 
     def sort(self, name: str):
-        try:
-            return self._sorts[name]
-        except KeyError:
-            pass
-        values = self._values(name)
-        if values is None:
-            sort = None
-        else:
-            args = tuple(parse_type(subst_tokens(src, values))
-                         for src in self.arg_srcs)
-            result = parse_type(subst_tokens(self.result_src, values))
-            sort = (args, result)
-        self._sorts[name] = sort
-        return sort
+        if name not in self._sorts:  # sorts are immutable
+            values = self._values(name)
+            self._sorts[name] = None if values is None else (
+                tuple(parse_type(subst_tokens(src, values))
+                      for src in self.arg_srcs),
+                parse_type(subst_tokens(self.result_src, values)))
+        return self._sorts[name]
 
 
 # ---------------------------------------------------------------------------
@@ -106,208 +119,120 @@ def _int_param(params, key):
     return value
 
 
-def _head_indices(term: S.Term, base: str, count: int):
-    """Numeric name segments when term is an application of base_..."""
-    match term:
-        case S.OpApp(op, _):
-            prefix = base + "_"
-            if op.startswith(prefix):
-                rest = op[len(prefix):].split("_")
-                if len(rest) == count and all(s.isdigit() for s in rest):
-                    return tuple(int(s) for s in rest)
-    return None
+class AxiomTemplate(AxiomFamily):
+    """An axiom scheme: a context and two sides written over natural-number
+    parameters, and a function from the parameters' values to the bound.
 
+    An instance substitutes the values into the source text (subst_tokens)
+    and parses it.  The source is also parsed once, with each parameter
+    replaced by a digit string found nowhere in it, so that every place a
+    value can take parses; candidates walks these sides against a goal and
+    reads a parameter wherever its segment sits in an operation name.  A
+    derived parameter is computed from the others and must agree with
+    what the goal shows.
+    """
 
-class WaitAxiom(AxiomFamily):
-    """wait_n(x) and wait_m(x) agree up to the delay difference."""
-
-    name = "wait"
-
-    def instantiate(self, theory, params):
-        n, m = _int_param(params, "n"), _int_param(params, "m")
-        ctx = parse_context("x : X")
-        return AxiomInstance(
-            self.name, ctx,
-            parse_term(f"wait_{n}(x)"), parse_term(f"wait_{m}(x)"),
-            Fraction(abs(n - m)))
-
-    def candidates(self, theory, v, w):
-        a = _head_indices(v, "wait", 1)
-        b = _head_indices(w, "wait", 1)
-        if a and b:
-            return [{"n": a[0], "m": b[0]}]
-        return []
-
-
-class WaitZeroAxiom(AxiomFamily):
-    name = "wait_zero"
-
-    def instantiate(self, theory, params):
-        ctx = parse_context("x : X")
-        return AxiomInstance(self.name, ctx, parse_term("wait_0(x)"),
-                             S.Var("x"), Fraction(0))
-
-
-class WaitSumAxiom(AxiomFamily):
-    """Composing delays equals the summed delay, exactly."""
-
-    name = "wait_sum"
-
-    def instantiate(self, theory, params):
-        n, m = _int_param(params, "n"), _int_param(params, "m")
-        ctx = parse_context("x : X")
-        return AxiomInstance(
-            self.name, ctx,
-            parse_term(f"wait_{n}(wait_{m}(x))"),
-            parse_term(f"wait_{n + m}(x)"), Fraction(0))
-
-    def candidates(self, theory, v, w):
-        out = []
-        match v:
-            case S.OpApp(_, (inner,)):
-                a = _head_indices(v, "wait", 1)
-                b = _head_indices(inner, "wait", 1)
-                c = _head_indices(w, "wait", 1)
-                if a and b and c and a[0] + b[0] == c[0]:
-                    out.append({"n": a[0], "m": b[0]})
-        return out
-
-
-class DiaconisAxiom(AxiomFamily):
-    """Urn sampling with and without replacement, at the 4k/(m+n) label."""
-
-    name = "diaconis"
-
-    def instantiate(self, theory, params):
-        k = _int_param(params, "k")
-        m, n = _int_param(params, "m"), _int_param(params, "n")
-        if k < 1:
-            raise ProofError("diaconis needs at least one draw")
-        if m + n < 1:
-            raise ProofError("diaconis needs a non-empty urn")
-        if k > m + n:
-            raise ProofError(f"diaconis needs k <= m + n, got k={k}, "
-                             f"m+n={m + n}")
-        return AxiomInstance(
-            self.name, (),
-            parse_term(f"replace_{k}_{m}_{n}(unit)"),
-            parse_term(f"no_replace_{k}_{m}_{n}(unit)"),
-            Fraction(4 * k, m + n))
-
-    def candidates(self, theory, v, w):
-        a = _head_indices(v, "replace", 3)
-        b = _head_indices(w, "no_replace", 3)
-        if a and b and a == b:
-            return [{"k": a[0], "m": a[1], "n": a[2]}]
-        return []
-
-
-class GaussiansAxiom(AxiomFamily):
-    """Two k-fold i.i.d. normal samplers, at the closed-form label."""
-
-    name = "gaussians"
-
-    def instantiate(self, theory, params):
-        k = _int_param(params, "k")
-        mu1 = _int_param(params, "mu1")
-        s1 = _int_param(params, "sigma1")
-        mu2 = _int_param(params, "mu2")
-        s2 = _int_param(params, "sigma2")
-        if k < 1:
-            raise ProofError("gaussians needs k >= 1")
-        if s1 < 1 or s2 < 1:
-            raise ProofError("standard deviations must be positive")
-        lhs = parse_term(f"iid_normal_{k}(real_{mu1}(unit), "
-                         f"real_{s1}(unit))")
-        rhs = parse_term(f"iid_normal_{k}(real_{mu2}(unit), "
-                         f"real_{s2}(unit))")
-        return AxiomInstance(self.name, (), lhs, rhs,
-                             gaussian_phi(k, mu1, s1, mu2, s2))
-
-    def candidates(self, theory, v, w):
-        pv, pw = self._read(v), self._read(w)
-        if pv and pw and pv[0] == pw[0]:
-            return [{"k": pv[0], "mu1": pv[1], "sigma1": pv[2],
-                     "mu2": pw[1], "sigma2": pw[2]}]
-        return []
-
-    @staticmethod
-    def _read(term):
-        match term:
-            case S.OpApp(op, (mu, sigma)):
-                k = _head_indices(term, "iid_normal", 1)
-                a = _head_indices(mu, "real", 1)
-                b = _head_indices(sigma, "real", 1)
-                if k and a and b:
-                    return (k[0], a[0], b[0])
-        return None
-
-
-BUILTINS = {
-    "wait": (WaitAxiom, WaitZeroAxiom, WaitSumAxiom),
-    "diaconis": (DiaconisAxiom,),
-    "gaussians": (GaussiansAxiom,),
-}
-
-
-class GenericAxiom(AxiomFamily):
-    """Schematic axiom declared in a theory file."""
-
-    def __init__(self, name, params, ctx_src, lhs_src, rhs_src, bound_src):
+    def __init__(self, name, params, ctx_src, lhs_src, rhs_src, bound,
+                 derived=()):
         self.name = name
         self.params = tuple(params)
-        self.ctx_src = ctx_src
-        self.lhs_src = lhs_src
-        self.rhs_src = rhs_src
-        self.bound_src = bound_src
+        self.srcs = (ctx_src, lhs_src, rhs_src)
+        self.bound = bound
+        self.derived = dict(derived)
+        text = " ".join(self.srcs)
+        marks = (str(i) for i in itertools.count(10) if str(i) not in text)
+        held = dict(zip((*self.params, *self.derived), marks))
+        self.context = parse_context(subst_tokens(ctx_src, held))
+        self.lhs = parse_term(subst_tokens(lhs_src, held))
+        self.rhs = parse_term(subst_tokens(rhs_src, held))
+        slots = {mark: (p,) for p, mark in held.items()}
+        self._patterns = {
+            t.op: tuple(slots.get(seg, seg) for seg in t.op.split("_"))
+            for side in (self.lhs, self.rhs) for t in S.subterms(side)
+            if type(t) is S.OpApp}
 
     def instantiate(self, theory, params):
         values = {p: _int_param(params, p) for p in self.params}
-        ctx = parse_context(subst_tokens(self.ctx_src, values))
-        lhs = parse_term(subst_tokens(self.lhs_src, values))
-        rhs = parse_term(subst_tokens(self.rhs_src, values))
-        bound = _eval_bound(self.bound_src, values)
-        return AxiomInstance(self.name, ctx, lhs, rhs, bound)
+        bound = self.bound(values)
+        values.update((p, f(values)) for p, f in self.derived.items())
+        ctx, lhs, rhs = (subst_tokens(src, values) for src in self.srcs)
+        return AxiomInstance(self.name, parse_context(ctx), parse_term(lhs),
+                             parse_term(rhs), bound)
 
     def candidates(self, theory, v, w):
-        if not self.params:
-            return [{}]
-        # Solve parameters from indexed operation names occurring in the
-        # declared sides against the terms being matched.
-        templates = IDENT_RE.findall(self.lhs_src + " " + self.rhs_src)
-        term_ops = sorted(_op_names(v) | _op_names(w))
-        assignment = {}
-        for template in templates:
-            segs = template.split("_")
-            if not any(s in self.params for s in segs):
-                continue
-            for op in term_ops:
-                osegs = op.split("_")
-                if len(osegs) != len(segs):
-                    continue
-                trial = {}
-                for a, b in zip(segs, osegs):
-                    if a in self.params:
-                        if not b.isdigit():
-                            trial = None
-                            break
-                        trial[a] = int(b)
-                    elif a != b:
-                        trial = None
-                        break
-                if trial is None:
-                    continue
-                conflict = any(assignment.get(k, trial[k]) != trial[k]
-                               for k in trial)
-                if not conflict:
-                    assignment.update(trial)
-        if set(assignment) == set(self.params):
-            return [assignment]
-        return []
+        values = {}
+        if not (self._read(self.lhs, v, values)
+                and self._read(self.rhs, w, values)
+                and all(p in values for p in self.params)
+                and all(values.setdefault(p, f(values)) == f(values)
+                        for p, f in self.derived.items())):
+            return []
+        return [{p: values[p] for p in self.params}]
+
+    def _read(self, pat, term, values) -> bool:
+        """Whether term may be an instance of pat: a variable of pat stands
+        for any subterm, and operation names are read for parameters; no
+        other annotation is compared, so _place_axiom still decides."""
+        if type(pat) is S.Var:
+            return True
+        if type(pat) is not type(term) or type(pat) is S.OpApp and \
+                not _read_name(self._patterns[pat.op], term.op, values):
+            return False
+        kids, others = S.children(pat), S.children(term)
+        return len(kids) == len(others) and all(
+            self._read(a, b, values) for a, b in zip(kids, others))
 
 
-def _op_names(term: S.Term):
-    return {t.op for t in S.subterms(term) if type(t) is S.OpApp}
+ZERO = Fraction(0)
+
+
+def _diaconis_bound(values):
+    k, m, n = values["k"], values["m"], values["n"]
+    if k < 1:
+        raise ProofError("diaconis needs at least one draw")
+    if m + n < 1:
+        raise ProofError("diaconis needs a non-empty urn")
+    if k > m + n:
+        raise ProofError(f"diaconis needs k <= m + n, got k={k}, "
+                         f"m+n={m + n}")
+    return Fraction(4 * k, m + n)
+
+
+def _gaussians_bound(values):
+    k, s1, s2 = values["k"], values["sigma1"], values["sigma2"]
+    if k < 1:
+        raise ProofError("gaussians needs k >= 1")
+    if s1 < 1 or s2 < 1:
+        raise ProofError("standard deviations must be positive")
+    return gaussian_phi(k, values["mu1"], s1, values["mu2"], s2)
+
+
+BUILTINS = {
+    # wait_n(x) and wait_m(x) agree up to the delay difference; composing
+    # delays equals the summed delay s = n + m, exactly.
+    "wait": (
+        AxiomTemplate("wait", ("n", "m"), "x : X", "wait_n(x)", "wait_m(x)",
+                      lambda v: Fraction(abs(v["n"] - v["m"]))),
+        AxiomTemplate("wait_zero", (), "x : X", "wait_0(x)", "x",
+                      lambda v: ZERO),
+        AxiomTemplate("wait_sum", ("n", "m"), "x : X", "wait_n(wait_m(x))",
+                      "wait_s(x)", lambda v: ZERO,
+                      derived={"s": lambda v: v["n"] + v["m"]}),
+    ),
+    # Urn sampling with and without replacement, at the 4k/(m+n) label.
+    "diaconis": (
+        AxiomTemplate("diaconis", ("k", "m", "n"), "",
+                      "replace_k_m_n(unit)", "no_replace_k_m_n(unit)",
+                      _diaconis_bound),
+    ),
+    # Two k-fold i.i.d. normal samplers, at the closed-form label.
+    "gaussians": (
+        AxiomTemplate("gaussians", ("k", "mu1", "sigma1", "mu2", "sigma2"),
+                      "", "iid_normal_k(real_mu1(unit), real_sigma1(unit))",
+                      "iid_normal_k(real_mu2(unit), real_sigma2(unit))",
+                      _gaussians_bound),
+    ),
+}
 
 
 def _eval_bound(src: str, values: dict):
@@ -376,7 +301,7 @@ def load_theory_text(text: str, where: str = "<theory>") -> TheorySpec:
                     raise TheoryError(f"unknown builtin {rest!r}")
                 builtins.append(rest)
             elif head == "axiom":
-                axioms.append(_parse_axiom_line(rest))
+                axioms.append((lineno, _parse_axiom_line(rest)))
             else:
                 raise TheoryError(f"unknown directive {head!r}")
         except (TheoryError, ParseError, QuantaleError) as exc:
@@ -387,18 +312,21 @@ def load_theory_text(text: str, where: str = "<theory>") -> TheorySpec:
                           f"semiring")
     sig = S.Signature(frozenset(grounds))
     for lineno, name, arg_types, result in ops:
-        _check_sort(sig, f"operation {name}", (arg_types, result),
-                    f"{where}:{lineno}")
+        _check_grounds(sig, f"operation {name}", (*arg_types, result),
+                       f"{where}:{lineno}")
         sig.declare(name, arg_types, result)
     for lineno, fam in families:
-        _check_sort(sig, f"operation family {fam.base}", fam.sort(fam.sample),
-                    f"{where}:{lineno}")
+        arg_types, result = fam.sort(fam.sample)
+        _check_grounds(sig, f"operation family {fam.base}",
+                       (*arg_types, result), f"{where}:{lineno}")
         sig.families.append(fam)
     theory = TheorySpec(quantale, semiring, symmetric, sig)
     for b in builtins:
-        for cls in BUILTINS[b]:
-            theory.add_axiom(cls())
-    for fam in axioms:
+        for fam in BUILTINS[b]:
+            theory.add_axiom(fam)
+    for lineno, fam in axioms:
+        _check_grounds(sig, f"axiom {fam.name}",
+                       [ty for _, ty in fam.context], f"{where}:{lineno}")
         theory.add_axiom(fam)
     return theory
 
@@ -408,10 +336,9 @@ def load_theory(path: str) -> TheorySpec:
         return load_theory_text(fh.read(), where=path)
 
 
-def _check_sort(sig: S.Signature, what: str, sort, where: str):
-    """Reject a sort that names a ground type the theory does not declare."""
-    arg_types, result = sort
-    for ty in arg_types + (result,):
+def _check_grounds(sig: S.Signature, what: str, types, where: str):
+    """Reject types that name a ground type the theory does not declare."""
+    for ty in types:
         try:
             check_grounds(sig, ty)
         except TypeError_ as exc:
@@ -453,12 +380,16 @@ def _parse_opfamily_line(rest: str):
     return fam
 
 
-def _parse_axiom_line(rest: str) -> GenericAxiom:
+def _parse_axiom_line(rest: str) -> AxiomTemplate:
     m = _AXIOM_RE.match(rest)
     if not m:
         raise TheoryError(f"bad axiom declaration {rest!r}")
     params = [p.strip() for p in (m.group("params") or "").split(",")
               if p.strip()]
-    return GenericAxiom(m.group("name"), params, m.group("ctx").strip(),
-                        m.group("lhs").strip(), m.group("rhs").strip(),
-                        m.group("bound").strip())
+    if not all(map(is_identifier, params)) or len(set(params)) < len(params):
+        raise TheoryError(f"axiom parameters must be distinct identifiers, "
+                          f"got {params}")
+    bound = m.group("bound").strip()
+    return AxiomTemplate(m.group("name"), params, m.group("ctx").strip(),
+                         m.group("lhs").strip(), m.group("rhs").strip(),
+                         lambda values: _eval_bound(bound, values))

@@ -22,7 +22,7 @@ from typing import Callable, NamedTuple
 from . import syntax as S
 from .parser import print_context, print_term, print_type
 from .quantale import Quantale, Semiring, scalar_mul, value_repr
-from .typecheck import Derivation, infer
+from .typecheck import Derivation, TypeError_, infer
 from .rewrite import (RewriteStep, MatchError, beta_normalize,
                       extract_plugs, rewrite_term, subst_parallel)
 
@@ -552,7 +552,7 @@ def _try_axioms(theory: TheorySpec, ctx: S.Context, v: S.Term, w: S.Term,
             if key not in instances:
                 try:
                     instances[key] = axiom_instantiate(theory, name, params)
-                except ProofError:
+                except (ProofError, TypeError_):  # no instance, or ill-typed
                     instances[key] = None
             inst = instances[key]
             if inst is None:

@@ -238,6 +238,102 @@ def test_model_verify_axioms_skips_schematic(capsys):
     assert code == 0
     assert "skip" in out
     assert out.splitlines()[-1] == "failures: 0"
+    # The builtins are schematic families like the file's own axioms.
+    assert out.splitlines() == [
+        "skip diaconis (schematic family without a default grid)",
+        "skip gaussians (schematic family without a default grid)",
+        "skip magpair (schematic family without a default grid)",
+        "failures: 0"]
+
+
+TICK = """\
+quantale metric
+semiring nat
+symmetric
+ground X
+opfamily tick_<n> : X -> X
+opfamily tock_<n> : X -> X
+axiom tickd[n,m] : [x : X] tick_n(x) =[abs(n-m)] tick_m(x)
+axiom tt[n,m] : [x : X] tick_n(x) =[abs(n-m)] tock_m(x)
+"""
+
+
+@pytest.mark.parametrize("a, b", [
+    ("tick_1(x)", "tick_3(x)"),
+    ("tick_1(tock_2(x))", "tock_3(tock_2(x))"),
+])
+def test_bound_reads_axiom_parameters_by_position(capsys, tmp_path, a, b):
+    # Both printed FAIL while a proof script validated at 2: parameters
+    # were taken from the first matching name anywhere in the goal.
+    theory = tmp_path / "tick.thy"
+    theory.write_text(TICK)
+    code, out, _ = run(capsys, ["bound", str(theory), a, b,
+                                "--context", "x : X"])
+    assert (code, out) == (0, "2\n")
+
+
+def test_bound_fails_on_a_parameter_only_in_grade_position(capsys, tmp_path):
+    # The axiom loads (its sides parse with a number in grade position),
+    # but n sits in no operation name, so synthesis cannot read it.
+    theory = tmp_path / "grade.thy"
+    theory.write_text(
+        "quantale metric\nsemiring nat\nground X\n"
+        "opfamily tick_<n> : X -> X\nopfamily tock_<n> : X -> X\n"
+        "axiom gp[n] : [x : !n X] promote[n; 1](x; y => tick_1(derelict y))"
+        " =[n] promote[n; 1](x; y => tock_1(derelict y))\n"
+        "axiom gs[n] : [x : !n X] promote[1; n](x; y => y) =[0] "
+        "promote[1; n](x; y => y)\n")
+    code, out, _ = run(capsys, [
+        "bound", str(theory), "promote[2; 1](x; y => tick_1(derelict y))",
+        "promote[2; 1](x; y => tock_1(derelict y))", "--context", "x : !2 X"])
+    assert (code, out) == (3, "FAIL\n")
+
+
+def _timed_plus(tmp_path, line):
+    """timed.thy with one more line; returns its path and that line's
+    number."""
+    text = Path(TIMED).read_text()
+    theory = tmp_path / "extra.thy"
+    theory.write_text(text + line + "\n")
+    return str(theory), len(text.splitlines()) + 1
+
+
+@pytest.mark.parametrize("line, message", [
+    ("axiom bad : [x : X] wait_1(x =[0] x",
+     "1:9: expected ')', found 'end of input'"),
+    ("axiom ab : [x : Y] wait_1(x) =[0] x",
+     "axiom ab: undeclared ground type Y"),
+])
+def test_bad_axiom_line_is_a_located_load_error(capsys, tmp_path, line,
+                                                message):
+    # These loaded, then failed an unrelated query (exit 65 unlocated, or
+    # exit 1 as a type error).
+    theory, lineno = _timed_plus(tmp_path, line)
+    code, out, err = run(capsys, ["bound", theory, "wait_1(x)", "wait_2(x)",
+                                  "--context", "x : X"])
+    assert (code, out) == (65, "")
+    assert err == f"gvlam: error: {theory}:{lineno}: {message}\n"
+
+
+@pytest.mark.parametrize("line, skip", [
+    ("axiom ad : [x : X] wait_1(x) =[0] unit",
+     "skip ad[] (variable x unused by the term)"),
+    # Synthesis tries this one (ad2 sorts before wait) and skips it.
+    ("axiom ad2 : [x : X] wait_1(x) =[0] wait_2(z)",
+     "skip ad2[] (unbound variable z)"),
+])
+def test_ill_typed_axiom_leaves_other_queries_alone(capsys, tmp_path, line,
+                                                    skip):
+    # bound exited 1 on these, and verify-axioms stopped mid-report.
+    theory, _ = _timed_plus(tmp_path, line)
+    code, out, _ = run(capsys, ["bound", theory, "wait_1(x)", "wait_2(x)",
+                                "--context", "x : X"])
+    assert (code, out) == (0, "1\n")
+    code, out, _ = run(capsys, ["model", "verify-axioms", theory,
+                                "--max", "0"])
+    assert code == 0
+    assert out.splitlines()[0] == skip
+    assert out.splitlines()[-1] == "failures: 0"
 
 
 def test_model_verify_laws(capsys):
@@ -297,6 +393,37 @@ def test_oracle_nonexpansive(capsys):
     assert "MISMATCH" not in out
     lines = out.splitlines()
     assert lines[0].split()[-1] == lines[1].split()[-1]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["perms", "9"], "argument n: must be at most 8, got 9"),
+    (["perms", "-1"], "argument n: must be at least 0, got -1"),
+    (["nonexpansive", "-1", "2"], "argument dom: must be at least 0, got -1"),
+    (["nonexpansive", "2", "-1"], "argument cod: must be at least 0, got -1"),
+])
+def test_oracle_rejects_out_of_range_arguments(capsys, argv, message):
+    # These used to end in a traceback (exit 1) or print an empty line.
+    code, out, err = run(capsys, ["oracle", *argv])
+    assert (code, out) == (64, "")
+    assert err == f"gvlam: error: {message}\n"
+
+
+def test_oracle_arguments_at_their_smallest(capsys):
+    code, out, _ = run(capsys, ["oracle", "perms", "0"])
+    assert (code, out) == (0, "\n")  # the one permutation of nothing
+    code, out, _ = run(capsys, ["oracle", "nonexpansive", "0", "0"])
+    assert (code, out) == (0, "primary:   1\nreference: 1\n")
+
+
+def test_oracle_nonexpansive_checks_the_guard_first(capsys, monkeypatch):
+    # 13^13 candidate tables: the guard stops it before any enumeration,
+    # where it used to run without end.
+    code, out, err = run(capsys, ["oracle", "nonexpansive", "12", "12"])
+    assert (code, out) == (4, "")
+    assert err.startswith("gvlam: model error: function space")
+    monkeypatch.setenv("GVLAM_GUARD", "100")
+    code, out, err = run(capsys, ["oracle", "nonexpansive", "3", "3"])
+    assert code == 4 and "exceeds the 100-candidate guard" in err
 
 
 def test_deep_input_exits_with_io_code(capsys):

@@ -117,6 +117,18 @@ def test_free_vars_are_kept_on_the_node():
         assert u == v and hash(u) == hash(v) and repr(u) == repr(v)
 
 
+def test_free_vars_shares_a_childs_set():
+    """A node that adds or removes no variable keeps its child's set."""
+    x = S.Var("x")
+    assert S.free_vars(S.OpApp("wait_1", (x,))) is S.free_vars(x)
+    body = S.OpApp("plus", (x, S.Var("y")))
+    assert S.free_vars(S.Lambda("z", S.Ground("X"), body)) \
+        is S.free_vars(body)
+    t = T("(fn z : X => plus(z, y)) x")
+    assert S.free_vars(t) == {"x", "y"}
+    assert S.free_vars(T("fn z : X => plus(z, y)")) == {"y"}
+
+
 def test_alpha_eq():
     assert S.alpha_eq(T("fn x : X => x"), T("fn y : X => y"))
     assert S.alpha_eq(T("fn x : X => fn x : X => x"),

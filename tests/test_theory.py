@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -5,7 +6,7 @@ import pytest
 import sympy
 
 import gvlam
-from gvlam.parser import parse_term
+from gvlam.parser import parse_context, parse_term
 from gvlam.quantale import SymbolicBound
 from gvlam.theory import (ParamOpFamily, TheoryError, load_theory,
                           load_theory_text, subst_tokens)
@@ -15,6 +16,18 @@ DATA = Path(gvlam.__file__).parent / "data"
 
 TIMED = load_theory(str(DATA / "timed.thy"))
 PROB = load_theory(str(DATA / "prob.thy"))
+# Two schemes whose parameters sit in different operations of the sides.
+TICK_SRC = """
+quantale metric
+semiring nat
+symmetric
+ground X
+opfamily tick_<n> : X -> X
+opfamily tock_<n> : X -> X
+axiom tickd[n,m] : [x : X] tick_n(x) =[abs(n-m)] tick_m(x)
+axiom tt[n,m] : [x : X] tick_n(x) =[abs(n-m)] tock_m(x)
+"""
+TICK = load_theory_text(TICK_SRC, "tick.thy")
 
 
 def test_timed_theory_shape():
@@ -191,3 +204,88 @@ def test_bound_expression_validation():
         load_theory_text("quantale metric\nsemiring nat\nground X\n"
                          "axiom a[n] : [x : X] x =[sqrt(n)] x"
                          ).axioms["a"].instantiate(None, {"n": 2})
+
+
+def _valid_instance(theory, family, rng):
+    """Seeded parameters that the family accepts, and their instance."""
+    for _ in range(100):
+        params = {p: rng.randrange(7) for p in family.params}
+        try:
+            return params, family.instantiate(theory, params)
+        except ProofError:
+            continue
+    raise AssertionError(f"no valid parameters for {family.name}")
+
+
+@pytest.mark.parametrize("theory, name", [
+    (th, name) for th in (TIMED, PROB, TICK) for name in sorted(th.axioms)])
+def test_candidates_read_back_the_parameters_of_an_instance(theory, name):
+    family = theory.axioms[name]
+    rng = random.Random(name)
+    for _ in range(10):
+        params, inst = _valid_instance(theory, family, rng)
+        assert family.candidates(theory, inst.lhs, inst.rhs) == [params]
+
+
+def test_candidates_read_parameters_by_position():
+    tt = TICK.axioms["tt"]
+    # Each parameter comes from the operation at its own place, not from
+    # the first matching name anywhere in the goal.
+    assert tt.candidates(TICK, parse_term("tick_1(tock_2(x))"),
+                         parse_term("tock_3(tock_2(x))")) == [{"n": 1, "m": 3}]
+    assert tt.candidates(TICK, parse_term("tock_1(x)"),
+                         parse_term("tock_3(x)")) == []
+    # Parameters shared by both sides must agree; a derived one must equal
+    # what it is derived from.
+    diaconis = PROB.axioms["diaconis"]
+    assert diaconis.candidates(PROB, parse_term("replace_2_1_1(unit)"),
+                               parse_term("no_replace_2_1_2(unit)")) == []
+    assert TIMED.axioms["wait_sum"].candidates(
+        TIMED, parse_term("wait_2(wait_3(x))"), parse_term("wait_6(x)")) == []
+    # A template variable stands for any subterm.
+    assert TIMED.axioms["wait"].candidates(
+        TIMED, parse_term("wait_2(f(y))"), parse_term("wait_4(z)")) \
+        == [{"n": 2, "m": 4}]
+
+
+def test_builtin_instances_are_unchanged():
+    inst = axiom_instantiate(PROB, "gaussians", {"k": 2, "mu1": 1,
+                                                 "sigma1": 2, "mu2": 3,
+                                                 "sigma2": 1})
+    assert inst.context == ()
+    assert inst.lhs == parse_term("iid_normal_2(real_1(unit), real_2(unit))")
+    assert inst.rhs == parse_term("iid_normal_2(real_3(unit), real_1(unit))")
+    for name, params in [("wait", {"n": 0, "m": 12}), ("wait_zero", {}),
+                         ("wait_sum", {"n": 4, "m": 0})]:
+        assert axiom_instantiate(TIMED, name, params).context \
+            == parse_context("x : X")
+
+
+@pytest.mark.parametrize("line, message", [
+    ("axiom bad : [x : X] wait_1(x =[0] x", "t:3: 1:9: expected ')', found 'end of input'"),
+    ("axiom ab : [x : Y] wait_1(x) =[0] x",
+     "t:3: axiom ab: undeclared ground type Y"),
+    ("axiom p[n m] : [x : X] wait_n(x) =[0] x",
+     "t:3: axiom parameters must be distinct identifiers, got ['n m']"),
+    ("axiom p[n, n] : [x : X] wait_n(x) =[0] x",
+     "t:3: axiom parameters must be distinct identifiers, got ['n', 'n']"),
+    ("axiom p[2] : [x : X] wait_1(x) =[0] x",
+     "t:3: axiom parameters must be distinct identifiers, got ['2']"),
+])
+def test_bad_axiom_lines_fail_at_load(line, message):
+    with pytest.raises(TheoryError) as info:
+        load_theory_text(f"quantale metric\nsemiring nat\n{line}\n"
+                         f"ground X\nopfamily wait_<n> : X -> X", "t")
+    assert str(info.value) == message
+
+
+def test_axiom_template_parses_grade_positions_at_load():
+    th = load_theory_text(
+        "quantale metric\nsemiring nat\nground X\n"
+        "axiom gs[n] : [x : !n X] promote[1; n](x; y => y) =[n] "
+        "promote[1; n](x; y => y)")
+    inst = axiom_instantiate(th, "gs", {"n": 3})
+    assert inst.lhs == parse_term("promote[1; 3](x; y => y)")
+    assert inst.bound == Fraction(3)
+    # n sits in no operation name, so synthesis cannot read it.
+    assert th.axioms["gs"].candidates(th, inst.lhs, inst.rhs) == []
