@@ -9,14 +9,29 @@ interprets, so each carrier is enumerated, and its size guarded, once per
 model.  Terms denote non-expansive maps evaluated as tables over the
 context product space; a lambda in function position is evaluated at its
 argument only, not tabulated over its whole domain.
+
+interp compiles a derivation into closures once, so a context point costs
+one closure call per node.  MetMap checks non-expansiveness on the edges
+of its domain only (FinMetSpace.edges): consecutive ticks of a timed
+space, the pairs of a product that move one factor along one of its
+edges, a scaled space's base edges, none for a point, and every pair
+otherwise.  Each domain's metric is the shortest-path metric of its
+edges, so the check is exact whenever the codomain satisfies the triangle
+inequality, as every space built here does: along a shortest path
+x = p0, ..., pk = y, cod.dist(f x, f y) <= sum of cod.dist(f pi, f pi+1)
+<= sum of the edge weights = dom.dist(x, y) (path metrics: Bridson and
+Haefliger, Metric Spaces of Non-positive Curvature).  A timed or tensor
+context of N points then costs O(N) distance checks, not O(N^2).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import itemgetter
 
 from . import syntax as S
 from .parser import print_type
@@ -53,12 +68,22 @@ class FinMetSpace:
     def dist(self, a, b):
         raise NotImplementedError
 
+    @functools.cached_property
+    def indices(self) -> dict:
+        """Each point's position in points."""
+        return {q: i for i, q in enumerate(self.points)}
+
     def index(self, p) -> int:
-        try:
-            return self._index[p]
-        except AttributeError:
-            self._index = {q: i for i, q in enumerate(self.points)}
-            return self._index[p]
+        return self.indices[p]
+
+    def edges(self):
+        """Weighted edges (i, j, dist(points[i], points[j])), i < j, whose
+        shortest-path metric is dist.  Every pair by default, which is
+        exact for any metric."""
+        pts, dist = self.points, self.dist
+        for i, x in enumerate(pts):
+            for j in range(i + 1, len(pts)):
+                yield i, j, dist(x, pts[j])
 
     def check_metric(self):
         pts = self.points
@@ -108,6 +133,9 @@ class OnePointSpace(FinMetSpace):
     def dist(self, a, b):
         return ZERO
 
+    def edges(self):
+        return ()
+
     def __repr__(self):
         return "I"
 
@@ -133,10 +161,32 @@ class ProductSpace(FinMetSpace):
         return self._points
 
     def dist(self, a, b):
+        # Equal coordinates are at distance 0 in a metric: skip them.
         out = ZERO
         for f, x, y in zip(self.factors, a, b):
-            out = num_add(out, f.dist(x, y))
+            if x != y:
+                d = f.dist(x, y)
+                out = d if out is ZERO else num_add(out, d)
         return out
+
+    def edges(self):
+        """The pairs that move one factor along one of its edges: the
+        shortest-path metric of this product of graphs is the sum of the
+        factors' metrics.  Points are in row-major order, so moving factor
+        f from i to j moves the index from base + i * s to base + j * s,
+        s the number of points of the factors after f."""
+        total = len(self.points)
+        if not total:
+            return
+        stride = total
+        for f in self.factors:
+            block = stride
+            stride //= len(f.points)
+            for i, j, d in f.edges():
+                a, b = i * stride, j * stride
+                for top in range(0, total, block):
+                    for k in range(top, top + stride):
+                        yield k + a, k + b, d
 
     def __repr__(self):
         return " (x) ".join(repr(f) for f in self.factors)
@@ -157,6 +207,10 @@ class ScaledSpace(FinMetSpace):
 
     def dist(self, a, b):
         return num_scale(self.n, self.base.dist(a, b))
+
+    def edges(self):
+        return ((i, j, num_scale(self.n, d))
+                for i, j, d in self.base.edges())
 
     def __repr__(self):
         return f"!{self.n} {self.base!r}"
@@ -196,8 +250,15 @@ class FuncSpace(FinMetSpace):
 
 
 def enumerate_tables(dom: FinMetSpace, cod: FinMetSpace):
-    """Backtracking enumeration of non-expansive tables, in point order."""
+    """Backtracking enumeration of non-expansive tables, in point order.
+    A table is pruned against the edges from each point to earlier ones,
+    so a complete table has checked each edge of dom once, and the tables
+    are those of the filtered product of cod.points over dom, in its
+    order."""
     dpts, cpts = dom.points, cod.points
+    earlier = [[] for _ in dpts]
+    for i, j, d in dom.edges():
+        earlier[j].append((i, d))
     table = []
 
     def extend(i):
@@ -205,13 +266,10 @@ def enumerate_tables(dom: FinMetSpace, cod: FinMetSpace):
             yield tuple(table)
             return
         for y in cpts:
-            ok = True
-            for j in range(i):
-                if num_cmp(cod.dist(table[j], y),
-                           dom.dist(dpts[j], dpts[i])) > 0:
-                    ok = False
+            for j, d in earlier[i]:
+                if num_cmp(cod.dist(table[j], y), d) > 0:
                     break
-            if ok:
+            else:
                 table.append(y)
                 yield from extend(i + 1)
                 table.pop()
@@ -229,16 +287,19 @@ class MetMap:
     table: dict  # point -> point
 
     def __post_init__(self):
+        """Non-expansive on the edges of dom, hence everywhere (see the
+        module docstring); equal images are at distance 0."""
         pts = self.dom.points
         for x in pts:
             if x not in self.table:
                 raise ModelError(f"map table missing point {x}")
-        for i, x in enumerate(pts):
-            for y in pts[i + 1:]:
-                if num_cmp(self.cod.dist(self.table[x], self.table[y]),
-                           self.dom.dist(x, y)) > 0:
-                    raise ModelError(
-                        f"map is expansive on the pair {x}, {y}")
+        values = [self.table[x] for x in pts]
+        dist = self.cod.dist
+        for i, j, d in self.dom.edges():
+            a, b = values[i], values[j]
+            if a != b and num_cmp(dist(a, b), d) > 0:
+                raise ModelError(
+                    f"map is expansive on the pair {pts[i]}, {pts[j]}")
 
     def __call__(self, x):
         return self.table[x]
@@ -318,87 +379,116 @@ def interp_type(m: ModelAssignment, ty: S.TypeExpr) -> FinMetSpace:
     raise ModelError(f"unknown type {print_type(ty)}")
 
 
-def _eval(m: ModelAssignment, d: Derivation, env: dict):
+def _unit(env):
+    return ()
+
+
+def _compile(m: ModelAssignment, d: Derivation, slots: dict, size: int):
+    """A closure from an environment tuple to the value of d, in which
+    slots maps each variable in scope to its position and size is the
+    tuple's length (a shadowing binder leaves its old slot unnamed).
+
+    The model's spaces and operations are looked up here, once, in the
+    order in which a walk of one point meets them, so a model that lacks
+    one reports the same error; evaluating the closure at a point costs
+    one call per node.  A premise whose value is dropped (the first of a
+    unit let or a discard, the arguments of a grade-0 promotion) is
+    compiled, for its lookups, but not run: evaluation is total once
+    compiled."""
     term = d.conclusion.term
+    ps = d.premises
     match term:
         case S.Var(x):
-            return env[x]
+            return itemgetter(slots[x])
         case S.Star():
-            return ()
+            return _unit
         case S.OpApp(op, _):
             fn = m.op(op)
-            return fn(*(_eval(m, p, env) for p in d.premises))
-        case S.UnitLet(_, _):
-            _eval(m, d.premises[0], env)
-            return _eval(m, d.premises[1], env)
+            args = [_compile(m, p, slots, size) for p in ps]
+            if len(args) == 1:
+                a, = args
+                return lambda env: fn(a(env))
+            if len(args) == 2:
+                a, b = args
+                return lambda env: fn(a(env), b(env))
+            return lambda env: fn(*[a(env) for a in args])
+        case S.UnitLet(_, _) | S.Discard(_, _):
+            _compile(m, ps[0], slots, size)
+            return _compile(m, ps[1], slots, size)
         case S.TensorPair(_, _):
-            return (_eval(m, d.premises[0], env),
-                    _eval(m, d.premises[1], env))
+            a = _compile(m, ps[0], slots, size)
+            b = _compile(m, ps[1], slots, size)
+            return lambda env: (a(env), b(env))
         case S.TensorLet(_, _, _, _):
-            val = _eval(m, d.premises[0], env)
-            body = d.premises[1]
-            x, y = body.conclusion.context[-2][0], \
-                body.conclusion.context[-1][0]
-            return _eval(m, body, {**env, x: val[0], y: val[1]})
+            val = _compile(m, ps[0], slots, size)
+            body = _compile(m, ps[1], _bind(slots, size, ps[1], 2), size + 2)
+            return lambda env: body(env + val(env))
         case S.Lambda(_, ty, _):
-            body = d.premises[0]
-            x = body.conclusion.context[-1][0]
-            dom = m.space(ty)
-            return tuple(_eval(m, body, {**env, x: p}) for p in dom.points)
+            pts = m.space(ty).points
+            if not pts:
+                return _unit
+            body = _compile(m, ps[0], _bind(slots, size, ps[0], 1), size + 1)
+            return lambda env: tuple([body(env + (p,)) for p in pts])
         case S.App(S.Lambda(_, ty, _), _):
             # The lambda's table would be read at one entry: evaluate its
             # body there instead.  Its domain is interpreted first, as for
             # the table, so a binder type the model lacks is reported as
             # such.
-            fd, ad = d.premises
+            fd, ad = ps
             m.space(ty)
-            body = fd.premises[0]
-            x = body.conclusion.context[-1][0]
-            return _eval(m, body, {**env, x: _eval(m, ad, env)})
+            arg = _compile(m, ad, slots, size)
+            inner = fd.premises[0]
+            body = _compile(m, inner, _bind(slots, size, inner, 1), size + 1)
+            return lambda env: body(env + (arg(env),))
         case S.App(_, _):
-            fval = _eval(m, d.premises[0], env)
-            aval = _eval(m, d.premises[1], env)
-            fn_ty = d.premises[0].conclusion.type
-            dom = m.space(fn_ty.arg)
-            return fval[dom.index(aval)]
-        case S.Promote(r, grades, args, _, _):
+            fn = _compile(m, ps[0], slots, size)
+            arg = _compile(m, ps[1], slots, size)
+            index = m.space(ps[0].conclusion.type.arg).indices
+            return lambda env: fn(env)[index[arg(env)]]
+        case S.Promote(r, _, _, _, _):
+            args = [_compile(m, p, slots, size) for p in ps[:-1]]
             if r == 0:
-                for p in d.premises[:-1]:
-                    _eval(m, p, env)
-                return ()
-            body = d.premises[-1]
-            inner_env = {}
-            for i, (s, p) in enumerate(zip(grades, d.premises[:-1])):
-                val = _eval(m, p, env)
-                name = body.conclusion.context[i][0]
-                inner_env[name] = val
-            return _eval(m, body, inner_env)
+                return _unit
+            body = ps[-1]
+            inner = body.conclusion.context
+            run = _compile(m, body, {inner[i][0]: i for i in range(len(args))},
+                           len(args))
+            return lambda env: run(tuple([a(env) for a in args]))
         case S.Derelict(_):
-            return _eval(m, d.premises[0], env)
-        case S.Discard(_, _):
-            _eval(m, d.premises[0], env)
-            return _eval(m, d.premises[1], env)
-        case S.Copy(n, mm, _, _, _, _):
-            val = _eval(m, d.premises[0], env)
-            body = d.premises[1]
-            x, y = body.conclusion.context[-2][0], \
-                body.conclusion.context[-1][0]
-            xv = () if n == 0 else val
-            yv = () if mm == 0 else val
-            return _eval(m, body, {**env, x: xv, y: yv})
+            return _compile(m, ps[0], slots, size)
+        case S.Copy(n, k, _, _, _, _):
+            val = _compile(m, ps[0], slots, size)
+            body = _compile(m, ps[1], _bind(slots, size, ps[1], 2), size + 2)
+            drop_x, drop_y = n == 0, k == 0
+
+            def copy(env):
+                v = val(env)
+                return body(env + (() if drop_x else v, () if drop_y else v))
+            return copy
     raise ModelError(f"unknown term node {term!r}")
 
 
+def _bind(slots: dict, size: int, body: Derivation, count: int) -> dict:
+    """slots with the last count variables of body's context, its
+    binders, placed after the size entries of the environment."""
+    ctx = body.conclusion.context
+    return {**slots, **{ctx[i][0]: size + count + i
+                        for i in range(-count, 0)}}
+
+
 def interp(m: ModelAssignment, d: Derivation) -> MetMap:
-    """Interpret a derivation as a non-expansive map out of the context."""
+    """Interpret a derivation as a non-expansive map out of the context:
+    the derivation is compiled once, then run at each context point, a
+    tuple in context order."""
     ctx = d.conclusion.context
     dom = ProductSpace(tuple(m.space(ty) for _, ty in ctx))
     cod = m.space(d.conclusion.type)
-    names = [x for x, _ in ctx]
+    pts = dom.points
     table = {}
-    for pt in dom.points:
-        env = dict(zip(names, pt))
-        table[pt] = _eval(m, d, env)
+    if pts:
+        run = _compile(m, d, {x: i for i, (x, _) in enumerate(ctx)},
+                       len(ctx))
+        table = dict(zip(pts, map(run, pts)))
     return MetMap(dom, cod, table)  # constructor asserts non-expansiveness
 
 
@@ -440,6 +530,10 @@ class TimedSpace(FinMetSpace):
 
     def dist(self, a, b):
         return self._dists[abs(a - b)]
+
+    def edges(self):
+        """Consecutive ticks, one apart."""
+        return ((i, i + 1, self._dists[1]) for i in self._points[:-1])
 
     def __repr__(self):
         return f"timed({len(self._points) - 1})"

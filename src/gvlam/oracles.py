@@ -6,7 +6,8 @@ permutation filtering, the distance is computed over an explicitly merged
 support, proofs are validated by typechecking both sides of every node
 from scratch, normalisation scans every position from the root and
 re-types every step from scratch, and model interpretation builds a fresh
-space at every use of a type and tabulates every lambda.
+space at every use of a type, tabulates every lambda, walks the
+derivation at every point and checks every pair of points.
 """
 
 from __future__ import annotations
@@ -150,10 +151,12 @@ def reference_beta_normalize(sig: S.Signature, d: Derivation,
 # Model interpretation
 
 def reference_interp(m, d: Derivation) -> MetMap:
-    """metmodel.interp without its memo and its shortcut: each use of a
-    type builds its space afresh, so a function space is enumerated again
-    at every lambda, and every lambda, applied or not, is tabulated over
-    its whole domain."""
+    """metmodel.interp without its memo, its shortcut, its compiler and
+    its edge check: each use of a type builds its space afresh, so a
+    function space is enumerated again at every lambda, every lambda,
+    applied or not, is tabulated over its whole domain, the derivation is
+    walked again at every point, and the map is checked on every pair of
+    points."""
 
     def space(ty):
         return ModelAssignment(m.sig, m.grounds, m._op_fn).space(ty)
@@ -164,7 +167,24 @@ def reference_interp(m, d: Derivation) -> MetMap:
     names = [x for x, _ in ctx]
     table = {pt: _reference_eval(m, space, d, dict(zip(names, pt)))
              for pt in dom.points}
+    pair = reference_nonexpansive(dom, cod, table)
+    if pair is not None:
+        raise ModelError(f"map is expansive on the pair {pair[0]}, {pair[1]}")
     return MetMap(dom, cod, table)
+
+
+def reference_nonexpansive(dom: FinMetSpace, cod: FinMetSpace, table: dict):
+    """The first pair of domain points, in point order, on which the table
+    expands distances, or None: every pair is compared, not only the
+    edges that MetMap checks (a pair with equal images is at distance 0
+    in cod)."""
+    pts = dom.points
+    for i, x in enumerate(pts):
+        for y in pts[i + 1:]:
+            fx, fy = table[x], table[y]
+            if fx != fy and num_cmp(cod.dist(fx, fy), dom.dist(x, y)) > 0:
+                return x, y
+    return None
 
 
 def _reference_eval(m, space, d: Derivation, env: dict):

@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .metmodel import guard_limit
+from .metmodel import GuardExceeded, guard_limit
 from .quantale import SymbolicBound
 
 
@@ -89,6 +89,7 @@ def replace_sampler(k: int, m: int, n: int) -> FinDist:
         raise ProbError("need at least one draw")
     if m + n < 1:
         raise ProbError("the urn is empty")
+    _guard_draws(k)
     p = Fraction(n, m + n)
     out = {}
     for bits in itertools.product((0, 1), repeat=k):
@@ -103,6 +104,7 @@ def no_replace_sampler(k: int, m: int, n: int) -> FinDist:
         raise ProbError("need at least one draw")
     if k > m + n:
         raise ProbError(f"cannot draw {k} times from an urn of {m + n}")
+    _guard_draws(k)
     out = {}
 
     def go(prefix, prob, zeros, ones):
@@ -117,6 +119,16 @@ def no_replace_sampler(k: int, m: int, n: int) -> FinDist:
 
     go((), Fraction(1), m, n)
     return FinDist.from_dict(out)
+
+
+def _guard_draws(k: int):
+    """Refuse k draws before enumerating up to 2^k draw sequences.  The
+    bit length of the guard decides, so a huge k builds no huge power."""
+    limit = guard_limit()
+    if k >= max(limit, 0).bit_length():  # 2^k > limit
+        raise GuardExceeded(
+            f"{k} draws have 2^{k} sequences, over the {limit} guard "
+            f"(set GVLAM_GUARD to override)")
 
 
 def tv_distance(p: FinDist, q: FinDist) -> Fraction:

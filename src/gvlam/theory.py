@@ -37,11 +37,8 @@ from .parser import (IDENT_RE, ParseError, is_identifier, parse_context,
 from .probmodel import gaussian_phi
 from .quantale import QuantaleError, get_quantale, get_semiring
 from .typecheck import TypeError_, check_grounds
-from .vequation import AxiomFamily, AxiomInstance, ProofError, TheorySpec
-
-
-class TheoryError(ValueError):
-    pass
+from .vequation import (AxiomFamily, AxiomInstance, ProofError, TheoryError,
+                        TheorySpec)
 
 
 def subst_tokens(src: str, params: dict) -> str:

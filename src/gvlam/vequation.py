@@ -31,6 +31,10 @@ class ProofError(ValueError):
     pass
 
 
+class TheoryError(ValueError):
+    """A malformed theory file, or an axiom bound it cannot evaluate."""
+
+
 class SynthesisFailure(Exception):
     pass
 
@@ -183,7 +187,11 @@ def axiom_instantiate(theory: TheorySpec, name: str,
         family = theory.axioms[name]
     except KeyError:
         raise ProofError(f"unknown axiom {name!r}") from None
-    inst = family.instantiate(theory, dict(params))
+    try:
+        inst = family.instantiate(theory, dict(params))
+    except TheoryError as exc:  # a theory file's bound expression fails
+        given = "".join(f" :{p} {v}" for p, v in sorted(params.items()))
+        raise ProofError(f"axiom {name}{given}: {exc}") from None
     if not theory.quantale.in_basis(inst.bound):
         raise ProofError(f"axiom {name} bound is not a basis element")
     # Both sides must typecheck with the same judgement.

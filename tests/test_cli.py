@@ -415,6 +415,27 @@ def test_oracle_arguments_at_their_smallest(capsys):
     assert (code, out) == (0, "primary:   1\nreference: 1\n")
 
 
+@pytest.mark.parametrize("argv", [["30", "30", "30"],
+                                  ["1000000000", "30", "30"]])
+def test_oracle_tv_checks_the_guard_first(capsys, argv):
+    # 2^30 draw sequences: the guard stops the samplers before they
+    # enumerate, where gvlam oracle tv 30 30 30 used to run without end.
+    code, out, err = run(capsys, ["oracle", "tv", *argv])
+    assert (code, out) == (4, "")
+    assert err == (f"gvlam: model error: {argv[0]} draws have 2^{argv[0]} "
+                   f"sequences, over the 1000000 guard (set GVLAM_GUARD to "
+                   f"override)\n")
+
+
+def test_oracle_tv_under_a_small_guard(capsys, monkeypatch):
+    monkeypatch.setenv("GVLAM_GUARD", "8")
+    code, out, _ = run(capsys, ["oracle", "tv", "3", "2", "2"])
+    assert code == 0 and "MISMATCH" not in out
+    code, out, err = run(capsys, ["oracle", "tv", "4", "2", "2"])
+    assert (code, out) == (4, "")
+    assert err.count("\n") == 1 and err.startswith("gvlam: model error: 4 ")
+
+
 def test_oracle_nonexpansive_checks_the_guard_first(capsys, monkeypatch):
     # 13^13 candidate tables: the guard stops it before any enumeration,
     # where it used to run without end.
@@ -424,6 +445,23 @@ def test_oracle_nonexpansive_checks_the_guard_first(capsys, monkeypatch):
     monkeypatch.setenv("GVLAM_GUARD", "100")
     code, out, err = run(capsys, ["oracle", "nonexpansive", "3", "3"])
     assert code == 4 and "exceeds the 100-candidate guard" in err
+
+
+def test_failing_axiom_bound_spoils_no_other_query(capsys, tmp_path):
+    # The axiom's template variable matches any goal.  Its bound used to
+    # escape synthesis as an unlocated exit 65 on unrelated queries.
+    thy = tmp_path / "neg.thy"
+    thy.write_text(Path(TIMED).read_text()
+                   + "\naxiom neg : [x : X] x =[-1] x\n")
+    code, out, err = run(capsys, ["bound", str(thy), "wait_1(x)",
+                                  "wait_2(x)", "--context", "x : X"])
+    assert (code, out, err) == (0, "1\n", "")
+    proof = tmp_path / "neg.proof"
+    proof.write_text("(axiom neg)\n")
+    code, out, err = run(capsys, ["prove", str(thy), str(proof)])
+    assert (code, out) == (2, "")
+    assert err == ("gvlam: proof error: axiom neg: bound expression '-1' "
+                   "is negative\n")
 
 
 def test_deep_input_exits_with_io_code(capsys):

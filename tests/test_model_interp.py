@@ -1,8 +1,10 @@
 """metmodel.interp against oracles.reference_interp, and the space memo.
 
-interp keeps one space per type in its model and evaluates an applied
-lambda at its argument; the reference builds a fresh space at every use
-of a type and tabulates every lambda over its whole domain.  Both must
+interp keeps one space per type in its model, evaluates an applied
+lambda at its argument, compiles the derivation once and checks the
+edges of its domain; the reference builds a fresh space at every use of
+a type, tabulates every lambda over its whole domain, walks the
+derivation at every point and checks every pair of points.  Both must
 give the same tables and the same distances."""
 
 import random
@@ -44,10 +46,10 @@ class RedexGen(support.DerivGen):
         return super().term_X(d)
 
 
-def derivations(m, seed, count, depth, points=64):
+def derivations(m, seed, count, depth, points=256):
     """count derivations whose context space in m has at most the given
-    number of points: interp checks every pair of them, so larger ones
-    cost time and no coverage."""
+    number of points: the reference checks every pair of them, so larger
+    ones cost time and no coverage."""
     rng = random.Random(seed)
     gen = RedexGen(rng)
     types = [X, support.I, support.XX, support.bang(1), support.bang(2),

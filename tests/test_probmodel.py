@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
+from gvlam.metmodel import GuardExceeded
 from gvlam.probmodel import (FinDist, ProbError, bernoulli, check_diaconis,
                              check_symmetrisation, diaconis_sweep,
                              gaussian_phi, gaussian_tv_numeric, is_symmetric,
@@ -124,6 +125,15 @@ def test_symmetrise_guard(monkeypatch):
     with pytest.raises(ProbError) as exc:
         symmetrise({}, 2, 3)
     assert str(exc.value) == "tensor with 8 coefficients exceeds the 5 guard"
+
+
+@pytest.mark.parametrize("sampler", [replace_sampler, no_replace_sampler])
+def test_samplers_check_the_guard_first(monkeypatch, sampler):
+    monkeypatch.setenv("GVLAM_GUARD", "8")
+    assert len(sampler(3, 2, 2).probs) <= 8
+    with pytest.raises(GuardExceeded, match="^4 draws have 2\\^4 sequences, "
+                                            "over the 8 guard"):
+        sampler(4, 2, 2)
 
 
 def test_check_symmetrisation():

@@ -206,6 +206,17 @@ def test_bound_expression_validation():
                          ).axioms["a"].instantiate(None, {"n": 2})
 
 
+def test_failing_bound_is_a_proof_error_naming_the_instance():
+    th = load_theory_text("quantale metric\nsemiring nat\nground X\n"
+                          "opfamily wait_<n> : X -> X\n"
+                          "axiom bad[n] : [x : X] wait_n(x) =[n - 5] x")
+    with pytest.raises(ProofError) as info:
+        axiom_instantiate(th, "bad", {"n": 1})
+    assert str(info.value) == \
+        "axiom bad :n 1: bound expression 'n - 5' is negative"
+    assert axiom_instantiate(th, "bad", {"n": 6}).bound == 1
+
+
 def _valid_instance(theory, family, rng):
     """Seeded parameters that the family accepts, and their instance."""
     for _ in range(100):
