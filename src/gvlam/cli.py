@@ -419,8 +419,8 @@ def build_parser() -> _Parser:
 
     p = osubs.add_parser("tv")
     p.add_argument("k", type=int)
-    p.add_argument("m", type=int)
-    p.add_argument("n", type=int)
+    p.add_argument("m", type=_at_least(0), help="zeros in the urn")
+    p.add_argument("n", type=_at_least(0), help="ones in the urn")
     p.set_defaults(fn=cmd_oracle_tv)
 
     p = osubs.add_parser("shuffles")

@@ -3,11 +3,13 @@
 Nothing here shares the strategy of the primary implementations:
 enumeration is by unpruned generate-and-filter, interleavings come from
 permutation filtering, the distance is computed over an explicitly merged
-support, proofs are validated by typechecking both sides of every node
-from scratch, normalisation scans every position from the root and
-re-types every step from scratch, and model interpretation builds a fresh
-space at every use of a type, tabulates every lambda, walks the
-derivation at every point and checks every pair of points.
+support, the urn distance enumerates both samplers' draw sequences, the
+Gaussian label leaves its radicand's sign to sympy, proofs are validated
+by typechecking both sides of every node from scratch, normalisation
+scans every position from the root and re-types every step from scratch,
+and model interpretation builds a fresh space at every use of a type,
+tabulates every lambda, walks the derivation at every point and checks
+every pair of points.
 """
 
 from __future__ import annotations
@@ -19,8 +21,10 @@ from . import syntax as S
 from .metmodel import (FinMetSpace, GuardExceeded, MetMap, ModelAssignment,
                        ModelError, ProductSpace, guard_limit, num_cmp)
 from .parser import print_type
-from .probmodel import FinDist
-from .quantale import NatSemiring, Semiring, scalar_mul, value_repr
+from .probmodel import (FinDist, ProbError, no_replace_sampler,
+                        replace_sampler, tv_distance)
+from .quantale import (NatSemiring, Semiring, SymbolicBound, scalar_mul,
+                       value_repr)
 from .rewrite import (_ROWS, ORIENTED, EngineError, MatchError, RewriteStep,
                       all_positions, get_subterm, rewrite_term, term_size)
 from .typecheck import Derivation, _check_variable_use, _infer, check_grounds
@@ -73,6 +77,33 @@ def brute_tv(p: FinDist, q: FinDist) -> Fraction:
             if mass > best:
                 best = mass
     return best
+
+
+def reference_urn_tv(k: int, m: int, n: int) -> Fraction:
+    """The urn distance of `probmodel.urn_tv` over the 2^k draw sequences
+    of each sampler (bounded by `GVLAM_GUARD`)."""
+    return tv_distance(replace_sampler(k, m, n), no_replace_sampler(k, m, n))
+
+
+def reference_gaussian_phi(k, mu1, sigma1, mu2, sigma2):
+    """`probmodel.gaussian_phi` with the radicand's zero test and sign left
+    to sympy."""
+    import sympy
+    s1, s2 = sympy.Rational(sigma1), sympy.Rational(sigma2)
+    m1, m2 = sympy.Rational(mu1), sympy.Rational(mu2)
+    if s1 <= 0 or s2 <= 0:
+        raise ProbError("standard deviations must be positive")
+    radicand = sympy.Integer(k) * (
+        (s2 ** 2 - s1 ** 2 + (m1 - m2) ** 2) / s1 ** 2
+        - sympy.log(s2 ** 2 / s1 ** 2))
+    if radicand.is_zero or sympy.simplify(radicand) == 0:
+        return Fraction(0)
+    if radicand.is_negative:
+        raise ProbError(f"negative radicand {radicand}")
+    expr = sympy.sqrt(radicand) / 2
+    if expr.is_Rational:
+        return Fraction(int(expr.p), int(expr.q))
+    return SymbolicBound(expr)
 
 
 def brute_interleavings(parts):

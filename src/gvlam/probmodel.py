@@ -1,16 +1,32 @@
 """Finite-support probabilistic semantics.
 
 Distributions carry exact rational probabilities.  The two urn samplers,
-total-variation distance, the walk-endpoint distribution, and the
-symmetrisation operator are all exact; floating point appears only in the
-Gaussian quadrature oracle, whose error budget is stated explicitly.
+total-variation distance and the walk-endpoint distribution are all
+exact; floating point appears only in the Gaussian quadrature oracle,
+whose error budget is stated explicitly.
+
+The urn distance needs no draw sequences.  Both samplers are
+exchangeable: a sequence of k draws with j ones has the probability
+p_rep(j) = n^j m^(k-j) / N^k with replacement and
+p_norep(j) = n^(j) m^(k-j) / N^(k) (falling powers) without, where
+N = m + n, whatever the order of its draws.  So the total variation is
+1/2 sum_j C(k, j) |p_rep(j) - p_norep(j)|, k + 1 exact terms in place
+of 2 * 2^k sequences (`urn_tv`; Diaconis & Freedman, "Finite
+exchangeable sequences", Ann. Probab. 1980).  The samplers still
+enumerate their sequences for walks and for `oracle tv`, under
+`GVLAM_GUARD`.
+
+The Gaussian label needs no symbolic zero test.  With x = s2^2 / s1^2
+and d = (mu1 - mu2)^2 / s1^2, its radicand is k (x - 1 - log x + d).
+Since x - 1 - log x > 0 for every positive x other than 1, and d >= 0,
+the radicand of k >= 1 draws is zero exactly when s1 = s2 and mu1 = mu2,
+and never negative: a comparison of rationals.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -85,10 +101,7 @@ def bernoulli(p: Fraction) -> FinDist:
 def replace_sampler(k: int, m: int, n: int) -> FinDist:
     """k independent draws with replacement from an urn with m zeros and
     n ones."""
-    if k < 1:
-        raise ProbError("need at least one draw")
-    if m + n < 1:
-        raise ProbError("the urn is empty")
+    _check_urn(k, m, n)
     _guard_draws(k)
     p = Fraction(n, m + n)
     out = {}
@@ -100,10 +113,7 @@ def replace_sampler(k: int, m: int, n: int) -> FinDist:
 
 def no_replace_sampler(k: int, m: int, n: int) -> FinDist:
     """k draws without replacement; requires k <= m + n."""
-    if k < 1:
-        raise ProbError("need at least one draw")
-    if k > m + n:
-        raise ProbError(f"cannot draw {k} times from an urn of {m + n}")
+    _check_urn(k, m, n, without_replacement=True)
     _guard_draws(k)
     out = {}
 
@@ -119,6 +129,21 @@ def no_replace_sampler(k: int, m: int, n: int) -> FinDist:
 
     go((), Fraction(1), m, n)
     return FinDist.from_dict(out)
+
+
+def _check_urn(k: int, m: int, n: int, without_replacement=False):
+    """Refuse what no sampler can draw, then an empty urn with
+    replacement or more draws than balls without."""
+    if k < 1:
+        raise ProbError("need at least one draw")
+    if m < 0 or n < 0:
+        raise ProbError(f"urn counts must be non-negative, got m={m}, "
+                        f"n={n}")
+    if without_replacement:
+        if k > m + n:
+            raise ProbError(f"cannot draw {k} times from an urn of {m + n}")
+    elif m + n < 1:
+        raise ProbError("the urn is empty")
 
 
 def _guard_draws(k: int):
@@ -144,9 +169,25 @@ def tv_distance(p: FinDist, q: FinDist) -> Fraction:
     return total / 2
 
 
+def urn_tv(k: int, m: int, n: int) -> Fraction:
+    """Exact TV between k draws with and without replacement from an urn
+    of m zeros and n ones, by the count of ones (see the module
+    docstring).  Over the common denominator N^k N^(k), every term is an
+    integer.  Refuses what either sampler refuses."""
+    _check_urn(k, m, n)
+    _check_urn(k, m, n, without_replacement=True)
+    total = m + n
+    rep_den, norep_den = total ** k, math.perm(total, k)
+    diff = sum(math.comb(k, j) * abs(
+        n ** j * m ** (k - j) * norep_den
+        - math.perm(n, j) * math.perm(m, k - j) * rep_den)
+        for j in range(k + 1))
+    return Fraction(diff, 2 * rep_den * norep_den)
+
+
 def check_diaconis(k: int, m: int, n: int):
     """Exact TV between the urn samplers against the 4k/(m+n) bound."""
-    tv = tv_distance(replace_sampler(k, m, n), no_replace_sampler(k, m, n))
+    tv = urn_tv(k, m, n)
     bound = Fraction(4 * k, m + n)
     return tv, bound, tv <= bound
 
@@ -174,12 +215,13 @@ def gaussian_phi(k, mu1, sigma1, mu2, sigma2):
     m1, m2 = sympy.Rational(mu1), sympy.Rational(mu2)
     if s1 <= 0 or s2 <= 0:
         raise ProbError("standard deviations must be positive")
+    # The radicand's sign is k's, or zero (see the module docstring).
+    if k == 0 or (s1 == s2 and m1 == m2):
+        return Fraction(0)
     radicand = sympy.Integer(k) * (
         (s2 ** 2 - s1 ** 2 + (m1 - m2) ** 2) / s1 ** 2
         - sympy.log(s2 ** 2 / s1 ** 2))
-    if radicand.is_zero or sympy.simplify(radicand) == 0:
-        return Fraction(0)
-    if radicand.is_negative:
+    if k < 0:
         raise ProbError(f"negative radicand {radicand}")
     expr = sympy.sqrt(radicand) / 2
     if expr.is_Rational:
@@ -269,67 +311,3 @@ def walk_endpoint(sign: FinDist, mag: FinDist) -> FinDist:
                         for s, y in zip(bits, mags))
             out[total] = out.get(total, Fraction(0)) + p1 * p2
     return FinDist.from_dict(out)
-
-
-# ---------------------------------------------------------------------------
-# Symmetrisation
-
-def _perms(n: int):
-    return itertools.permutations(range(n))
-
-
-def symmetrise(tensor: dict, d: int, n: int) -> dict:
-    """Average a d-dimensional order-n tensor over coordinate permutations."""
-    if d ** n > guard_limit():
-        raise ProbError(f"tensor with {d ** n} coefficients exceeds the "
-                        f"{guard_limit()} guard")
-    fact = math.factorial(n)
-    out = {}
-    for idx in itertools.product(range(d), repeat=n):
-        acc = Fraction(0)
-        for sigma in _perms(n):
-            key = tuple(idx[sigma[i]] for i in range(n))
-            acc += Fraction(tensor.get(key, 0))
-        if acc:
-            out[idx] = acc / fact
-    return out
-
-
-def is_symmetric(tensor: dict, d: int, n: int) -> bool:
-    for idx in itertools.product(range(d), repeat=n):
-        v = Fraction(tensor.get(idx, 0))
-        for sigma in _perms(n):
-            key = tuple(idx[sigma[i]] for i in range(n))
-            if Fraction(tensor.get(key, 0)) != v:
-                return False
-    return True
-
-
-def check_symmetrisation(d: int, n: int, trials: int = 20, seed: int = 0):
-    """Exact checks: idempotence, fixing of symmetric tensors, linearity."""
-    rng = random.Random(seed)
-
-    def random_tensor():
-        return {idx: Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-                for idx in itertools.product(range(d), repeat=n)}
-
-    results = []
-    for i in range(trials):
-        t = random_tensor()
-        st = symmetrise(t, d, n)
-        results.append((f"idempotent[{i}]", symmetrise(st, d, n) == st))
-        results.append((f"output-symmetric[{i}]", is_symmetric(st, d, n)))
-        results.append((f"retraction[{i}]", symmetrise(st, d, n) == st
-                        and st == symmetrise(st, d, n)))
-        u = random_tensor()
-        a, b = Fraction(rng.randint(-5, 5)), Fraction(rng.randint(-5, 5))
-        combo = {idx: a * t.get(idx, Fraction(0)) + b * u.get(idx, Fraction(0))
-                 for idx in itertools.product(range(d), repeat=n)}
-        su = symmetrise(u, d, n)
-        lin = symmetrise(combo, d, n)
-        expect = {idx: a * st.get(idx, Fraction(0))
-                  + b * su.get(idx, Fraction(0))
-                  for idx in itertools.product(range(d), repeat=n)}
-        expect = {k: v for k, v in expect.items() if v}
-        results.append((f"linear[{i}]", lin == expect))
-    return results

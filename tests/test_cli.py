@@ -357,6 +357,24 @@ def test_model_prob_sweep(capsys):
     assert code == 0 and text.splitlines()[0].startswith("ok")
 
 
+def test_model_prob_sweep_does_not_enumerate(capsys, monkeypatch):
+    # Up to 2^22 draw sequences per row, over the guard from k = 20 on,
+    # if the sweep enumerated them.
+    from gvlam import probmodel
+
+    def refuse(*args):
+        raise AssertionError("prob-sweep enumerated draw sequences")
+
+    monkeypatch.setattr(probmodel, "replace_sampler", refuse)
+    monkeypatch.setattr(probmodel, "no_replace_sampler", refuse)
+    code, out, err = run(capsys, ["model", "prob-sweep", "--max", "22"])
+    lines = out.splitlines()
+    assert (code, err) == (0, "")
+    assert len(lines) == 1 + sum(t * (t + 1) for t in range(1, 23))
+    assert all(line.endswith(",true") for line in lines[1:])
+    assert lines[-1] == "22,22,0,0,4,true"
+
+
 def test_model_gaussian_grid(capsys):
     code, out, _ = run(capsys, ["model", "gaussian-grid"])
     assert code == 0
@@ -400,6 +418,10 @@ def test_oracle_nonexpansive(capsys):
     (["perms", "-1"], "argument n: must be at least 0, got -1"),
     (["nonexpansive", "-1", "2"], "argument dom: must be at least 0, got -1"),
     (["nonexpansive", "2", "-1"], "argument cod: must be at least 0, got -1"),
+    # These two exited 4, with "negative probability for (0, 1)" and
+    # "the urn is empty" about an urn that was not.
+    (["tv", "2", "-1", "3"], "argument m: must be at least 0, got -1"),
+    (["tv", "1", "1", "-1"], "argument n: must be at least 0, got -1"),
 ])
 def test_oracle_rejects_out_of_range_arguments(capsys, argv, message):
     # These used to end in a traceback (exit 1) or print an empty line.

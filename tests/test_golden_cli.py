@@ -3,9 +3,10 @@ byte for byte.
 
 The reports of `gvlam` must not change when the implementation does, so
 these commands cover binder renaming in typing and in beta steps, proof
-errors from context terms that do not decompose, synthesis failures and
-model queries.  After a deliberate change of output, rewrite the
-transcript with
+errors from context terms that do not decompose, synthesis failures,
+model queries, the exact urn distances of `prob-sweep` and the Gaussian
+labels of `gaussian-grid`.  After a deliberate change of output, rewrite
+the transcript with
 
     PYTHONPATH=src python tests/test_golden_cli.py
 
@@ -76,6 +77,8 @@ COMMANDS = {
         "model", "eval", "{data}/timed.thy",
         "let a (*) b = p in wait_1(b) (*) a",
         "--context", "p : X * X", "--model", "timed(2)"],
+    "model-prob-sweep": ["model", "prob-sweep", "--max", "8"],
+    "model-gaussian-grid": ["model", "gaussian-grid"],
 }
 
 

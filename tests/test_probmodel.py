@@ -4,12 +4,14 @@ from fractions import Fraction
 import pytest
 import sympy
 
+from gvlam.cli import _grid_values
 from gvlam.metmodel import GuardExceeded
+from gvlam.oracles import brute_tv, reference_gaussian_phi, reference_urn_tv
 from gvlam.probmodel import (FinDist, ProbError, bernoulli, check_diaconis,
-                             check_symmetrisation, diaconis_sweep,
-                             gaussian_phi, gaussian_tv_numeric, is_symmetric,
-                             no_replace_sampler, point_mass, replace_sampler,
-                             symmetrise, tv_distance, walk_endpoint)
+                             diaconis_sweep, gaussian_phi,
+                             gaussian_tv_numeric, no_replace_sampler,
+                             point_mass, replace_sampler, tv_distance,
+                             urn_tv, walk_endpoint)
 from gvlam.quantale import SymbolicBound
 
 
@@ -63,6 +65,47 @@ def test_check_diaconis():
     assert (tv, bound, ok) == (Fraction(1, 2), Fraction(4), True)
 
 
+def test_urn_tv_equals_the_enumerated_samplers():
+    # Every row of the sweep: the count formula against the L1 sum over
+    # both samplers' draw sequences.  Up to three draws (at most 8
+    # outcomes) also against the maximum over all events; brute_tv would
+    # take 2^16 events at four draws, and an L1 sum again from five.
+    rows = diaconis_sweep(10)
+    assert len(rows) == 440
+    for k, m, n, tv, bound, ok in rows:
+        assert tv == urn_tv(k, m, n) == reference_urn_tv(k, m, n), (k, m, n)
+        if k <= 3:
+            assert tv == brute_tv(replace_sampler(k, m, n),
+                                  no_replace_sampler(k, m, n)), (k, m, n)
+        assert (bound, ok) == (Fraction(4 * k, m + n), tv <= bound)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ProbError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("kmn", [(0, 1, 1), (-2, 3, 3), (1, 0, 0),
+                                 (3, 0, 0), (5, 1, 1), (3, 1, 1)])
+def test_urn_tv_refuses_what_the_samplers_refuse(kmn):
+    assert isinstance(_outcome(urn_tv, *kmn), tuple)
+    assert _outcome(urn_tv, *kmn) == _outcome(reference_urn_tv, *kmn)
+
+
+@pytest.mark.parametrize("fn", [replace_sampler, no_replace_sampler, urn_tv,
+                                check_diaconis])
+@pytest.mark.parametrize("kmn", [(2, -1, 3), (1, 1, -1), (1, -1, 1)])
+def test_negative_urn_counts_are_refused(fn, kmn):
+    # (2, -1, 3) used to fail as "negative probability for (0, 1)" and
+    # (1, 1, -1) as "the urn is empty"; math.perm raised a bare ValueError.
+    k, m, n = kmn
+    with pytest.raises(ProbError, match="^urn counts must be non-negative, "
+                                        f"got m={m}, n={n}$"):
+        fn(k, m, n)
+
+
 def test_diaconis_sweep():
     rows = diaconis_sweep(4)
     assert rows == sorted(rows, key=lambda r: (r[0], r[1], r[2]))
@@ -78,6 +121,50 @@ def test_gaussian_phi():
     assert b.expr == sympy.sqrt(3) / 2
     with pytest.raises(ProbError, match="positive"):
         gaussian_phi(1, 0, 0, 0, 1)
+
+
+def _same_label(got, want):
+    assert type(got) is type(want)
+    if isinstance(want, SymbolicBound):
+        assert got.expr == want.expr and str(got) == str(want)
+        assert got.enclosure() == want.enclosure()
+    else:
+        assert got == want
+
+
+def _param_grid():
+    mus = [Fraction(-2), Fraction(0), Fraction(1, 3)]
+    sigmas = [Fraction(1, 3), Fraction(1), Fraction(3, 2)]
+    return [(k, mu1, s1, mu2, s2) for k in (1, 3) for mu1 in mus
+            for s1 in sigmas for mu2 in mus for s2 in sigmas]
+
+
+@pytest.mark.parametrize("grid", ["gaussian-grid", "mu-sigma"])
+def test_gaussian_phi_equals_the_simplify_reference(grid):
+    if grid == "gaussian-grid":
+        params = [(1, *v) for v in _grid_values()]
+    else:
+        params = _param_grid()
+    zeros = 0
+    for args in params:
+        got = gaussian_phi(*args)
+        _same_label(got, reference_gaussian_phi(*args))
+        zeros += got == 0
+    # Exactly the equal pairs give zero, and there are some of both.
+    assert zeros == sum(a[1:3] == a[3:] for a in params)
+    assert 0 < zeros < len(params)
+
+
+@pytest.mark.parametrize("args", [(0, 1, 1, 2, 3), (0, 1, 1, 1, 1),
+                                  (-2, 1, 1, 1, 1), (-2, 0, 1, 1, 2),
+                                  (1, 0, -1, 0, 1), (2, 1, 1, 1, 0)])
+def test_gaussian_phi_outside_positive_k(args):
+    want = _outcome(reference_gaussian_phi, *args)
+    got = _outcome(gaussian_phi, *args)
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        _same_label(got, want)
 
 
 def test_gaussian_phi_scales_with_sqrt_k():
@@ -111,22 +198,6 @@ def test_walk_endpoint():
         walk_endpoint(replace_sampler(2, 1, 1), point_mass((1,)))
 
 
-def test_symmetrise():
-    t = {(0, 1): Fraction(1)}
-    st = symmetrise(t, 2, 2)
-    assert st == {(0, 1): Fraction(1, 2), (1, 0): Fraction(1, 2)}
-    assert is_symmetric(st, 2, 2)
-    assert not is_symmetric(t, 2, 2)
-
-
-def test_symmetrise_guard(monkeypatch):
-    monkeypatch.setenv("GVLAM_GUARD", "5")
-    assert symmetrise({(0, 1): Fraction(1)}, 2, 2)
-    with pytest.raises(ProbError) as exc:
-        symmetrise({}, 2, 3)
-    assert str(exc.value) == "tensor with 8 coefficients exceeds the 5 guard"
-
-
 @pytest.mark.parametrize("sampler", [replace_sampler, no_replace_sampler])
 def test_samplers_check_the_guard_first(monkeypatch, sampler):
     monkeypatch.setenv("GVLAM_GUARD", "8")
@@ -134,8 +205,3 @@ def test_samplers_check_the_guard_first(monkeypatch, sampler):
     with pytest.raises(GuardExceeded, match="^4 draws have 2\\^4 sequences, "
                                             "over the 8 guard"):
         sampler(4, 2, 2)
-
-
-def test_check_symmetrisation():
-    results = check_symmetrisation(2, 2, trials=5)
-    assert results and all(ok for _, ok in results)
