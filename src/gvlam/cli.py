@@ -7,7 +7,7 @@ Subcommands tie theories, terms, proof scripts, and models together:
     gvlam bound THEORY TERM_A TERM_B [--context CTX] [--normalize-first]
     gvlam model {eval,distance,verify-axioms,verify-laws,prob-sweep,
                  gaussian-grid} ...
-    gvlam oracle {perms,tv,shuffles,nonexpansive} ...
+    gvlam oracle {tv,shuffles,nonexpansive} ...
 
 Exit codes: 0 success, 1 type error, 2 proof error, 3 synthesis failure,
 4 model violation, 64 usage, 65 parse or I/O error or input nested too
@@ -28,8 +28,7 @@ from . import syntax as S
 from .metmodel import (ModelError, check_axiom, check_comonad_laws,
                        ExplicitSpace, FuncSpace, interp, model_distance,
                        timed_model, timed_space)
-from .oracles import (brute_interleavings, brute_tv, enumerate_nonexpansive,
-                      perm_group)
+from .oracles import brute_interleavings, brute_tv, enumerate_nonexpansive
 from .parser import (ParseError, parse_context, parse_term, print_context,
                      print_term, print_type)
 from .probmodel import (ProbError, diaconis_sweep, gaussian_phi,
@@ -111,9 +110,8 @@ def _parse_grades(spec: str):
     return grades
 
 
-def _at_least(lo: int, hi: int | None = None):
-    """An argparse type: an integer no smaller than lo and, when hi is
-    given, no larger than hi."""
+def _at_least(lo: int):
+    """An argparse type: an integer no smaller than lo."""
 
     def parse(text: str) -> int:
         try:
@@ -124,9 +122,6 @@ def _at_least(lo: int, hi: int | None = None):
         if value < lo:
             raise argparse.ArgumentTypeError(
                 f"must be at least {lo}, got {value}")
-        if hi is not None and value > hi:
-            raise argparse.ArgumentTypeError(
-                f"must be at most {hi}, got {value}")
         return value
     return parse
 
@@ -297,12 +292,6 @@ def cmd_model_gaussian_grid(args) -> int:
     return EXIT_MODEL if bad else EXIT_OK
 
 
-def cmd_oracle_perms(args) -> int:
-    for p in perm_group(args.n):
-        print(" ".join(map(str, p)))
-    return EXIT_OK
-
-
 def cmd_oracle_tv(args) -> int:
     p = replace_sampler(args.k, args.m, args.n)
     q = no_replace_sampler(args.k, args.m, args.n)
@@ -412,10 +401,6 @@ def build_parser() -> _Parser:
 
     oracle = subs.add_parser("oracle", help="brute-force reference audits")
     osubs = oracle.add_subparsers(dest="oracle_command", required=True)
-
-    p = osubs.add_parser("perms")
-    p.add_argument("n", type=_at_least(0, 8))
-    p.set_defaults(fn=cmd_oracle_perms)
 
     p = osubs.add_parser("tv")
     p.add_argument("k", type=int)

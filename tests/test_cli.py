@@ -384,13 +384,6 @@ def test_model_gaussian_grid(capsys):
     assert all(line.endswith(",true") for line in lines[1:])
 
 
-def test_oracle_perms(capsys):
-    code, out, _ = run(capsys, ["oracle", "perms", "3"])
-    assert code == 0
-    assert len(out.splitlines()) == 6
-    assert out.splitlines()[0] == "0 1 2"
-
-
 def test_oracle_tv(capsys):
     code, out, _ = run(capsys, ["oracle", "tv", "2", "1", "1"])
     assert code == 0
@@ -414,8 +407,8 @@ def test_oracle_nonexpansive(capsys):
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["perms", "9"], "argument n: must be at most 8, got 9"),
-    (["perms", "-1"], "argument n: must be at least 0, got -1"),
+    (["tv", "x", "1", "1"], "argument k: invalid int value: 'x'"),
+    (["shuffles"], "the following arguments are required: parts"),
     (["nonexpansive", "-1", "2"], "argument dom: must be at least 0, got -1"),
     (["nonexpansive", "2", "-1"], "argument cod: must be at least 0, got -1"),
     # These two exited 4, with "negative probability for (0, 1)" and
@@ -424,15 +417,14 @@ def test_oracle_nonexpansive(capsys):
     (["tv", "1", "1", "-1"], "argument n: must be at least 0, got -1"),
 ])
 def test_oracle_rejects_out_of_range_arguments(capsys, argv, message):
-    # These used to end in a traceback (exit 1) or print an empty line.
+    # Each is a usage error; out-of-range counts used to end in a
+    # traceback (exit 1) or print an empty line.
     code, out, err = run(capsys, ["oracle", *argv])
     assert (code, out) == (64, "")
     assert err == f"gvlam: error: {message}\n"
 
 
 def test_oracle_arguments_at_their_smallest(capsys):
-    code, out, _ = run(capsys, ["oracle", "perms", "0"])
-    assert (code, out) == (0, "\n")  # the one permutation of nothing
     code, out, _ = run(capsys, ["oracle", "nonexpansive", "0", "0"])
     assert (code, out) == (0, "primary:   1\nreference: 1\n")
 

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import pytest
 import sympy
 
@@ -67,16 +68,14 @@ def test_check_diaconis():
 
 def test_urn_tv_equals_the_enumerated_samplers():
     # Every row of the sweep: the count formula against the L1 sum over
-    # both samplers' draw sequences.  Up to three draws (at most 8
-    # outcomes) also against the maximum over all events; brute_tv would
-    # take 2^16 events at four draws, and an L1 sum again from five.
+    # both samplers' draw sequences and against the excess mass of one
+    # sampler over the other.
     rows = diaconis_sweep(10)
     assert len(rows) == 440
     for k, m, n, tv, bound, ok in rows:
         assert tv == urn_tv(k, m, n) == reference_urn_tv(k, m, n), (k, m, n)
-        if k <= 3:
-            assert tv == brute_tv(replace_sampler(k, m, n),
-                                  no_replace_sampler(k, m, n)), (k, m, n)
+        assert tv == brute_tv(replace_sampler(k, m, n),
+                              no_replace_sampler(k, m, n)), (k, m, n)
         assert (bound, ok) == (Fraction(4 * k, m + n), tv <= bound)
 
 
@@ -186,6 +185,28 @@ def test_gaussian_tv_numeric_against_closed_form():
     assert 0 < gaussian_tv_numeric(0, 1, 0, 2) < 1
     with pytest.raises(ProbError):
         gaussian_tv_numeric(0, 0, 0, 1)
+
+
+@pytest.mark.parametrize("cell", [
+    (-1, Fraction(1, 2), 1, 1), (-1, 1, 1, Fraction(1, 2)),
+    (1, Fraction(1, 2), -1, 1), (1, 1, -1, Fraction(1, 2))])
+def test_gaussian_tv_numeric_against_mpmath(cell):
+    # gaussian-grid cells on which adaptive Simpson was 4e-6 off.  The
+    # reference integrates |f1 - f2| at 30 digits, split where the
+    # densities cross.
+    mu1, s1, mu2, s2 = (mpmath.mpf(x.numerator) / x.denominator
+                        for x in map(Fraction, cell))
+    with mpmath.workdps(30):
+        a = 1 / (2 * s2 ** 2) - 1 / (2 * s1 ** 2)
+        b = mu1 / s1 ** 2 - mu2 / s2 ** 2
+        c = (mu2 ** 2 / (2 * s2 ** 2) - mu1 ** 2 / (2 * s1 ** 2)
+             + mpmath.log(s2 / s1))
+        root = mpmath.sqrt(b * b - 4 * a * c)
+        crossings = sorted([(-b - root) / (2 * a), (-b + root) / (2 * a)])
+        expected = mpmath.quad(
+            lambda x: abs(mpmath.npdf(x, mu1, s1) - mpmath.npdf(x, mu2, s2)),
+            [-mpmath.inf, *crossings, mpmath.inf]) / 2
+    assert abs(gaussian_tv_numeric(*cell) - float(expected)) < 1e-12
 
 
 def test_walk_endpoint():
