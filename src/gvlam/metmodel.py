@@ -10,24 +10,38 @@ model.  Terms denote non-expansive maps evaluated as tables over the
 context product space; a lambda in function position is evaluated at its
 argument only, not tabulated over its whole domain.
 
+Distances are integers.  Every space has one positive denominator q and
+an integer distance idist(a, b) = q * dist(a, b): q is 1 for a timed
+space and a point, the lcm of the denominators of an explicit table, the
+lcm of the factors' q for a product (each factor's distances counted
+q // q_f times), and the base's or the codomain's q for a scaled or a
+function space.  No space here holds an infinite or symbolic distance,
+so enumeration, the edge checks, hom distances, the metric check and the
+law audit compare ints, cross-multiplied by the other space's q where
+two spaces meet; dist(a, b) = Fraction(idist(a, b), q), and hom_distance
+returns a Fraction, only where a distance leaves this module.
+
 interp compiles a derivation into closures once, so a context point costs
 one closure call per node.  MetMap checks non-expansiveness on the edges
 of its domain only (FinMetSpace.edges): consecutive ticks of a timed
 space, the pairs of a product that move one factor along one of its
 edges, a scaled space's base edges, none for a point, and every pair
-otherwise.  Each domain's metric is the shortest-path metric of its
-edges, so the check is exact whenever the codomain satisfies the triangle
-inequality, as every space built here does: along a shortest path
-x = p0, ..., pk = y, cod.dist(f x, f y) <= sum of cod.dist(f pi, f pi+1)
-<= sum of the edge weights = dom.dist(x, y) (path metrics: Bridson and
-Haefliger, Metric Spaces of Non-positive Curvature).  A timed or tensor
-context of N points then costs O(N) distance checks, not O(N^2).
+otherwise.  An edge's weight is an integer in its domain's units, and
+each domain's idist is the shortest-path metric of its edges, so the
+check is exact whenever the codomain satisfies the triangle inequality,
+as every space built here does: along a shortest path x = p0, ..., pk =
+y, cod.idist(f x, f y) <= sum of cod.idist(f pi, f pi+1), and each term
+times dom.q is at most its edge weight times cod.q, so
+cod.idist(f x, f y) * dom.q <= dom.idist(x, y) * cod.q (path metrics:
+Bridson and Haefliger, Metric Spaces of Non-positive Curvature).  A
+timed or tensor context of N points then costs O(N) integer comparisons,
+not O(N^2).
 """
-
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -35,7 +49,7 @@ from operator import itemgetter
 
 from . import syntax as S
 from .parser import print_type
-from .quantale import INF, num_add, num_cmp, num_scale, num_max
+from .quantale import INF, QuantaleError, get_quantale
 from .typecheck import Derivation, infer
 
 
@@ -48,7 +62,6 @@ class GuardExceeded(ModelError):
 
 
 DEFAULT_GUARD = 10 ** 6
-ZERO = Fraction(0)
 
 
 def guard_limit() -> int:
@@ -59,14 +72,21 @@ def guard_limit() -> int:
 # Spaces
 
 class FinMetSpace:
-    """Base class; points are hashable, distances exact."""
+    """Base class; points are hashable, distances exact rationals kept as
+    integers over the space's denominator q: idist(a, b) = q * dist(a, b).
+    """
+
+    q = 1
 
     @property
     def points(self) -> tuple:
         raise NotImplementedError
 
-    def dist(self, a, b):
+    def idist(self, a, b) -> int:
         raise NotImplementedError
+
+    def dist(self, a, b) -> Fraction:
+        return Fraction(self.idist(a, b), self.q)
 
     @functools.cached_property
     def indices(self) -> dict:
@@ -77,49 +97,56 @@ class FinMetSpace:
         return self.indices[p]
 
     def edges(self):
-        """Weighted edges (i, j, dist(points[i], points[j])), i < j, whose
-        shortest-path metric is dist.  Every pair by default, which is
+        """Weighted edges (i, j, idist(points[i], points[j])), i < j, whose
+        shortest-path metric is idist.  Every pair by default, which is
         exact for any metric."""
-        pts, dist = self.points, self.dist
+        pts, idist = self.points, self.idist
         for i, x in enumerate(pts):
             for j in range(i + 1, len(pts)):
-                yield i, j, dist(x, pts[j])
+                yield i, j, idist(x, pts[j])
 
     def check_metric(self):
-        pts = self.points
+        pts, d = self.points, self.idist
         for x in pts:
-            if self.dist(x, x) != 0:
+            if d(x, x) != 0:
                 raise ModelError(f"dist({x},{x}) != 0")
         for x in pts:
             for y in pts:
-                if x != y and self.dist(x, y) == 0:
+                if x != y and d(x, y) == 0:
                     raise ModelError(f"distinct points {x},{y} at distance 0")
-                if self.dist(x, y) != self.dist(y, x):
+                if d(x, y) != d(y, x):
                     raise ModelError(f"asymmetric distance at {x},{y}")
         for x in pts:
             for y in pts:
                 for z in pts:
-                    lhs = self.dist(x, z)
-                    rhs = num_add(self.dist(x, y), self.dist(y, z))
-                    if num_cmp(lhs, rhs) > 0:
+                    if d(x, z) > d(x, y) + d(y, z):
                         raise ModelError(
                             f"triangle inequality fails at {x},{y},{z}")
 
 
 class ExplicitSpace(FinMetSpace):
+    """A table of int or Fraction distances; q is the lcm of their
+    denominators."""
+
     def __init__(self, points, dist, name=None):
         self._points = tuple(points)
         self._dist = dict(dist)
+        for v in self._dist.values():
+            if not isinstance(v, (int, Fraction)):
+                raise QuantaleError(f"not a quantale value: {v!r}")
+        self.q = math.lcm(*(v.denominator for v in self._dist.values()))
+        self._idist = {pair: v.numerator * (self.q // v.denominator)
+                       for pair, v in self._dist.items()}
         self.name = name
 
     @property
     def points(self):
         return self._points
 
-    def dist(self, a, b):
+    def idist(self, a, b):
         if a == b:
-            return ZERO
-        return self._dist[(a, b)]
+            return 0
+        return self._idist[(a, b)]
 
     def __repr__(self):
         return self.name or f"<space {len(self._points)} points>"
@@ -130,8 +157,8 @@ class OnePointSpace(FinMetSpace):
     def points(self):
         return ((),)
 
-    def dist(self, a, b):
-        return ZERO
+    def idist(self, a, b):
+        return 0
 
     def edges(self):
         return ()
@@ -141,10 +168,14 @@ class OnePointSpace(FinMetSpace):
 
 
 class ProductSpace(FinMetSpace):
-    """n-ary product with the sum metric; points are n-tuples."""
+    """n-ary product with the sum metric; points are n-tuples.  q is the
+    lcm of the factors' q, and a factor's distances count q // q_f times
+    in these units."""
 
     def __init__(self, factors):
         self.factors = tuple(factors)
+        self.q = math.lcm(*(f.q for f in self.factors))
+        self._scales = tuple(self.q // f.q for f in self.factors)
         self._points = None
 
     @property
@@ -160,13 +191,12 @@ class ProductSpace(FinMetSpace):
                 itertools.product(*(f.points for f in self.factors)))
         return self._points
 
-    def dist(self, a, b):
+    def idist(self, a, b):
         # Equal coordinates are at distance 0 in a metric: skip them.
-        out = ZERO
-        for f, x, y in zip(self.factors, a, b):
+        out = 0
+        for f, s, x, y in zip(self.factors, self._scales, a, b):
             if x != y:
-                d = f.dist(x, y)
-                out = d if out is ZERO else num_add(out, d)
+                out += s * f.idist(x, y)
         return out
 
     def edges(self):
@@ -179,11 +209,11 @@ class ProductSpace(FinMetSpace):
         if not total:
             return
         stride = total
-        for f in self.factors:
+        for f, scale in zip(self.factors, self._scales):
             block = stride
             stride //= len(f.points)
             for i, j, d in f.edges():
-                a, b = i * stride, j * stride
+                a, b, d = i * stride, j * stride, d * scale
                 for top in range(0, total, block):
                     for k in range(top, top + stride):
                         yield k + a, k + b, d
@@ -193,31 +223,33 @@ class ProductSpace(FinMetSpace):
 
 
 class ScaledSpace(FinMetSpace):
-    """Distances multiplied by a grade n >= 1 (the dilation by n)."""
+    """Distances multiplied by a grade n >= 1 (the dilation by n), in the
+    base's units."""
 
     def __init__(self, base: FinMetSpace, n: int):
         if n < 1:
             raise ModelError("scaling grade must be at least 1")
         self.base = base
         self.n = n
+        self.q = base.q
 
     @property
     def points(self):
         return self.base.points
 
-    def dist(self, a, b):
-        return num_scale(self.n, self.base.dist(a, b))
+    def idist(self, a, b):
+        return self.n * self.base.idist(a, b)
 
     def edges(self):
-        return ((i, j, num_scale(self.n, d))
-                for i, j, d in self.base.edges())
+        n = self.n
+        return ((i, j, n * d) for i, j, d in self.base.edges())
 
     def __repr__(self):
         return f"!{self.n} {self.base!r}"
 
 
 class FuncSpace(FinMetSpace):
-    """Non-expansive maps dom -> cod with the sup metric.
+    """Non-expansive maps dom -> cod with the sup metric, in cod's units.
 
     Elements are tuples of codomain points indexed parallel to dom.points;
     the carrier is enumerated on demand with backtracking and a size guard.
@@ -226,6 +258,7 @@ class FuncSpace(FinMetSpace):
     def __init__(self, dom: FinMetSpace, cod: FinMetSpace):
         self.dom = dom
         self.cod = cod
+        self.q = cod.q
         self._points = None
 
     @property
@@ -242,8 +275,8 @@ class FuncSpace(FinMetSpace):
     def apply(self, table, x):
         return table[self.dom.index(x)]
 
-    def dist(self, f, g):
-        return num_max(itertools.chain((ZERO,), map(self.cod.dist, f, g)))
+    def idist(self, f, g):
+        return max(map(self.cod.idist, f, g), default=0)
 
     def __repr__(self):
         return f"({self.dom!r} -o {self.cod!r})"
@@ -254,11 +287,14 @@ def enumerate_tables(dom: FinMetSpace, cod: FinMetSpace):
     A table is pruned against the edges from each point to earlier ones,
     so a complete table has checked each edge of dom once, and the tables
     are those of the filtered product of cod.points over dom, in its
-    order."""
+    order.  An edge of weight d allows cod distances up to d * cod.q //
+    dom.q in cod's units: an integer exceeds a rational exactly when it
+    exceeds its floor."""
     dpts, cpts = dom.points, cod.points
     earlier = [[] for _ in dpts]
     for i, j, d in dom.edges():
-        earlier[j].append((i, d))
+        earlier[j].append((i, d * cod.q // dom.q))
+    idist = cod.idist
     table = []
 
     def extend(i):
@@ -266,8 +302,8 @@ def enumerate_tables(dom: FinMetSpace, cod: FinMetSpace):
             yield tuple(table)
             return
         for y in cpts:
-            for j, d in earlier[i]:
-                if num_cmp(cod.dist(table[j], y), d) > 0:
+            for j, limit in earlier[i]:
+                if idist(table[j], y) > limit:
                     break
             else:
                 table.append(y)
@@ -288,16 +324,17 @@ class MetMap:
 
     def __post_init__(self):
         """Non-expansive on the edges of dom, hence everywhere (see the
-        module docstring); equal images are at distance 0."""
+        module docstring); equal images are at distance 0.  Distances of
+        dom and cod are compared cross-multiplied by the other's q."""
         pts = self.dom.points
         for x in pts:
             if x not in self.table:
                 raise ModelError(f"map table missing point {x}")
         values = [self.table[x] for x in pts]
-        dist = self.cod.dist
+        idist, dq, cq = self.cod.idist, self.dom.q, self.cod.q
         for i, j, d in self.dom.edges():
             a, b = values[i], values[j]
-            if a != b and num_cmp(dist(a, b), d) > 0:
+            if a != b and idist(a, b) * dq > d * cq:
                 raise ModelError(
                     f"map is expansive on the pair {pts[i]}, {pts[j]}")
 
@@ -305,11 +342,12 @@ class MetMap:
         return self.table[x]
 
 
-def hom_distance(f: MetMap, g: MetMap):
+def hom_distance(f: MetMap, g: MetMap) -> Fraction:
     if f.dom.points != g.dom.points:
         raise ModelError("hom distance requires a common domain")
-    return num_max(itertools.chain(
-        (ZERO,), (f.cod.dist(f(x), g(x)) for x in f.dom.points)))
+    idist = f.cod.idist
+    return Fraction(max((idist(f(x), g(x)) for x in f.dom.points),
+                        default=0), f.cod.q)
 
 
 # ---------------------------------------------------------------------------
@@ -500,9 +538,9 @@ def check_axiom(m: ModelAssignment, sig: S.Signature, ctx, lhs, rhs,
     if dl.conclusion.type != dr.conclusion.type:
         raise ModelError("axiom sides have different types")
     distance = hom_distance(interp(m, dl), interp(m, dr))
-    if bound is INF:
-        return True
-    return num_cmp(distance, bound) <= 0
+    # The metric lattice reverses the numeric order: bound below distance
+    # in the lattice is distance <= bound as numbers.
+    return get_quantale("metric").leq(bound, distance)
 
 
 def model_distance(m: ModelAssignment, sig: S.Signature, ctx, lhs, rhs):
@@ -517,23 +555,21 @@ def model_distance(m: ModelAssignment, sig: S.Signature, ctx, lhs, rhs):
 # The timed model
 
 class TimedSpace(FinMetSpace):
-    """The ticks 0, ..., n_max at distance |i - j|: one Fraction per
-    distance, not one per pair of points."""
+    """The ticks 0, ..., n_max at distance |i - j|, in whole ticks."""
 
     def __init__(self, n_max: int):
         self._points = tuple(range(n_max + 1))
-        self._dists = tuple(map(Fraction, self._points))
 
     @property
     def points(self):
         return self._points
 
-    def dist(self, a, b):
-        return self._dists[abs(a - b)]
+    def idist(self, a, b):
+        return abs(a - b)
 
     def edges(self):
         """Consecutive ticks, one apart."""
-        return ((i, i + 1, self._dists[1]) for i in self._points[:-1])
+        return ((i, i + 1, 1) for i in self._points[:-1])
 
     def __repr__(self):
         return f"timed({len(self._points) - 1})"
@@ -593,6 +629,8 @@ def check_comonad_laws(grades, spaces) -> LawReport:
     coassociativity squares of the graded comultiplication, the comonoid
     laws of discard/copy, their interaction with the comultiplication, and
     the Lipschitz inequality over all enumerated non-expansive map pairs.
+    Distances are compared as integers, cross-multiplied by the other
+    space's q.
     """
     report = LawReport()
     grades = sorted(set(grades))
@@ -604,7 +642,7 @@ def check_comonad_laws(grades, spaces) -> LawReport:
     # Counit: the grade-1 modality is the identity on distances.
     for X in spaces:
         report.record(f"counit-identity[{X!r}]",
-                      _same_metric(X, modality_space(X, 1).dist, X.dist))
+                      _same_metric(X, modality_space(X, 1), X))
 
     # Comultiplication delta^{m,n}: E_{m*n} X -> E_m E_n X is the carrier
     # identity; distances must agree on the nose.
@@ -617,7 +655,7 @@ def check_comonad_laws(grades, spaces) -> LawReport:
                     ok = isinstance(lhs, OnePointSpace)
                 else:
                     rhs = modality_space(modality_space(X, n_), m_)
-                    ok = _same_metric(X, lhs.dist, rhs.dist)
+                    ok = _same_metric(X, lhs, rhs)
                 report.record(f"comult[{m_},{n_}][{X!r}]", ok)
 
     # Counit squares: delta^{s,1} followed by the counit (both carrier
@@ -629,17 +667,26 @@ def check_comonad_laws(grades, spaces) -> LawReport:
             lhs = modality_space(X, s)
             via = modality_space(modality_space(X, 1), s)
             report.record(f"counit-square[{s}][{X!r}]",
-                          _same_metric(X, lhs.dist, via.dist))
+                          _same_metric(X, lhs, via))
 
-    # Coassociativity: (r*s)*t = r*(s*t) as distance scalings.
+    # Coassociativity: the two routes E_{rst} X -> E_r E_s E_t X, through
+    # E_r E_{st} X and through E_{rs} E_t X, are carrier identities, so
+    # all three spaces must have one metric.  A grade 0 collapses each of
+    # them to a point.
     for X in spaces:
         for r in grades:
             for s in grades:
                 for t_ in grades:
-                    d1 = modality_space(X, r * (s * t_)).dist
-                    d2 = modality_space(X, (r * s) * t_).dist
-                    report.record(f"coassoc[{r},{s},{t_}][{X!r}]",
-                                  _same_metric(X, d1, d2))
+                    full = modality_space(
+                        modality_space(modality_space(X, t_), s), r)
+                    routes = (modality_space(modality_space(X, s * t_), r),
+                              modality_space(modality_space(X, t_), r * s))
+                    if r * s * t_ == 0:
+                        ok = all(len(sp.points) == 1
+                                 for sp in (full, *routes))
+                    else:
+                        ok = all(_same_metric(X, sp, full) for sp in routes)
+                    report.record(f"coassoc[{r},{s},{t_}][{X!r}]", ok)
 
     # Comonoid structure: discard e : E_0 X -> I and copy
     # d^{m,n} : E_{m+n} X -> E_m X (x) E_n X (the diagonal).
@@ -654,7 +701,8 @@ def check_comonad_laws(grades, spaces) -> LawReport:
                     for b in src.points:
                         pa = _diag_point(a, m_, n_)
                         pb = _diag_point(b, m_, n_)
-                        if num_cmp(tgt.dist(pa, pb), src.dist(a, b)) > 0:
+                        if (tgt.idist(pa, pb) * src.q
+                                > src.idist(a, b) * tgt.q):
                             ok = False
                 report.record(f"copy-nonexpansive[{m_},{n_}][{X!r}]", ok)
                 # Commutativity of copy: swapping the legs matches
@@ -695,14 +743,16 @@ def check_comonad_laws(grades, spaces) -> LawReport:
         for Y in spaces:
             maps = list(enumerate_tables(X, Y))
             fy = FuncSpace(X, Y)
-            base = [[fy.dist(f, g) for g in maps] for f in maps]
+            base = [[fy.idist(f, g) for g in maps] for f in maps]
             for r in grades:
                 # E_0 collapses both maps to the unique point map.
                 ok = True
                 if r >= 1:
                     fy_r = FuncSpace(modality_space(X, r),
                                      modality_space(Y, r))
-                    ok = all(num_cmp(num_scale(r, d), fy_r.dist(f, g)) <= 0
+                    # r * d / fy.q <= e / fy_r.q, cross-multiplied.
+                    scale, lifted = r * fy_r.q, fy_r.idist
+                    ok = all(scale * d <= lifted(f, g) * fy.q
                              for f, row in zip(maps, base)
                              for g, d in zip(maps, row))
                 report.record(
@@ -716,8 +766,9 @@ def check_comonad_laws(grades, spaces) -> LawReport:
             if n_ == 0:
                 continue
             en = modality_space(X, n_)
-            ok = en.points == X.points and _same_metric(
-                X, en.dist, lambda a, b: num_scale(n_, X.dist(a, b)))
+            ok = en.points == X.points and all(
+                en.idist(a, b) * X.q == n_ * X.idist(a, b) * en.q
+                for a in X.points for b in X.points)
             report.record(f"dilation-iso[{n_}][{X!r}]", ok)
     report.notes.append(
         "grade 0: the modality is the one-point space, while the dilation "
@@ -726,10 +777,11 @@ def check_comonad_laws(grades, spaces) -> LawReport:
     return report
 
 
-def _same_metric(X: FinMetSpace, d1, d2) -> bool:
-    """True iff the distance functions d1 and d2 agree at every pair of
-    points of X."""
-    return all(num_cmp(d1(a, b), d2(a, b)) == 0
+def _same_metric(X: FinMetSpace, s1: FinMetSpace, s2: FinMetSpace) -> bool:
+    """True iff the spaces s1 and s2 on the carrier of X agree on the
+    distance of every pair of points of X."""
+    d1, q1, d2, q2 = s1.idist, s1.q, s2.idist, s2.q
+    return all(d1(a, b) * q2 == d2(a, b) * q1
                for a in X.points for b in X.points)
 
 

@@ -10,7 +10,8 @@ sides of every node from scratch, normalisation scans every position
 from the root and re-types every step from scratch, and model
 interpretation builds a fresh space at every use of a type, tabulates
 every lambda, walks the derivation at every point and checks every pair
-of points.
+of points, with distances computed as Fractions by recursion over each
+space's structure rather than in metmodel's integer units.
 """
 
 from __future__ import annotations
@@ -19,13 +20,14 @@ import itertools
 from fractions import Fraction
 
 from . import syntax as S
-from .metmodel import (FinMetSpace, GuardExceeded, MetMap, ModelAssignment,
-                       ModelError, ProductSpace, guard_limit, num_cmp)
+from .metmodel import (ExplicitSpace, FinMetSpace, FuncSpace, GuardExceeded,
+                       MetMap, ModelAssignment, ModelError, OnePointSpace,
+                       ProductSpace, ScaledSpace, TimedSpace, guard_limit)
 from .parser import print_type
 from .probmodel import (FinDist, ProbError, no_replace_sampler,
                         replace_sampler, tv_distance)
-from .quantale import (NatSemiring, Semiring, SymbolicBound, scalar_mul,
-                       value_repr)
+from .quantale import (NatSemiring, Semiring, SymbolicBound, num_cmp,
+                       scalar_mul, value_repr)
 from .rewrite import (_ROWS, ORIENTED, EngineError, MatchError, RewriteStep,
                       all_positions, get_subterm, rewrite_term, term_size)
 from .typecheck import Derivation, _check_variable_use, _infer, check_grounds
@@ -34,8 +36,33 @@ from .vequation import (ProofError, TheorySpec, VEquation, VProof,
                         axiom_instantiate, check_arity)
 
 
+def reference_dist(space: FinMetSpace, a, b) -> Fraction:
+    """The distance of a and b in space as a Fraction, by recursion over
+    the space's structure, not through the integer distances of
+    metmodel: the given table of an explicit space, |a - b| ticks, the
+    sum over the factors of a product, n times the base of a scaled
+    space, the sup over the entries of two maps."""
+    match space:
+        case OnePointSpace():
+            return Fraction(0)
+        case TimedSpace():
+            return Fraction(abs(a - b))
+        case ExplicitSpace():
+            return Fraction(0) if a == b else Fraction(space._dist[(a, b)])
+        case ProductSpace():
+            return sum((reference_dist(f, x, y)
+                        for f, x, y in zip(space.factors, a, b)), Fraction(0))
+        case ScaledSpace():
+            return space.n * reference_dist(space.base, a, b)
+        case FuncSpace():
+            return max((reference_dist(space.cod, x, y)
+                        for x, y in zip(a, b)), default=Fraction(0))
+    raise ModelError(f"no reference distance for the space {space!r}")
+
+
 def enumerate_nonexpansive(x: FinMetSpace, y: FinMetSpace):
-    """All non-expansive tables from x to y by exhaustive filtering."""
+    """All non-expansive tables from x to y by exhaustive filtering, with
+    the distances of reference_dist."""
     xs, ys = x.points, y.points
     if len(ys) ** len(xs) > guard_limit():
         raise GuardExceeded(
@@ -45,7 +72,8 @@ def enumerate_nonexpansive(x: FinMetSpace, y: FinMetSpace):
         ok = True
         for i, a in enumerate(xs):
             for j, b in enumerate(xs):
-                if num_cmp(y.dist(table[i], table[j]), x.dist(a, b)) > 0:
+                if num_cmp(reference_dist(y, table[i], table[j]),
+                           reference_dist(x, a, b)) > 0:
                     ok = False
         if ok:
             out.append(table)
@@ -192,13 +220,14 @@ def reference_interp(m, d: Derivation) -> MetMap:
 def reference_nonexpansive(dom: FinMetSpace, cod: FinMetSpace, table: dict):
     """The first pair of domain points, in point order, on which the table
     expands distances, or None: every pair is compared, not only the
-    edges that MetMap checks (a pair with equal images is at distance 0
-    in cod)."""
+    edges that MetMap checks, with the distances of reference_dist (a
+    pair with equal images is at distance 0 in cod)."""
     pts = dom.points
     for i, x in enumerate(pts):
         for y in pts[i + 1:]:
             fx, fy = table[x], table[y]
-            if fx != fy and num_cmp(cod.dist(fx, fy), dom.dist(x, y)) > 0:
+            if fx != fy and num_cmp(reference_dist(cod, fx, fy),
+                                    reference_dist(dom, x, y)) > 0:
                 return x, y
     return None
 

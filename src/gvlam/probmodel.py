@@ -50,15 +50,20 @@ class FinDist:
 
     @staticmethod
     def from_dict(d: dict) -> "FinDist":
-        total = Fraction(0)
+        # The total as integer numerators per denominator: a distribution
+        # has few distinct denominators and many outcomes.
+        sums = {}
         items = []
         for outcome, p in d.items():
             p = Fraction(p)
-            if p < 0:
+            num, den = p.numerator, p.denominator
+            if num < 0:
                 raise ProbError(f"negative probability for {outcome}")
-            if p > 0:
+            if num:
                 items.append((outcome, p))
-            total += p
+            sums[den] = sums.get(den, 0) + num
+        total = sum((Fraction(num, den) for den, num in sums.items()),
+                    Fraction(0))
         if total != 1:
             raise ProbError(f"probabilities sum to {total}, not 1")
         return FinDist(tuple(sorted(items)))
@@ -105,11 +110,10 @@ def replace_sampler(k: int, m: int, n: int) -> FinDist:
     _check_urn(k, m, n)
     _guard_draws(k)
     p = Fraction(n, m + n)
-    out = {}
-    for bits in itertools.product((0, 1), repeat=k):
-        ones = sum(bits)
-        out[bits] = p ** ones * (1 - p) ** (k - ones)
-    return FinDist.from_dict(out)
+    # p^j (1 - p)^(k - j) for a sequence of j ones, computed once per j.
+    weights = [p ** j * (1 - p) ** (k - j) for j in range(k + 1)]
+    return FinDist.from_dict({bits: weights[sum(bits)] for bits in
+                              itertools.product((0, 1), repeat=k)})
 
 
 def no_replace_sampler(k: int, m: int, n: int) -> FinDist:

@@ -1,11 +1,13 @@
-"""Each space's edges against its metric, and the edge check of MetMap
+"""Each space's edges against its metric, its integer distances against
+the Fraction distances of the oracles, and the edge check of MetMap
 against the all-pairs check of the oracles.
 
 MetMap checks non-expansiveness on the edges of its domain only, which is
 exact when the domain's metric is the shortest-path metric of its edges
 and the codomain satisfies the triangle inequality.  The first property is
 tested here on small spaces of every kind with Floyd-Warshall, the second
-by comparing the two checks on random tables, expansive ones included."""
+by comparing the two checks on random tables, expansive ones included.
+Edge weights and idist are integers in units of 1/q of their space."""
 
 import itertools
 import math
@@ -18,9 +20,10 @@ from gvlam import syntax as S
 from gvlam.metmodel import (ExplicitSpace, FuncSpace, MetMap, ModelError,
                             OnePointSpace, ProductSpace, ScaledSpace,
                             enumerate_tables, interp, timed_space)
-from gvlam.oracles import (enumerate_nonexpansive, reference_interp,
-                           reference_nonexpansive)
+from gvlam.oracles import (enumerate_nonexpansive, reference_dist,
+                           reference_interp, reference_nonexpansive)
 from gvlam.parser import parse_context, parse_term
+from gvlam.quantale import QuantaleError
 from gvlam.typecheck import infer
 
 import support
@@ -30,6 +33,10 @@ SIG = support.test_signature()
 TRIANGLE = ExplicitSpace("abc", {
     **{(x, y): Fraction(2) for x in "abc" for y in "abc" if x != y},
     ("a", "b"): Fraction(3, 2), ("b", "a"): Fraction(3, 2)}, name="tri")
+# Two points two thirds apart, and an int distance: q = 3.
+THIRDS = ExplicitSpace("xyz", {
+    **{(x, y): 1 for x in "xyz" for y in "xyz" if x != y},
+    ("x", "y"): Fraction(2, 3), ("y", "x"): Fraction(2, 3)}, name="thirds")
 
 SPACES = {
     "one-point": OnePointSpace(),
@@ -44,6 +51,9 @@ SPACES = {
                                 ScaledSpace(timed_space(2), 2))),
         timed_space(1))),
     "empty context": ProductSpace(()),
+    # q = lcm(2, 1, 3) = 6.
+    "mixed units": ProductSpace((TRIANGLE, timed_space(1),
+                                 ScaledSpace(THIRDS, 2))),
 }
 CODOMAINS = [timed_space(3), ScaledSpace(timed_space(2), 2), TRIANGLE,
              ProductSpace((timed_space(1), timed_space(2)))]
@@ -69,10 +79,52 @@ def test_edges_generate_the_metric(name):
     pts = space.points
     for i, j, d in space.edges():
         assert 0 <= i < j < len(pts)
-        assert d == space.dist(pts[i], pts[j])
+        assert type(d) is int and d == space.idist(pts[i], pts[j])
     far = floyd_warshall(space)
-    assert all(far[i][j] == space.dist(x, y)
+    assert all(far[i][j] == space.idist(x, y)
                for i, x in enumerate(pts) for j, y in enumerate(pts))
+
+
+@pytest.mark.parametrize("name", sorted(SPACES))
+def test_integer_distances_equal_the_reference(name):
+    space = SPACES[name]
+    assert type(space.q) is int and space.q >= 1
+    for x in space.points:
+        for y in space.points:
+            d = space.idist(x, y)
+            assert type(d) is int
+            assert Fraction(d, space.q) == space.dist(x, y) \
+                == reference_dist(space, x, y)
+
+
+def test_units_of_compound_spaces():
+    assert (TRIANGLE.q, THIRDS.q) == (2, 3)
+    assert SPACES["mixed units"].q == 6
+    assert ScaledSpace(THIRDS, 4).q == 3
+    assert FuncSpace(timed_space(1), TRIANGLE).q == 2
+    assert ProductSpace(()).q == OnePointSpace().q == timed_space(3).q == 1
+    mixed = ProductSpace((TRIANGLE, timed_space(2), ScaledSpace(THIRDS, 2)))
+    # 3/2 + 2 + 2 * 2/3 = 29/6.
+    assert mixed.idist(("a", 0, "x"), ("b", 2, "y")) == 29
+    assert mixed.dist(("a", 0, "x"), ("b", 2, "y")) == Fraction(29, 6)
+
+
+def test_explicit_spaces_take_exact_distances_only():
+    with pytest.raises(QuantaleError, match="^not a quantale value: 1.5$"):
+        ExplicitSpace("ab", {("a", "b"): 1.5, ("b", "a"): 1.5})
+
+
+def test_function_space_distances_equal_the_reference():
+    rng = random.Random(7)
+    for space in (FuncSpace(timed_space(2), SPACES["mixed units"]),
+                  FuncSpace(TRIANGLE, ProductSpace((THIRDS, timed_space(2)))),
+                  FuncSpace(timed_space(1), FuncSpace(TRIANGLE, THIRDS))):
+        maps = space.points
+        assert len(maps) > 1
+        for _ in range(300):
+            f, g = rng.choice(maps), rng.choice(maps)
+            assert Fraction(space.idist(f, g), space.q) \
+                == reference_dist(space, f, g)
 
 
 def test_path_metric_spaces_have_few_edges():
@@ -129,6 +181,10 @@ def test_edge_check_agrees_with_all_pairs(name):
     (TRIANGLE, SPACES["product"]),
     (SPACES["one-point"], timed_space(3)),
     (SPACES["empty context"], TRIANGLE),
+    # An edge of 3/2 against distances in thirds, and back.
+    (TRIANGLE, THIRDS),
+    (THIRDS, ScaledSpace(TRIANGLE, 2)),
+    (ProductSpace((THIRDS, timed_space(1))), TRIANGLE),
 ])
 def test_enumeration_is_the_filtered_product_in_order(dom, cod):
     assert list(enumerate_tables(dom, cod)) \
@@ -139,9 +195,9 @@ def test_metmap_checks_each_edge_once():
     calls = []
 
     class Counted(type(timed_space(0))):
-        def dist(self, a, b):
+        def idist(self, a, b):
             calls.append((a, b))
-            return super().dist(a, b)
+            return super().idist(a, b)
 
     dom, cod = timed_space(40), Counted(40)
     MetMap(dom, cod, {i: i for i in dom.points})

@@ -4,9 +4,9 @@ byte for byte.
 The reports of `gvlam` must not change when the implementation does, so
 these commands cover binder renaming in typing and in beta steps, proof
 errors from context terms that do not decompose, synthesis failures,
-model queries, the exact urn distances of `prob-sweep` and the Gaussian
-labels of `gaussian-grid`.  After a deliberate change of output, rewrite
-the transcript with
+model queries, the comonad-law audit, the exact urn distances of
+`prob-sweep` and the Gaussian labels of `gaussian-grid`.  After a
+deliberate change of output, rewrite the transcript with
 
     PYTHONPATH=src python tests/test_golden_cli.py
 
@@ -79,6 +79,9 @@ COMMANDS = {
         "--context", "p : X * X", "--model", "timed(2)"],
     "model-prob-sweep": ["model", "prob-sweep", "--max", "8"],
     "model-gaussian-grid": ["model", "gaussian-grid"],
+    "model-verify-laws-verbose": [
+        "model", "verify-laws", "--verbose", "--grades", "0..3",
+        "--max-space", "4"],
 }
 
 

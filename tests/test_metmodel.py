@@ -1,7 +1,12 @@
+import fractions
+import sys
 from fractions import Fraction
 
 import pytest
 
+from gvlam import metmodel, quantale
+from gvlam import syntax as S
+from gvlam.cli import _law_spaces
 from gvlam.metmodel import (ExplicitSpace, FuncSpace, GuardExceeded, MetMap,
                             ModelError, OnePointSpace, ProductSpace,
                             ScaledSpace, check_axiom, check_comonad_laws,
@@ -164,3 +169,75 @@ def test_timed_space_matches_its_explicit_table():
         assert sp.points == pts and repr(sp) == f"timed({n})"
         assert all(sp.dist(i, j) == table.dist(i, j)
                    for i in pts for j in pts)
+
+
+def _calls_into(module, fn):
+    """fn's result and the names of the functions of module it called,
+    counted by a profile hook."""
+    calls = []
+    path = module.__file__
+
+    def hook(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename == path:
+            calls.append(frame.f_code.co_name)
+
+    old = sys.getprofile()
+    sys.setprofile(hook)
+    try:
+        out = fn()
+    finally:
+        sys.setprofile(old)
+    return out, calls
+
+
+def test_law_audit_makes_no_fraction_arithmetic():
+    """The spaces of the models-exact benchmark (pt, pair and path3, the
+    second at 3/2) audited on integers: not one call into fractions."""
+    spaces = _law_spaces(3)
+    report, calls = _calls_into(
+        fractions, lambda: check_comonad_laws(range(6), spaces))
+    assert report.checks and not report.failures
+    assert calls == []
+    # The hook sees the audit itself.
+    _, calls = _calls_into(
+        metmodel, lambda: check_comonad_laws(range(6), spaces))
+    assert "check_comonad_laws" in calls and "idist" in calls
+
+
+def test_higher_order_distance_makes_no_quantale_arithmetic():
+    fx = S.LolliType(S.Ground("X"), S.Ground("X"))
+
+    def term(k):
+        return S.Lambda("f", fx, S.App(S.Var("f"),
+                                       S.OpApp(f"wait_{k}", (S.Var("x"),))))
+    m = support.timed_test_model(SIG, 5)
+    ctx = (("x", S.Ground("X")),)
+    d, calls = _calls_into(
+        quantale, lambda: model_distance(m, SIG, ctx, term(0), term(2)))
+    assert d == Fraction(2) and type(d) is Fraction
+    assert not [c for c in calls if c.startswith("num_")]
+
+
+def test_law_audit_fails_on_a_wrong_scaled_distance(monkeypatch):
+    """A dilation one unit short at the pair (0, 2), which only path3
+    has: every check that reads that pair of a scaled path3 fails, and
+    no other."""
+    grades = range(4)
+    spaces = _law_spaces(3)
+
+    class OffByOne(metmodel.ScaledSpace):
+        def idist(self, a, b):
+            return super().idist(a, b) - ((a, b) == (0, 2))
+
+    monkeypatch.setattr(metmodel, "ScaledSpace", OffByOne)
+    report = check_comonad_laws(grades, spaces)
+    pos = [g for g in grades if g]
+    want = {"counit-identity[path3]"}
+    want |= {f"comult[{m},{n}][path3]" for m in pos for n in pos}
+    want |= {f"counit-square[{s}][path3]" for s in pos}
+    want |= {f"coassoc[{r},{s},{t}][path3]"
+             for r in pos for s in pos for t in pos}
+    want |= {f"dilation-iso[{n}][path3]" for n in pos}
+    want |= {f"lipschitz[{r}][{x!r}->path3]" for r in pos for x in spaces}
+    assert {name for name, _, _ in report.failures} == want
+    assert "FAIL coassoc[1,1,1][path3]" in report.summary().splitlines()

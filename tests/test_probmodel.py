@@ -1,4 +1,6 @@
+import itertools
 import math
+import random
 from fractions import Fraction
 
 import mpmath
@@ -50,6 +52,48 @@ def test_samplers():
         replace_sampler(0, 1, 1)
     with pytest.raises(ProbError):
         replace_sampler(1, 0, 0)
+
+
+def _sequence_probabilities(k, m, n):
+    """Each draw sequence's probability with and without replacement
+    (k <= m + n), computed per sequence: p^ones (1 - p)^(k - ones), and
+    the product of the draws' chances from the shrinking urn.  Outcomes
+    of probability zero are dropped."""
+    p = Fraction(n, m + n)
+    rep, norep = {}, {}
+    for bits in itertools.product((0, 1), repeat=k):
+        ones = sum(bits)
+        rep[bits] = p ** ones * (1 - p) ** (k - ones)
+        left, prob = [m, n], Fraction(1)
+        for b in bits:
+            prob *= Fraction(left[b], left[0] + left[1])
+            left[b] = max(left[b] - 1, 0)
+        norep[bits] = prob
+    drop = lambda d: {o: q for o, q in d.items() if q}
+    return drop(rep), drop(norep)
+
+
+def test_samplers_equal_their_sequence_formulas():
+    rng = random.Random(20)
+    draws = [(1, 0, 3), (3, 4, 0), (5, 1, 4)]
+    while len(draws) < 28:
+        k, m, n = rng.randint(1, 7), rng.randint(0, 6), rng.randint(1, 6)
+        if k <= m + n:
+            draws.append((k, m, n))
+    for k, m, n in draws:
+        rep, norep = _sequence_probabilities(k, m, n)
+        assert replace_sampler(k, m, n).as_dict() == rep, (k, m, n)
+        assert no_replace_sampler(k, m, n).as_dict() == norep, (k, m, n)
+
+
+def test_findist_checks_the_total_over_mixed_denominators():
+    d = {0: Fraction(1, 6), 1: Fraction(1, 3), 2: Fraction(1, 2)}
+    assert FinDist.from_dict(d).as_dict() == d
+    with pytest.raises(ProbError, match="^probabilities sum to 7/6, not 1$"):
+        FinDist.from_dict({**d, 3: Fraction(1, 6)})
+    with pytest.raises(ProbError, match="^probabilities sum to 5/6, not 1$"):
+        FinDist.from_dict({**d, 2: Fraction(1, 3)})
+    assert FinDist.from_dict({0: 1, 1: 0}).as_dict() == {0: 1}
 
 
 def test_tv_distance():
