@@ -7,7 +7,7 @@ Subcommands tie theories, terms, proof scripts, and models together:
     gvlam bound THEORY TERM_A TERM_B [--context CTX] [--normalize-first]
     gvlam model {eval,distance,verify-axioms,verify-laws,prob-sweep,
                  gaussian-grid} ...
-    gvlam oracle {tv,shuffles,nonexpansive} ...
+    gvlam oracle {tv,nonexpansive} ...
 
 Exit codes: 0 success, 1 type error, 2 proof error, 3 synthesis failure,
 4 model violation, 64 usage, 65 parse or I/O error or input nested too
@@ -28,9 +28,8 @@ from . import syntax as S
 from .metmodel import (ModelError, check_axiom, check_comonad_laws,
                        ExplicitSpace, FuncSpace, interp, model_distance,
                        timed_model, timed_space)
-from .oracles import brute_interleavings, brute_tv, enumerate_nonexpansive
-from .parser import (ParseError, parse_context, parse_term, print_context,
-                     print_term, print_type)
+from .oracles import brute_tv, enumerate_nonexpansive
+from .parser import ParseError, parse_context, parse_term, print_type
 from .probmodel import (ProbError, diaconis_sweep, gaussian_phi,
                         gaussian_tv_numeric, no_replace_sampler,
                         replace_sampler, tv_distance)
@@ -305,20 +304,6 @@ def cmd_oracle_tv(args) -> int:
     return EXIT_OK
 
 
-def cmd_oracle_shuffles(args) -> int:
-    parts = [parse_context(p) for p in args.parts]
-    primary = S.enumerate_shuffles(parts)
-    reference = brute_interleavings(parts)
-    print(f"primary:   {len(primary)}")
-    print(f"reference: {len(reference)}")
-    if sorted(map(repr, primary)) != sorted(map(repr, reference)):
-        print("MISMATCH")
-        return EXIT_MODEL
-    for shuffle in primary:
-        print(print_context(shuffle))
-    return EXIT_OK
-
-
 def cmd_oracle_nonexpansive(args) -> int:
     x, y = timed_space(args.dom), timed_space(args.cod)
     primary = FuncSpace(x, y).points  # checks GVLAM_GUARD before enumerating
@@ -407,11 +392,6 @@ def build_parser() -> _Parser:
     p.add_argument("m", type=_at_least(0), help="zeros in the urn")
     p.add_argument("n", type=_at_least(0), help="ones in the urn")
     p.set_defaults(fn=cmd_oracle_tv)
-
-    p = osubs.add_parser("shuffles")
-    p.add_argument("parts", nargs="+",
-                   help="contexts like 'x : X, y : X' to interleave")
-    p.set_defaults(fn=cmd_oracle_shuffles)
 
     p = osubs.add_parser("nonexpansive")
     p.add_argument("dom", type=_at_least(0),

@@ -1,9 +1,9 @@
 """Deliberately naive reference implementations for cross-checking.
 
 Nothing here shares the strategy of the primary implementations:
-enumeration is by unpruned generate-and-filter, interleavings come from
-permutation filtering, the total variation is the excess mass of one
-distribution on the event where it exceeds the other, the urn distance
+enumeration is by unpruned generate-and-filter, an axiom line's bound
+expression is read by sympy, the total variation is the excess mass of
+one distribution on the event where it exceeds the other, the urn distance
 enumerates both samplers' draw sequences, the Gaussian label leaves its
 radicand's sign to sympy, proofs are validated by typechecking both
 sides of every node from scratch, normalisation scans every position
@@ -31,8 +31,8 @@ from .quantale import (NatSemiring, Semiring, SymbolicBound, num_cmp,
 from .rewrite import (_ROWS, ORIENTED, EngineError, MatchError, RewriteStep,
                       all_positions, get_subterm, rewrite_term, term_size)
 from .typecheck import Derivation, _check_variable_use, _infer, check_grounds
-from .vequation import (ProofError, TheorySpec, VEquation, VProof,
-                        _bang_grade, _concat_contexts, _tensor_all,
+from .vequation import (ProofError, TheoryError, TheorySpec, VEquation,
+                        VProof, _bang_grade, _concat_contexts, _tensor_all,
                         axiom_instantiate, check_arity)
 
 
@@ -119,20 +119,23 @@ def reference_gaussian_phi(k, mu1, sigma1, mu2, sigma2):
     return SymbolicBound(expr)
 
 
-def brute_interleavings(parts):
-    """All interleavings of the parts via permutation filtering."""
-    parts = [tuple(p) for p in parts]
-    entries = [e for part in parts for e in part]
-    out = []
-    for perm in itertools.permutations(entries):
-        ok = True
-        for part in parts:
-            positions = [perm.index(e) for e in part]
-            if positions != sorted(positions):
-                ok = False
-        if ok and perm not in out:
-            out.append(perm)
-    return out
+def reference_eval_bound(src: str, values: dict):
+    """The value of an axiom line's bound expression src at the parameter
+    values, as `theory`'s exact evaluator computes it, read by sympy."""
+    import sympy
+    locals_ = {p: sympy.Rational(v) for p, v in values.items()}
+    locals_["abs"] = sympy.Abs
+    try:
+        expr = sympy.sympify(src, locals=locals_)
+    except (sympy.SympifyError, TypeError) as exc:
+        raise TheoryError(f"bad bound expression {src!r}: {exc}") from exc
+    expr = sympy.nsimplify(expr)
+    if not expr.is_Rational:
+        raise TheoryError(f"bound expression {src!r} is not rational")
+    value = Fraction(int(expr.p), int(expr.q))
+    if value < 0:
+        raise TheoryError(f"bound expression {src!r} is negative")
+    return value
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,6 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass, field
-from math import factorial
 from typing import Callable, NamedTuple
 
 
@@ -457,59 +456,3 @@ def _subst(t, plugs):
             binders = tuple(renamed)
         new.append(_subst(body, inner) if inner else body)
     return shape.rebuild(t, new, binders)
-
-
-# ---------------------------------------------------------------------------
-# Shuffles
-
-def is_shuffle(e: Context, parts) -> bool:
-    """True iff e interleaves the parts preserving each part's order."""
-    parts = [tuple(p) for p in parts]
-    seen = Counter()
-    for part in parts:
-        for name, _ in part:
-            seen[name] += 1
-    if any(c > 1 for c in seen.values()):
-        raise SyntaxError_("shuffle parts must be pairwise disjoint")
-    positions = [0] * len(parts)
-    for entry in e:
-        for i, part in enumerate(parts):
-            if positions[i] < len(part) and part[positions[i]] == entry:
-                positions[i] += 1
-                break
-        else:
-            return False
-    return all(positions[i] == len(parts[i]) for i in range(len(parts)))
-
-
-def enumerate_shuffles(parts):
-    """All interleavings of the parts, preserving each part's order."""
-    parts = [tuple(p) for p in parts]
-    seen = Counter()
-    for part in parts:
-        for name, _ in part:
-            seen[name] += 1
-    if any(c > 1 for c in seen.values()):
-        raise SyntaxError_("shuffle parts must be pairwise disjoint")
-
-    def go(positions):
-        if all(positions[i] == len(parts[i]) for i in range(len(parts))):
-            yield ()
-            return
-        for i in range(len(parts)):
-            if positions[i] < len(parts[i]):
-                entry = parts[i][positions[i]]
-                nxt = list(positions)
-                nxt[i] += 1
-                for rest in go(tuple(nxt)):
-                    yield (entry,) + rest
-
-    return [shuffle for shuffle in go(tuple([0] * len(parts)))]
-
-
-def shuffle_count(sizes) -> int:
-    total = sum(sizes)
-    out = factorial(total)
-    for s in sizes:
-        out //= factorial(s)
-    return out

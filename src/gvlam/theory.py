@@ -15,19 +15,22 @@ Operation families declare an infinite family of symbols indexed by
 natural-number name segments; the index parameters may also appear in
 grade position of the declared sorts.  Every axiom family is one
 AxiomTemplate: a context and two sides written over index parameters,
-and a bound computed from their values.  Builtins install the `wait`,
-`diaconis` and `gaussians` templates, whose bounds are exact fractions or
-need real arithmetic.  Generic `axiom` lines declare templates with
-rational bound expressions over the parameters (abs, +, -, *, /
-allowed), evaluated per instance.  Synthesis reads a template's
-parameters off a goal by position: where a parameter's segment sits in an
-operation name of a side, the goal's operation at the same place gives
-its value.
+and a bound computed from their values.  An `axiom` line's bound, and
+each parameter it derives after a `;` (`wait_sum[n, m; s = n + m]`), is
+an expression over integers and the line's parameters (+ - * /, unary
+minus, abs, sqrt), checked at load and evaluated exactly per instance.
+`builtin wait` is three such lines; `diaconis` and `gaussians` have side
+conditions and a closed-form label, so they are Python templates.
+Synthesis reads parameters off a goal by position: where a parameter's
+segment sits in an operation name, the goal's operation there gives it.
 """
 
 from __future__ import annotations
 
+import ast
 import itertools
+import math
+import operator
 import re
 from fractions import Fraction
 
@@ -85,20 +88,14 @@ class ParamOpFamily:
         self._pattern = (*base.split("_"), *((p,) for p in self.params))
         self._sorts = {}  # symbol name -> sort
 
-    def match(self, name: str) -> bool:
-        return self._values(name) is not None
-
-    def _values(self, name: str):
-        values = {}
-        return values if _read_name(self._pattern, name, values) else None
-
     def sort(self, name: str):
         if name not in self._sorts:  # sorts are immutable
-            values = self._values(name)
-            self._sorts[name] = None if values is None else (
+            values = {}
+            self._sorts[name] = (
                 tuple(parse_type(subst_tokens(src, values))
                       for src in self.arg_srcs),
-                parse_type(subst_tokens(self.result_src, values)))
+                parse_type(subst_tokens(self.result_src, values))
+            ) if _read_name(self._pattern, name, values) else None
         return self._sorts[name]
 
 
@@ -158,13 +155,15 @@ class AxiomTemplate(AxiomFamily):
 
     def candidates(self, theory, v, w):
         values = {}
-        if not (self._read(self.lhs, v, values)
-                and self._read(self.rhs, w, values)
-                and all(p in values for p in self.params)
-                and all(values.setdefault(p, f(values)) == f(values)
-                        for p, f in self.derived.items())):
-            return []
-        return [{p: values[p] for p in self.params}]
+        try:
+            fits = (self._read(self.lhs, v, values)
+                    and self._read(self.rhs, w, values)
+                    and all(p in values for p in self.params)
+                    and all(values.setdefault(p, f(values)) == f(values)
+                            for p, f in self.derived.items()))
+        except TheoryError:  # a derived value is not a natural number
+            fits = False
+        return [{p: values[p] for p in self.params}] if fits else []
 
     def _read(self, pat, term, values) -> bool:
         """Whether term may be an instance of pat: a variable of pat stands
@@ -178,9 +177,6 @@ class AxiomTemplate(AxiomFamily):
         kids, others = S.children(pat), S.children(term)
         return len(kids) == len(others) and all(
             self._read(a, b, values) for a, b in zip(kids, others))
-
-
-ZERO = Fraction(0)
 
 
 def _diaconis_bound(values):
@@ -204,18 +200,102 @@ def _gaussians_bound(values):
     return gaussian_phi(k, values["mu1"], s1, values["mu2"], s2)
 
 
+# ---------------------------------------------------------------------------
+# Axiom lines
+
+def _sqrt(x):
+    """The square root of x where it is rational."""
+    root = Fraction(math.isqrt(abs(x.numerator)), math.isqrt(x.denominator))
+    if root * root != x:  # also where x < 0
+        raise ArithmeticError
+    return root if type(x) is Fraction else root.numerator
+
+
+_OPS = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
+        ast.Div: Fraction, ast.USub: operator.neg, "abs": abs, "sqrt": _sqrt}
+
+
+def _compile(node, names):
+    """Compile an expression tree over integer literals, the names, + - * /,
+    unary minus, abs and sqrt (any other form is a TheoryError) into a
+    function of the parameter values; ArithmeticError if not rational."""
+    kind = type(node)
+    if kind is ast.Constant and type(node.value) is int:
+        return lambda values: node.value
+    if kind is ast.Name and node.id in names:
+        return operator.itemgetter(node.id)
+    op = kids = None
+    if kind is ast.BinOp:
+        op, kids = type(node.op), (node.left, node.right)
+    elif kind is ast.UnaryOp:
+        op, kids = type(node.op), (node.operand,)
+    elif kind is ast.Call and type(node.func) is ast.Name \
+            and len(node.args) == 1 and not node.keywords:
+        op, kids = node.func.id, node.args
+    if op not in _OPS:
+        raise TheoryError(f"{ast.unparse(node)!r} is not allowed")
+    fn, kids = _OPS[op], [_compile(kid, names) for kid in kids]
+    return lambda values: fn(*[kid(values) for kid in kids])
+
+
+def _expression(src, names, what, natural=False):
+    """The function of the parameter values that an axiom line's bound, or
+    a derived parameter (natural), computes; src is checked here, once."""
+    try:
+        value = _compile(ast.parse(src, mode="eval").body, set(names))
+    except (SyntaxError, ValueError) as exc:  # TheoryError is a ValueError
+        raise TheoryError(f"bad {what} {src!r}: "
+                          f"{getattr(exc, 'msg', exc)}") from None
+
+    def evaluate(values):
+        try:
+            result = Fraction(value(values))
+        except ArithmeticError:
+            raise TheoryError(f"{what} {src!r} is not rational") from None
+        if result < 0:
+            raise TheoryError(f"{what} {src!r} is negative")
+        if natural and result.denominator != 1:
+            raise TheoryError(f"{what} {src!r} is not a natural number")
+        return result.numerator if natural else result
+    return evaluate
+
+
+_AXIOM_RE = re.compile(
+    r"^(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
+    r"(?:\[(?P<params>[^\]]*)\])?\s*:\s*"
+    r"\[(?P<ctx>[^\]]*)\]\s*"
+    r"(?P<lhs>.*?)\s*=\[(?P<bound>[^\]]*)\]\s*"
+    r"(?P<rhs>.*)$")
+
+
+def _parse_axiom_line(rest: str) -> AxiomTemplate:
+    m = _AXIOM_RE.match(rest)
+    if not m:
+        raise TheoryError(f"bad axiom declaration {rest!r}")
+    params, _, defs = (m.group("params") or "").partition(";")
+    params = [p.strip() for p in params.split(",") if p.strip()]
+    if not all(map(is_identifier, params)) or len(set(params)) < len(params):
+        raise TheoryError(f"axiom parameters must be distinct identifiers, "
+                          f"got {params}")
+    derived = {}
+    for item in filter(str.strip, defs.split(",")):
+        name, eq, src = (part.strip() for part in item.partition("="))
+        if not eq or not is_identifier(name) or name in (*params, *derived):
+            raise TheoryError(f"bad derived parameter {item.strip()!r}")
+        derived[name] = _expression(src, params, f"derived parameter "
+                                    f"{name} =", natural=True)
+    return AxiomTemplate(m.group("name"), params, m.group("ctx").strip(),
+                         m.group("lhs").strip(), m.group("rhs").strip(),
+                         _expression(m.group("bound").strip(), params,
+                                     "bound expression"), derived)
+
+
 BUILTINS = {
-    # wait_n(x) and wait_m(x) agree up to the delay difference; composing
-    # delays equals the summed delay s = n + m, exactly.
-    "wait": (
-        AxiomTemplate("wait", ("n", "m"), "x : X", "wait_n(x)", "wait_m(x)",
-                      lambda v: Fraction(abs(v["n"] - v["m"]))),
-        AxiomTemplate("wait_zero", (), "x : X", "wait_0(x)", "x",
-                      lambda v: ZERO),
-        AxiomTemplate("wait_sum", ("n", "m"), "x : X", "wait_n(wait_m(x))",
-                      "wait_s(x)", lambda v: ZERO,
-                      derived={"s": lambda v: v["n"] + v["m"]}),
-    ),
+    "wait": tuple(map(_parse_axiom_line, (
+        "wait[n, m] : [x : X] wait_n(x) =[abs(n - m)] wait_m(x)",
+        "wait_zero : [x : X] wait_0(x) =[0] x",
+        "wait_sum[n, m; s = n + m] : [x : X] wait_n(wait_m(x)) =[0] wait_s(x)",
+    ))),
     # Urn sampling with and without replacement, at the 4k/(m+n) label.
     "diaconis": (
         AxiomTemplate("diaconis", ("k", "m", "n"), "",
@@ -232,43 +312,13 @@ BUILTINS = {
 }
 
 
-def _eval_bound(src: str, values: dict):
-    import sympy
-    locals_ = {p: sympy.Rational(v) for p, v in values.items()}
-    locals_["abs"] = sympy.Abs
-    try:
-        expr = sympy.sympify(src, locals=locals_)
-    except (sympy.SympifyError, TypeError) as exc:
-        raise TheoryError(f"bad bound expression {src!r}: {exc}") from exc
-    expr = sympy.nsimplify(expr)
-    if not expr.is_Rational:
-        raise TheoryError(f"bound expression {src!r} is not rational")
-    value = Fraction(int(expr.p), int(expr.q))
-    if value < 0:
-        raise TheoryError(f"bound expression {src!r} is negative")
-    return value
-
-
 # ---------------------------------------------------------------------------
 # Loading
 
-_AXIOM_RE = re.compile(
-    r"^(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
-    r"(?:\[(?P<params>[^\]]*)\])?\s*:\s*"
-    r"\[(?P<ctx>[^\]]*)\]\s*"
-    r"(?P<lhs>.*?)\s*=\[(?P<bound>[^\]]*)\]\s*"
-    r"(?P<rhs>.*)$")
-
-
 def load_theory_text(text: str, where: str = "<theory>") -> TheorySpec:
-    quantale = None
-    semiring = None
-    symmetric = False
-    grounds = set()
-    ops = []
-    families = []
-    builtins = []
-    axioms = []
+    sig = S.Signature(set())  # grounds frozen once the whole file is read
+    theory = TheorySpec(None, None, False, sig)
+    checks = []  # (line, what, types): types may name a later ground
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -278,68 +328,58 @@ def load_theory_text(text: str, where: str = "<theory>") -> TheorySpec:
         rest = rest.strip()
         try:
             if head == "quantale":
-                quantale = get_quantale(rest)
+                theory.quantale = get_quantale(rest)
             elif head == "semiring":
-                semiring = get_semiring(rest)
+                theory.semiring = get_semiring(rest)
             elif head == "symmetric":
                 if rest:
                     raise TheoryError("symmetric takes no argument")
-                symmetric = True
+                theory.symmetric = True
             elif head == "ground":
                 if not is_identifier(rest):
                     raise TheoryError(f"bad ground type name {rest!r}")
-                grounds.add(rest)
+                sig.grounds.add(rest)
             elif head == "op":
-                ops.append((lineno, *_parse_op_line(rest)))
+                name, arg_types, result = _parse_op_line(rest)
+                sig.declare(name, arg_types, result)
+                checks.append((lineno, f"operation {name}",
+                               (*arg_types, result)))
             elif head == "opfamily":
-                families.append((lineno, _parse_opfamily_line(rest)))
-            elif head == "builtin":
-                if rest not in BUILTINS:
+                fam = _parse_opfamily_line(rest)
+                sig.families.append(fam)
+                arg_types, result = fam.sort(fam.sample)
+                checks.append((lineno, f"operation family {fam.base}",
+                               (*arg_types, result)))
+            elif head in ("builtin", "axiom"):
+                if head == "builtin" and rest not in BUILTINS:
                     raise TheoryError(f"unknown builtin {rest!r}")
-                builtins.append(rest)
-            elif head == "axiom":
-                axioms.append((lineno, _parse_axiom_line(rest)))
+                for fam in BUILTINS[rest] if head == "builtin" else \
+                        [_parse_axiom_line(rest)]:
+                    theory.add_axiom(fam)
+                    checks.append((lineno, f"axiom {fam.name}",
+                                   [ty for _, ty in fam.context]))
             else:
                 raise TheoryError(f"unknown directive {head!r}")
-        except (TheoryError, ParseError, QuantaleError) as exc:
+        except (TheoryError, ParseError, QuantaleError,
+                S.SyntaxError_) as exc:
             raise TheoryError(f"{where}:{lineno}: {exc}") from exc
 
-    if quantale is None or semiring is None:
+    if theory.quantale is None or theory.semiring is None:
         raise TheoryError(f"{where}: theory must declare a quantale and a "
                           f"semiring")
-    sig = S.Signature(frozenset(grounds))
-    for lineno, name, arg_types, result in ops:
-        _check_grounds(sig, f"operation {name}", (*arg_types, result),
-                       f"{where}:{lineno}")
-        sig.declare(name, arg_types, result)
-    for lineno, fam in families:
-        arg_types, result = fam.sort(fam.sample)
-        _check_grounds(sig, f"operation family {fam.base}",
-                       (*arg_types, result), f"{where}:{lineno}")
-        sig.families.append(fam)
-    theory = TheorySpec(quantale, semiring, symmetric, sig)
-    for b in builtins:
-        for fam in BUILTINS[b]:
-            theory.add_axiom(fam)
-    for lineno, fam in axioms:
-        _check_grounds(sig, f"axiom {fam.name}",
-                       [ty for _, ty in fam.context], f"{where}:{lineno}")
-        theory.add_axiom(fam)
+    sig.grounds = frozenset(sig.grounds)
+    for lineno, what, types in checks:
+        for ty in types:
+            try:
+                check_grounds(sig, ty)
+            except TypeError_ as exc:
+                raise TheoryError(f"{where}:{lineno}: {what}: {exc}") from exc
     return theory
 
 
 def load_theory(path: str) -> TheorySpec:
     with open(path, encoding="utf-8") as fh:
         return load_theory_text(fh.read(), where=path)
-
-
-def _check_grounds(sig: S.Signature, what: str, types, where: str):
-    """Reject types that name a ground type the theory does not declare."""
-    for ty in types:
-        try:
-            check_grounds(sig, ty)
-        except TypeError_ as exc:
-            raise TheoryError(f"{where}: {what}: {exc}") from exc
 
 
 def _parse_op_line(rest: str):
@@ -375,18 +415,3 @@ def _parse_opfamily_line(rest: str):
     # Reject templates that do not even parse for a sample instantiation.
     fam.sort(fam.sample)
     return fam
-
-
-def _parse_axiom_line(rest: str) -> AxiomTemplate:
-    m = _AXIOM_RE.match(rest)
-    if not m:
-        raise TheoryError(f"bad axiom declaration {rest!r}")
-    params = [p.strip() for p in (m.group("params") or "").split(",")
-              if p.strip()]
-    if not all(map(is_identifier, params)) or len(set(params)) < len(params):
-        raise TheoryError(f"axiom parameters must be distinct identifiers, "
-                          f"got {params}")
-    bound = m.group("bound").strip()
-    return AxiomTemplate(m.group("name"), params, m.group("ctx").strip(),
-                         m.group("lhs").strip(), m.group("rhs").strip(),
-                         lambda values: _eval_bound(bound, values))

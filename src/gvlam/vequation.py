@@ -71,7 +71,7 @@ class TheorySpec:
 
     def add_axiom(self, family: AxiomFamily):
         if family.name in self.axioms:
-            raise ProofError(f"duplicate axiom name {family.name}")
+            raise TheoryError(f"duplicate axiom name {family.name}")
         self.axioms[family.name] = family
 
 

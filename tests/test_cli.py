@@ -315,6 +315,50 @@ def test_bad_axiom_line_is_a_located_load_error(capsys, tmp_path, line,
     assert err == f"gvlam: error: {theory}:{lineno}: {message}\n"
 
 
+@pytest.mark.parametrize("line, message", [
+    # sympy ran this bound as Python: the query created the file, printed
+    # 1 and exited 0.
+    ("axiom ev : [x : X] x =[__import__('pathlib').Path('EVALED').touch() "
+     "or 1] x",
+     "bad bound expression \"__import__('pathlib').Path('EVALED').touch() "
+     "or 1\": \"__import__('pathlib').Path('EVALED').touch() or 1\" is not "
+     "allowed"),
+    # This one ended in an AttributeError traceback (exit 1).
+    ("axiom lt[n, m] : [x : X] wait_n(x) =[n<m] wait_m(x)",
+     "bad bound expression 'n<m': 'n < m' is not allowed"),
+], ids=["python-call", "comparison"])
+def test_bound_expression_outside_the_grammar_fails_at_load(
+        capsys, tmp_path, monkeypatch, line, message):
+    monkeypatch.chdir(tmp_path)
+    theory, lineno = _timed_plus(tmp_path, line)
+    code, out, err = run(capsys, ["bound", theory, "wait_1(x)", "wait_2(x)",
+                                  "--context", "x : X"])
+    assert (code, out) == (65, "")
+    assert err == f"gvlam: error: {theory}:{lineno}: {message}\n"
+    assert not (tmp_path / "EVALED").exists()
+
+
+@pytest.mark.parametrize("lines, lineno, message", [
+    (["builtin wait"] * 2, 6, "duplicate axiom name wait"),
+    (["builtin wait", "axiom wait[n] : [x : X] wait_n(x) =[0] x"], 6,
+     "duplicate axiom name wait"),
+    (["axiom wait[n] : [x : X] wait_n(x) =[0] x", "builtin wait"], 6,
+     "duplicate axiom name wait"),
+    (["op f : X -> X", "op f : X -> X"], 6, "duplicate operation f"),
+], ids=["builtin-twice", "builtin-then-axiom", "axiom-then-builtin",
+        "op-twice"])
+def test_duplicate_declarations_name_their_line(capsys, tmp_path, lines,
+                                                lineno, message):
+    # A duplicate axiom exited 2 as a proof error, and a duplicate
+    # operation named no line.
+    thy = tmp_path / "dup.thy"
+    thy.write_text("\n".join(["quantale metric", "semiring nat", "ground X",
+                              "opfamily wait_<n> : X -> X", *lines]) + "\n")
+    assert run(capsys, ["check", str(thy), "wait_1(x)", "--context",
+                        "x : X"]) \
+        == (65, "", f"gvlam: error: {thy}:{lineno}: {message}\n")
+
+
 @pytest.mark.parametrize("line, skip", [
     ("axiom ad : [x : X] wait_1(x) =[0] unit",
      "skip ad[] (variable x unused by the term)"),
@@ -391,13 +435,6 @@ def test_oracle_tv(capsys):
     assert "MISMATCH" not in out
 
 
-def test_oracle_shuffles(capsys):
-    code, out, _ = run(capsys, ["oracle", "shuffles", "x : X", "y : X"])
-    assert code == 0
-    assert "primary:   2" in out
-    assert "MISMATCH" not in out
-
-
 def test_oracle_nonexpansive(capsys):
     code, out, _ = run(capsys, ["oracle", "nonexpansive", "2", "2"])
     assert code == 0
@@ -408,7 +445,7 @@ def test_oracle_nonexpansive(capsys):
 
 @pytest.mark.parametrize("argv, message", [
     (["tv", "x", "1", "1"], "argument k: invalid int value: 'x'"),
-    (["shuffles"], "the following arguments are required: parts"),
+    (["nonexpansive", "2"], "the following arguments are required: cod"),
     (["nonexpansive", "-1", "2"], "argument dom: must be at least 0, got -1"),
     (["nonexpansive", "2", "-1"], "argument cod: must be at least 0, got -1"),
     # These two exited 4, with "negative probability for (0, 1)" and

@@ -61,6 +61,17 @@ def test_rational_commands_leave_sympy_unloaded(argv, stdout):
     assert run_cli(*argv) == {"exit": 0, "stdout": stdout, "sympy": False}
 
 
+def test_declared_axiom_bound_leaves_sympy_unloaded(tmp_path):
+    theory = tmp_path / "tick.thy"
+    theory.write_text((DATA / "timed.thy").read_text()
+                      + "opfamily tick_<n> : X -> X\n"
+                      "axiom tickd[n,m] : [x : X] tick_n(x) =[abs(n-m)] "
+                      "tick_m(x)\n")
+    assert run_cli("bound", theory, "tick_1(x)", "tick_3(x)",
+                   "--context", "x : X") \
+        == {"exit": 0, "stdout": "2\n", "sympy": False}
+
+
 def test_symbolic_proof_loads_sympy():
     with open(TRANSCRIPT, encoding="utf-8") as fh:
         want = json.load(fh)["prove-walk"]

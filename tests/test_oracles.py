@@ -6,11 +6,9 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from gvlam.metmodel import GuardExceeded, enumerate_tables, timed_space
-from gvlam.oracles import (brute_interleavings, brute_tv,
-                           enumerate_nonexpansive)
+from gvlam.oracles import brute_tv, enumerate_nonexpansive
 from gvlam.probmodel import (FinDist, no_replace_sampler, replace_sampler,
                              tv_distance)
-from gvlam.syntax import Ground, enumerate_shuffles
 
 
 WEIGHTS = st.lists(st.integers(0, 5), min_size=1, max_size=5).filter(
@@ -89,12 +87,3 @@ def test_nonexpansive_guard(monkeypatch):
     monkeypatch.setenv("GVLAM_GUARD", "5")
     with pytest.raises(GuardExceeded):
         enumerate_nonexpansive(timed_space(2), timed_space(2))
-
-
-def test_brute_interleavings():
-    X = Ground("X")
-    parts = [(("a", X), ("b", X)), (("c", X),)]
-    out = brute_interleavings(parts)
-    assert sorted(out) == sorted(enumerate_shuffles(parts))
-    assert len(out) == 3
-    assert brute_interleavings([()]) == [()]

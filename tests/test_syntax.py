@@ -2,11 +2,8 @@ import dataclasses
 import random
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from gvlam import syntax as S
-from gvlam.oracles import brute_interleavings
 from gvlam.parser import (ParseError, parse_context, parse_term, parse_type,
                           print_context, print_term, print_type)
 from gvlam.quantale import INF
@@ -292,41 +289,3 @@ def test_rebuild_from_own_entry_gives_an_equal_term():
 def test_fresh_name():
     assert S.fresh_name("x", {"y"}) == "x"
     assert S.fresh_name("x", {"x", "x1"}) == "x2"
-
-
-PARTS = st.lists(
-    st.lists(st.integers(0, 50), min_size=0, max_size=3),
-    min_size=1, max_size=3)
-
-
-@given(PARTS)
-def test_shuffles_match_oracle(raw):
-    seen = set()
-    parts = []
-    for i, part in enumerate(raw):
-        entries = []
-        for j, _ in enumerate(part):
-            name = f"v{i}_{j}"
-            seen.add(name)
-            entries.append((name, support.X))
-        parts.append(tuple(entries))
-    primary = S.enumerate_shuffles(parts)
-    reference = brute_interleavings(parts)
-    assert sorted(primary) == sorted(reference)
-    assert len(primary) == S.shuffle_count([len(p) for p in parts])
-    for shuffle in primary:
-        assert S.is_shuffle(shuffle, parts)
-
-
-def test_is_shuffle_rejects_wrong_order():
-    a = (("x", support.X), ("y", support.X))
-    assert S.is_shuffle(a, [a])
-    assert not S.is_shuffle((a[1], a[0]), [a])
-    with pytest.raises(S.SyntaxError_):
-        S.is_shuffle(a, [a, a])
-
-
-def test_shuffle_count():
-    assert S.shuffle_count([2, 2]) == 6
-    assert S.shuffle_count([3]) == 1
-    assert S.shuffle_count([]) == 1

@@ -1,15 +1,22 @@
+import ast
+import itertools
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gvlam
+from gvlam.oracles import reference_eval_bound
 from gvlam.parser import parse_context, parse_term
 from gvlam.quantale import SymbolicBound
-from gvlam.theory import (ParamOpFamily, TheoryError, load_theory,
-                          load_theory_text, subst_tokens)
+from gvlam.theory import (AxiomTemplate, ParamOpFamily, TheoryError,
+                          _expression, load_theory, load_theory_text,
+                          subst_tokens)
 from gvlam.vequation import ProofError, axiom_instantiate
 
 DATA = Path(gvlam.__file__).parent / "data"
@@ -55,10 +62,9 @@ def test_subst_tokens():
 
 def test_param_op_family():
     fam = ParamOpFamily("wait", ("n",), ("X",), "X")
-    assert fam.match("wait_7")
-    assert not fam.match("wait")
-    assert not fam.match("wait_x")
-    assert not fam.match("wait_1_2")
+    assert fam.sort("wait_7") is not None
+    for name in ("wait", "wait_x", "wait_1_2"):
+        assert fam.sort(name) is None
     args, result = fam.sort("wait_7")
     assert args == (result,)
     fam2 = ParamOpFamily("iid_normal", ("k",), ("real", "real"), "!k real")
@@ -300,3 +306,124 @@ def test_axiom_template_parses_grade_positions_at_load():
     assert inst.bound == Fraction(3)
     # n sits in no operation name, so synthesis cannot read it.
     assert th.axioms["gs"].candidates(th, inst.lhs, inst.rhs) == []
+
+
+# The wait builtin as three Python templates, before it became three
+# axiom lines.
+WAIT_TEMPLATES = (
+    AxiomTemplate("wait", ("n", "m"), "x : X", "wait_n(x)", "wait_m(x)",
+                  lambda v: Fraction(abs(v["n"] - v["m"]))),
+    AxiomTemplate("wait_zero", (), "x : X", "wait_0(x)", "x",
+                  lambda v: Fraction(0)),
+    AxiomTemplate("wait_sum", ("n", "m"), "x : X", "wait_n(wait_m(x))",
+                  "wait_s(x)", lambda v: Fraction(0),
+                  derived={"s": lambda v: v["n"] + v["m"]}),
+)
+
+
+@pytest.mark.parametrize("template", WAIT_TEMPLATES, ids=lambda t: t.name)
+def test_wait_lines_instantiate_as_the_templates_did(template):
+    family = TIMED.axioms[template.name]
+    for n, m in itertools.product(range(9), repeat=2):
+        params = dict(zip(template.params, (n, m)))
+        old = template.instantiate(TIMED, params)
+        new = axiom_instantiate(TIMED, template.name, params)
+        assert new == old and type(new.bound) is type(old.bound)
+        assert family.candidates(TIMED, new.lhs, new.rhs) == [params] \
+            == template.candidates(TIMED, old.lhs, old.rhs)
+
+
+def _line(line):
+    return load_theory_text("quantale metric\nsemiring nat\nground X\n"
+                            "opfamily t_<n> : X -> X\n" + line, "t")
+
+
+def test_derived_parameters():
+    th = _line("axiom d[n, m; k = n - m, h = n / 2] : [x : X] "
+               "t_n(t_m(x)) =[m / 2] t_k(t_h(x))")
+    inst = axiom_instantiate(th, "d", {"n": 4, "m": 1})
+    assert inst.lhs == parse_term("t_4(t_1(x))")
+    assert inst.rhs == parse_term("t_3(t_2(x))")
+    assert inst.bound == Fraction(1, 2)
+    fam = th.axioms["d"]
+    assert fam.candidates(th, inst.lhs, inst.rhs) == [{"n": 4, "m": 1}]
+    with pytest.raises(ProofError) as info:
+        axiom_instantiate(th, "d", {"n": 1, "m": 4})
+    assert str(info.value) == ("axiom d :m 4 :n 1: derived parameter k = "
+                               "'n - m' is negative")
+    with pytest.raises(ProofError) as info:
+        axiom_instantiate(th, "d", {"n": 3, "m": 1})
+    assert str(info.value) == ("axiom d :m 1 :n 3: derived parameter h = "
+                               "'n / 2' is not a natural number")
+    # A goal whose derived value is not a natural number has no candidate.
+    for lhs, rhs in [("t_1(t_4(x))", "t_0(t_0(x))"),
+                     ("t_3(t_1(x))", "t_2(t_1(x))")]:
+        assert fam.candidates(th, parse_term(lhs), parse_term(rhs)) == []
+
+
+@pytest.mark.parametrize("bound", [
+    "0.5", "n^2", "n**2", "max(n,m)", "Abs(n)", "n < m", "k", "+n",
+    "abs(n, m)", "sqrt(x=n)", "n if m else 1", "True", "(n",
+])
+def test_bound_expression_outside_the_grammar_fails_at_load(bound):
+    with pytest.raises(TheoryError,
+                       match=r"^t:5: bad bound expression "):
+        _line(f"axiom a[n, m] : [x : X] t_n(x) =[{bound}] t_m(x)")
+
+
+@pytest.mark.parametrize("params, message", [
+    ("n; s", "bad derived parameter 's'"),
+    ("n; n = 1", "bad derived parameter 'n = 1'"),
+    ("n; s = n, s = 1", "bad derived parameter 's = 1'"),
+    ("n; 2 = n", "bad derived parameter '2 = n'"),
+    ("n; s = m", "bad derived parameter s = 'm': 'm' is not allowed"),
+])
+def test_bad_derived_parameter_fails_at_load(params, message):
+    with pytest.raises(TheoryError) as info:
+        _line(f"axiom a[{params}] : [x : X] t_n(x) =[0] x")
+    assert str(info.value) == f"t:5: {message}"
+
+
+LEAVES = st.one_of(st.integers(0, 12).map(str), st.sampled_from("nm"))
+
+
+def _grow(inner):
+    binary = st.tuples(inner, st.sampled_from("+-*/"), inner, st.booleans())
+    return st.one_of(
+        binary.map(lambda t: ("({} {} {})" if t[3] else "{} {} {}")
+                   .format(*t[:3])),
+        inner.map(lambda e: f"-{e}"),
+        st.tuples(st.sampled_from(["abs", "sqrt"]), inner)
+        .map(lambda t: f"{t[0]}({t[1]})"))
+
+
+def _outcome(evaluate, src, values):
+    try:
+        return evaluate(src, values)
+    except TheoryError as exc:
+        return str(exc)
+
+
+def _is_rational_square(value):
+    return isinstance(value, Fraction) and value >= 0 and all(
+        math.isqrt(k) ** 2 == k for k in (value.numerator, value.denominator))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.recursive(LEAVES, _grow, max_leaves=6), st.integers(0, 9),
+       st.integers(0, 9))
+def test_bound_evaluator_matches_sympy(src, n, m):
+    values = {"n": n, "m": m}
+    got = _outcome(lambda s, v: _expression(s, "nm", "bound expression")(v),
+                   src, values)
+    want = _outcome(reference_eval_bound, src, values)
+    if got != want:
+        # The one difference: every subterm must be rational, while sympy
+        # may cancel an irrational or imaginary root (sqrt(2) * sqrt(2)).
+        assert got == f"bound expression {src!r} is not rational"
+        roots = [ast.unparse(node.args[0])
+                 for node in ast.walk(ast.parse(src, mode="eval"))
+                 if type(node) is ast.Call and node.func.id == "sqrt"]
+        assert not all(_is_rational_square(_outcome(reference_eval_bound,
+                                                     root, values))
+                       for root in roots)
