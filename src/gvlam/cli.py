@@ -33,9 +33,8 @@ from .parser import ParseError, parse_context, parse_term, print_type
 from .probmodel import (ProbError, diaconis_sweep, gaussian_phi,
                         gaussian_tv_numeric, no_replace_sampler,
                         replace_sampler, tv_distance)
-from .proofscript import ScriptError, load_proof, parse_proof
-from .quantale import (INF, QuantaleError, SymbolicBound, num_cmp,
-                       value_repr)
+from .proofscript import ScriptError, load_proof
+from .quantale import QuantaleError, SymbolicBound, value_repr
 from .rewrite import MatchError
 from .syntax import SyntaxError_
 from .theory import TheoryError, load_theory
@@ -211,7 +210,7 @@ def _axiom_param_grid(name, family, max_index):
 def cmd_model_verify_axioms(args) -> int:
     theory = load_theory(args.theory)
     model = _build_model(theory, args.model)
-    failures = 0
+    checked = failures = 0
     for name in sorted(theory.axioms):
         family = theory.axioms[name]
         grid = _axiom_param_grid(name, family, args.max)
@@ -229,8 +228,11 @@ def cmd_model_verify_axioms(args) -> int:
                 continue
             status = "ok" if ok else "FAIL"
             print(f"{status:4s} {name}[{label}]")
+            checked += 1
             if not ok:
                 failures += 1
+    print(f"instances checked: {checked}"
+          + ("" if checked else " (nothing was verified)"))
     print(f"failures: {failures}")
     return EXIT_MODEL if failures else EXIT_OK
 

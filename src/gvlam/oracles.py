@@ -2,16 +2,18 @@
 
 Nothing here shares the strategy of the primary implementations:
 enumeration is by unpruned generate-and-filter, an axiom line's bound
-expression is read by sympy, the total variation is the excess mass of
-one distribution on the event where it exceeds the other, the urn distance
-enumerates both samplers' draw sequences, the Gaussian label leaves its
-radicand's sign to sympy, proofs are validated by typechecking both
-sides of every node from scratch, normalisation scans every position
-from the root and re-types every step from scratch, and model
-interpretation builds a fresh space at every use of a type, tabulates
-every lambda, walks the derivation at every point and checks every pair
-of points, with distances computed as Fractions by recursion over each
-space's structure rather than in metmodel's integer units.
+expression is read by sympy, axiom instances are parsed from their
+source text with the parameter values substituted, the total variation
+is the excess mass of one distribution on the event where it exceeds
+the other, the urn distance enumerates both samplers' draw sequences,
+the Gaussian label leaves its radicand's sign to sympy, proofs are
+validated by typechecking both sides of every node from scratch,
+normalisation scans every position from the root and re-types every
+step from scratch, and model interpretation builds a fresh space at
+every use of a type, tabulates every lambda, walks the derivation at
+every point and checks every pair of points, with distances computed as
+Fractions by recursion over each space's structure rather than in
+metmodel's integer units.
 """
 
 from __future__ import annotations
@@ -23,17 +25,18 @@ from . import syntax as S
 from .metmodel import (ExplicitSpace, FinMetSpace, FuncSpace, GuardExceeded,
                        MetMap, ModelAssignment, ModelError, OnePointSpace,
                        ProductSpace, ScaledSpace, TimedSpace, guard_limit)
-from .parser import print_type
+from .parser import parse_context, parse_term, print_type
 from .probmodel import (FinDist, ProbError, no_replace_sampler,
                         replace_sampler, tv_distance)
 from .quantale import (NatSemiring, Semiring, SymbolicBound, num_cmp,
                        scalar_mul, value_repr)
 from .rewrite import (_ROWS, ORIENTED, EngineError, MatchError, RewriteStep,
                       all_positions, get_subterm, rewrite_term, term_size)
+from .theory import _int_param, subst_tokens
 from .typecheck import Derivation, _check_variable_use, _infer, check_grounds
-from .vequation import (ProofError, TheoryError, TheorySpec, VEquation,
-                        VProof, _bang_grade, _concat_contexts, _tensor_all,
-                        axiom_instantiate, check_arity)
+from .vequation import (AxiomInstance, ProofError, TheoryError, TheorySpec,
+                        VEquation, VProof, _bang_grade, _concat_contexts,
+                        _tensor_all, axiom_instantiate, check_arity)
 
 
 def reference_dist(space: FinMetSpace, a, b) -> Fraction:
@@ -136,6 +139,19 @@ def reference_eval_bound(src: str, values: dict):
     if value < 0:
         raise TheoryError(f"bound expression {src!r} is negative")
     return value
+
+
+def reference_instantiate(family, theory: TheorySpec,
+                          params: dict) -> AxiomInstance:
+    """`theory.AxiomTemplate.instantiate` by substituting the parameter
+    values into the template's source text and parsing it, as every
+    instance was built before the template renamed its parsed sides."""
+    values = {p: _int_param(params, p) for p in family.params}
+    bound = family.bound(values)
+    values.update((p, f(values)) for p, f in family.derived.items())
+    ctx, lhs, rhs = (subst_tokens(src, values) for src in family.srcs)
+    return AxiomInstance(family.name, parse_context(ctx), parse_term(lhs),
+                         parse_term(rhs), bound)
 
 
 # ---------------------------------------------------------------------------

@@ -75,6 +75,59 @@ def _read_name(pattern: tuple, name: str, values: dict) -> bool:
     return True
 
 
+class _Renaming:
+    """Values for a template's marker digits, read back in a parsed tree:
+    in every "_"-separated segment of a name (operations, variables,
+    binders, ground types) and in every grade, as substituting the values
+    into the source text and parsing it would give them."""
+
+    def __init__(self, marks: dict, values: dict):
+        self.segments = {mark: str(values[p]) for p, mark in marks.items()}
+        self.grades = {int(mark): values[p] for p, mark in marks.items()}
+
+    def name(self, name: str) -> str:
+        return "_".join(self.segments.get(seg, seg)
+                        for seg in name.split("_"))
+
+    def grade(self, g):
+        return self.grades.get(g, g) if type(g) is int else g
+
+    def type(self, ty):
+        match ty:
+            case S.Ground(name):
+                return S.Ground(self.name(name))
+            case S.BangType(g, body):
+                return S.BangType(self.grade(g), self.type(body))
+            case S.TensorType(a, b) | S.LolliType(a, b):
+                return type(ty)(self.type(a), self.type(b))
+        return ty
+
+    def context(self, ctx):
+        return S.check_context(
+            tuple((self.name(x), self.type(ty)) for x, ty in ctx))
+
+    def term(self, t):
+        shape = S.SHAPES[type(t)]
+        kids, binders = shape.parts(t)
+        kids = [self.term(k) for k in kids]
+        binders = tuple(map(self.name, binders))
+        match t:
+            case S.Var(name):
+                return S.Var(self.name(name))
+            case S.OpApp(op, _):
+                return S.OpApp(self.name(op), tuple(kids))
+            case S.Lambda(_, ty, _):
+                return S.Lambda(binders[0], self.type(ty), kids[0])
+            case S.Promote(r, grades, _, _, _):
+                grades = tuple(map(self.grade, grades))
+                return S.Promote(self.grade(r), grades, tuple(kids[:-1]),
+                                 binders, kids[-1])
+            case S.Copy(n, m, _, _, _, _):
+                return S.Copy(self.grade(n), self.grade(m), kids[0],
+                              *binders, kids[1])
+        return shape.rebuild(t, kids, binders)
+
+
 class ParamOpFamily:
     """Operation family whose symbols carry numeric name segments that may
     also occur in grade position of the sort."""
@@ -117,13 +170,14 @@ class AxiomTemplate(AxiomFamily):
     """An axiom scheme: a context and two sides written over natural-number
     parameters, and a function from the parameters' values to the bound.
 
-    An instance substitutes the values into the source text (subst_tokens)
-    and parses it.  The source is also parsed once, with each parameter
-    replaced by a digit string found nowhere in it, so that every place a
-    value can take parses; candidates walks these sides against a goal and
-    reads a parameter wherever its segment sits in an operation name.  A
-    derived parameter is computed from the others and must agree with
-    what the goal shows.
+    The source is parsed once, with each parameter replaced by a digit
+    string found nowhere in it, so that every place a value can take
+    parses.  An instance renames those markers in the parsed context and
+    sides to the values (no text is substituted or parsed per instance;
+    oracles.reference_instantiate does that); candidates walks the sides
+    against a goal and reads a parameter wherever its segment sits in an
+    operation name.  A derived parameter is computed from the others and
+    must agree with what the goal shows.
     """
 
     def __init__(self, name, params, ctx_src, lhs_src, rhs_src, bound,
@@ -135,7 +189,7 @@ class AxiomTemplate(AxiomFamily):
         self.derived = dict(derived)
         text = " ".join(self.srcs)
         marks = (str(i) for i in itertools.count(10) if str(i) not in text)
-        held = dict(zip((*self.params, *self.derived), marks))
+        self._marks = held = dict(zip((*self.params, *self.derived), marks))
         self.context = parse_context(subst_tokens(ctx_src, held))
         self.lhs = parse_term(subst_tokens(lhs_src, held))
         self.rhs = parse_term(subst_tokens(rhs_src, held))
@@ -149,9 +203,9 @@ class AxiomTemplate(AxiomFamily):
         values = {p: _int_param(params, p) for p in self.params}
         bound = self.bound(values)
         values.update((p, f(values)) for p, f in self.derived.items())
-        ctx, lhs, rhs = (subst_tokens(src, values) for src in self.srcs)
-        return AxiomInstance(self.name, parse_context(ctx), parse_term(lhs),
-                             parse_term(rhs), bound)
+        r = _Renaming(self._marks, values)
+        return AxiomInstance(self.name, r.context(self.context),
+                             r.term(self.lhs), r.term(self.rhs), bound)
 
     def candidates(self, theory, v, w):
         values = {}

@@ -181,8 +181,10 @@ def check_arity(p: VProof):
         raise ProofError(f"{p.kind} takes {most} premise{s}, got {n}")
 
 
-def axiom_instantiate(theory: TheorySpec, name: str,
-                      params: dict) -> AxiomInstance:
+def axiom_instantiate(theory: TheorySpec, name: str, params: dict,
+                      memo: dict = None) -> AxiomInstance:
+    """The instance of an axiom family at params, both sides typed in
+    memo (as typecheck.infer reads it)."""
     try:
         family = theory.axioms[name]
     except KeyError:
@@ -195,8 +197,9 @@ def axiom_instantiate(theory: TheorySpec, name: str,
     if not theory.quantale.in_basis(inst.bound):
         raise ProofError(f"axiom {name} bound is not a basis element")
     # Both sides must typecheck with the same judgement.
-    dl = infer(theory.signature, inst.context, inst.lhs, theory.semiring)
-    dr = infer(theory.signature, inst.context, inst.rhs, theory.semiring)
+    sig, sr = theory.signature, theory.semiring
+    dl = infer(sig, inst.context, inst.lhs, sr, memo)
+    dr = infer(sig, inst.context, inst.rhs, sr, memo)
     if dl.conclusion.type != dr.conclusion.type:
         raise ProofError(f"axiom {name} sides have different types")
     return inst
@@ -205,7 +208,8 @@ def axiom_instantiate(theory: TheorySpec, name: str,
 # ---------------------------------------------------------------------------
 # Validation
 
-def validate(theory: TheorySpec, proof: VProof) -> VEquation:
+def validate(theory: TheorySpec, proof: VProof,
+             tables: tuple = None) -> VEquation:
     """Check a proof and return the equation-in-context it proves.
 
     Leaves infer the types of their two sides; a congruence infers the
@@ -214,10 +218,16 @@ def validate(theory: TheorySpec, proof: VProof) -> VEquation:
     the end.  All these inferences share one typing memo, so a side whose
     subterms were typed before, as the premises' sides of a congruence and
     consecutive terms of a rewrite chain are, is typed only where it is
-    new.
+    new; each axiom instance is built once, its sides typed in the memo.
+
+    tables is the (typing memo, axiom instances) pair of the search that
+    built the proof (synthesize passes its own), so that validation
+    neither types a node again nor rebuilds an instance; by default both
+    tables are fresh.  An instance entry that is None, a failed
+    instantiation, is instantiated again so that its error is raised.
     """
-    memo = {}
-    eq, ty = _validate(theory, proof, memo)
+    memo, instances = ({}, {}) if tables is None else tables
+    eq, ty = _validate(theory, proof, memo, instances)
     root_ty = _typecheck_eq(theory, eq.context, eq.lhs, eq.rhs, proof.kind,
                             memo)
     if root_ty != ty:
@@ -243,11 +253,11 @@ def _typecheck_eq(theory, ctx, lhs, rhs, where, memo):
     return tl
 
 
-def _validate(theory: TheorySpec, p: VProof, memo: dict):
+def _validate(theory: TheorySpec, p: VProof, memo: dict, instances: dict):
     """The proved equation and the type of its sides, bottom-up."""
     q = theory.quantale
     check_arity(p)
-    sub = [_validate(theory, pr, memo) for pr in p.premises]
+    sub = [_validate(theory, pr, memo, instances) for pr in p.premises]
     eqs = [eq for eq, _ in sub]
     types = [ty for _, ty in sub]
     info = p.info
@@ -325,8 +335,10 @@ def _validate(theory: TheorySpec, p: VProof, memo: dict):
             return out(new_ctx, a.lhs, a.rhs, a.bound, types[0])
 
         case "axiom":
-            inst = axiom_instantiate(theory, info["name"],
-                                     info.get("params", {}))
+            name, params = info["name"], info.get("params", {})
+            key = (name, tuple(sorted(params.items())))
+            inst = instances[key] = instances.get(key) or axiom_instantiate(
+                theory, name, params, memo)
             ctx, lhs, rhs = inst.context, inst.lhs, inst.rhs
             for old, new in info.get("rename", {}).items():
                 names = [x for x, _ in ctx]
@@ -462,13 +474,14 @@ def synthesize(theory: TheorySpec, ctx: S.Context, v: S.Term, w: S.Term,
     dw = infer(sig, ctx, w, sr, memo)
     if dv.conclusion.type != dw.conclusion.type:
         raise ProofError("the terms have different types")
-    # Axiom instances by (name, sorted params), failures included; only the
-    # search reads them, and validate instantiates every axiom again.
-    instances = {}
+    # Axiom instances by (name, sorted params), failures included (None).
+    # validate reads both tables, so it types no node and builds no
+    # instance the search already has.
+    tables = (memo, {})
     try:
-        proof, pctx = _synth(theory, dv, w, instances)
+        proof, pctx = _synth(theory, dv, w, tables)
         proof = _to_ctx(proof, pctx, tuple(ctx))
-        return validate(theory, proof), proof
+        return validate(theory, proof, tables), proof
     except SynthesisFailure:
         if not normalize_first:
             raise
@@ -476,7 +489,7 @@ def synthesize(theory: TheorySpec, ctx: S.Context, v: S.Term, w: S.Term,
     # each step is a schema leaf on the term it rewrote.
     dnv, steps_v, _ = beta_normalize(sig, dv, semiring=sr, memo=memo)
     dnw, steps_w, _ = beta_normalize(sig, dw, semiring=sr, memo=memo)
-    proof, pctx = _synth(theory, dnv, dnw.conclusion.term, instances)
+    proof, pctx = _synth(theory, dnv, dnw.conclusion.term, tables)
     proof = _to_ctx(proof, pctx, tuple(ctx))
 
     def schema(term, step, flip):
@@ -486,7 +499,7 @@ def synthesize(theory: TheorySpec, ctx: S.Context, v: S.Term, w: S.Term,
     forward = [schema(term, step, False) for term, step in steps_v]
     back = [schema(term, step, True) for term, step in steps_w]
     full = functools.reduce(_trans, [*forward, proof, *reversed(back)])
-    return validate(theory, full), full
+    return validate(theory, full, tables), full
 
 
 def _trans(a, b):
@@ -503,7 +516,7 @@ def _restrict(ctx: S.Context, names) -> S.Context:
     return tuple(e for e in ctx if e[0] in names)
 
 
-def _synth(theory: TheorySpec, d: Derivation, w: S.Term, instances: dict):
+def _synth(theory: TheorySpec, d: Derivation, w: S.Term, tables: tuple):
     """Core recursion on the derivation d of the left side; returns
     (proof, context-of-proof)."""
     ctx, v = d.conclusion.context, d.conclusion.term
@@ -511,7 +524,7 @@ def _synth(theory: TheorySpec, d: Derivation, w: S.Term, instances: dict):
     if S.alpha_eq(v, w):
         return VProof("refl", (), {"ctx": ctx, "term": v}), ctx
 
-    ax = _try_axioms(theory, ctx, v, w, instances)
+    ax = _try_axioms(theory, ctx, v, w, tables)
     if ax is not None:
         return ax
 
@@ -535,7 +548,7 @@ def _synth(theory: TheorySpec, d: Derivation, w: S.Term, instances: dict):
         kids = kids[:-1] + (_rename2(kids[-1], binders, names),)
     premises = []
     for dp, kid in zip(d.premises, kids):
-        proof, pctx = _synth(theory, dp, kid, instances)
+        proof, pctx = _synth(theory, dp, kid, tables)
         premises.append(_to_ctx(proof, pctx, dp.conclusion.context))
     info = {key: getattr(v, attr) for key, attr in cong.info}
     return VProof(cong.kind, tuple(premises), info), sum(d.splits, ())
@@ -552,14 +565,16 @@ def _rename2(term, old_names, new_names):
 
 
 def _try_axioms(theory: TheorySpec, ctx: S.Context, v: S.Term, w: S.Term,
-                instances: dict):
+                tables: tuple):
+    memo, instances = tables
     for name in sorted(theory.axioms):
         family = theory.axioms[name]
         for params in family.candidates(theory, v, w):
             key = (name, tuple(sorted(params.items())))
             if key not in instances:
                 try:
-                    instances[key] = axiom_instantiate(theory, name, params)
+                    instances[key] = axiom_instantiate(theory, name, params,
+                                                       memo)
                 except (ProofError, TypeError_):  # no instance, or ill-typed
                     instances[key] = None
             inst = instances[key]

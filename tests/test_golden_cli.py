@@ -5,7 +5,8 @@ The reports of `gvlam` must not change when the implementation does, so
 these commands cover binder renaming in typing and in beta steps, proof
 errors from context terms that do not decompose, synthesis failures,
 model queries, the comonad-law audit, the exact urn distances of
-`prob-sweep` and the Gaussian labels of `gaussian-grid`.  After a
+`prob-sweep`, the Gaussian labels of `gaussian-grid` and the summary of
+a `verify-axioms` that checks no instance.  After a
 deliberate change of output, rewrite the transcript with
 
     PYTHONPATH=src python tests/test_golden_cli.py
@@ -79,6 +80,8 @@ COMMANDS = {
         "--context", "p : X * X", "--model", "timed(2)"],
     "model-prob-sweep": ["model", "prob-sweep", "--max", "8"],
     "model-gaussian-grid": ["model", "gaussian-grid"],
+    "model-verify-axioms-prob": [
+        "model", "verify-axioms", "{data}/prob.thy"],
     "model-verify-laws-verbose": [
         "model", "verify-laws", "--verbose", "--grades", "0..3",
         "--max-space", "4"],

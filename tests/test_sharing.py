@@ -8,10 +8,10 @@ from pathlib import Path
 import pytest
 
 import gvlam
-from gvlam import oracles, proofscript, typecheck
+from gvlam import oracles, typecheck, vequation
 from gvlam import syntax as S
 from gvlam.proofscript import load_proof, parse_proof
-from gvlam.theory import load_theory
+from gvlam.theory import AxiomTemplate, load_theory
 from gvlam.vequation import ProofError, validate
 
 import support
@@ -159,3 +159,51 @@ def test_validate_types_each_node_once(monkeypatch):
     # 715 typings against 1,843 on an unshared parse (validate alone
     # makes 711 and 1,839; the oracle instantiates the axiom once more).
     assert 2 * len(typed) < len(typings(monkeypatch, unshared(SCRIPT_24)))
+
+
+def test_synthesis_shares_its_tables_with_validate(monkeypatch):
+    """One bound --normalize-first on a 12-deep nest: each distinct axiom
+    instance is built once, and validate, on the search's tables, types
+    no (node, context) pair that the search typed, counted as above."""
+    ks = [0] * 12
+    ks[3] = ks[8] = 1
+    ks2 = list(ks)
+    ks2[5] = 2
+    typed = {"search": [], "validate": []}
+    phase, held, made = ["search"], [], []
+    infer_node, instantiate = typecheck._infer, AxiomTemplate.instantiate
+    suite_validate = vequation.validate  # runs the suite's cross-check
+
+    # What the cross-check does (the oracle, validate again on fresh
+    # tables) is not counted.
+    def counted(sig, semiring, ctx, term, path, table):
+        d = table.get(id(term))
+        if not support.cross_checking and \
+                (d is None or d.conclusion.context != ctx):
+            typed[phase[-1]].append((id(term), ctx))
+            held.append(term)  # keeps ids unique while counting
+        return infer_node(sig, semiring, ctx, term, path, table)
+
+    def checked(theory, proof, tables=None):
+        phase.append("validate")
+        try:
+            return suite_validate(theory, proof, tables)
+        finally:
+            phase.pop()
+
+    def built(family, theory, params):
+        if not support.cross_checking:
+            made.append((family.name, tuple(sorted(params.items()))))
+        return instantiate(family, theory, params)
+
+    monkeypatch.setattr(typecheck, "_infer", counted)
+    monkeypatch.setattr(vequation, "validate", checked)
+    monkeypatch.setattr(AxiomTemplate, "instantiate", built)
+    eq, _ = vequation.synthesize(TIMED, (("y", support.X),),
+                                 support.beta_nest(ks),
+                                 support.wait_chain(ks2),
+                                 normalize_first=True)
+    assert eq.bound == 2
+    assert made and len(made) == len(set(made))
+    assert typed["search"] and typed["validate"]
+    assert not set(typed["validate"]) & set(typed["search"])

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gvlam
-from gvlam.oracles import reference_eval_bound
+from gvlam.oracles import reference_eval_bound, reference_instantiate
 from gvlam.parser import parse_context, parse_term
 from gvlam.quantale import SymbolicBound
 from gvlam.theory import (AxiomTemplate, ParamOpFamily, TheoryError,
@@ -427,3 +427,81 @@ def test_bound_evaluator_matches_sympy(src, n, m):
         assert not all(_is_rational_square(_outcome(reference_eval_bound,
                                                      root, values))
                        for root in roots)
+
+
+# Every axiom family above, with the builtins: the
+# three wait lines and the two Python templates are in TIMED and PROB.
+INLINE = load_theory_text("""
+quantale metric
+semiring nat
+ground X
+ground Y
+op f : Y -> Y
+opfamily t_<n> : X -> X
+opfamily wait_<n> : X -> X
+opfamily g_<n>_<m> : !n X, X -> !m (X * X)
+axiom idle : [y : Y] f(y) =[3/2] y
+axiom neg : [x : X] x =[-1] x
+axiom root[n] : [x : X] x =[sqrt(n)] x
+axiom bad[n] : [x : X] wait_n(x) =[n - 5] x
+axiom gs[n] : [x : !n X] promote[1; n](x; y => y) =[n] \
+promote[1; n](x; y => y)
+axiom d[n, m; k = n - m, h = n / 2] : [x : X] t_n(t_m(x)) =[m / 2] \
+t_k(t_h(x))
+axiom lam[n, m] : [x : X] (fn z : !n X => t_m(x)) =[n] \
+(fn z : !n X => t_m(x))
+axiom cp[n, m; s = n + m] : [x : !s X] \
+copy[n, m] x as a, b in discard a in derelict b =[0] \
+copy[n, m] x as a, b in discard a in derelict b
+""", "inline.thy")
+FAMILIES = [(th, fam) for th in (TIMED, PROB, TICK, INLINE)
+            for fam in th.axioms.values()] + [
+                (TIMED, fam) for fam in WAIT_TEMPLATES]
+
+
+def _instance_or_error(instantiate, theory, family, params):
+    try:
+        return instantiate(family, theory, params)
+    except Exception as exc:
+        return type(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(FAMILIES), st.data())
+def test_instantiate_matches_text_substitution(pair, data):
+    """Renaming the marker digits of the parsed sides builds what
+    substituting the values into the source text and parsing it builds:
+    equal contexts, sides and bounds, or the same error class."""
+    theory, family = pair
+    params = {p: data.draw(st.integers(-1, 9), label=p)
+              for p in family.params}
+    if params and data.draw(st.integers(0, 9), label="drop") == 0:
+        params.popitem()
+    got = _instance_or_error(type(family).instantiate, theory, family,
+                             params)
+    want = _instance_or_error(reference_instantiate, theory, family, params)
+    assert got == want
+    if not isinstance(got, type):
+        assert type(got.bound) is type(want.bound)
+
+
+def test_instantiate_covers_grades_and_derived_parameters():
+    """The cases the property above must reach: a grade in a context type,
+    a promotion's grades, a lambda annotation, copy grades and a derived
+    parameter in an operation name and in a grade."""
+    for name, params, lhs in [
+            ("gs", {"n": 3}, "promote[1; 3](x; y => y)"),
+            ("lam", {"n": 4, "m": 2}, "fn z : !4 X => t_2(x)"),
+            ("cp", {"n": 2, "m": 5},
+             "copy[2, 5] x as a, b in discard a in derelict b")]:
+        inst = INLINE.axioms[name].instantiate(INLINE, params)
+        assert inst == reference_instantiate(INLINE.axioms[name], INLINE,
+                                             params)
+        assert inst.lhs == parse_term(lhs)
+    assert INLINE.axioms["gs"].instantiate(INLINE, {"n": 3}).context \
+        == parse_context("x : !3 X")
+    assert INLINE.axioms["cp"].instantiate(INLINE, {"n": 2, "m": 5}) \
+        .context == parse_context("x : !7 X")
+    summed = TIMED.axioms["wait_sum"].instantiate(TIMED, {"n": 2, "m": 5})
+    assert summed.rhs == parse_term("wait_7(x)")
+
