@@ -558,6 +558,10 @@ class TimedSpace(FinMetSpace):
     """The ticks 0, ..., n_max at distance |i - j|, in whole ticks."""
 
     def __init__(self, n_max: int):
+        if n_max + 1 > guard_limit():
+            raise GuardExceeded(
+                f"timed({n_max}) has {n_max + 1} points, over the "
+                f"{guard_limit()} guard (set GVLAM_GUARD to override)")
         self._points = tuple(range(n_max + 1))
 
     @property

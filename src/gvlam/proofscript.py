@@ -75,7 +75,10 @@ def parse_bound_literal(text: str):
         raise ScriptError(f"bad bound literal {text!r}") from exc
 
 
-_SCHEMA_INT_KEYS = {"i", "n", "m", "o", "r"}
+# Schema bindings read as numbers: grades may be inf, a swap index (i) and
+# a copy count (o) may not.
+_SCHEMA_GRADE_KEYS = {"n", "m", "r"}
+_SCHEMA_INT_KEYS = {"i", "o"}
 
 # The congruence heads that take nothing but their premises.
 _PLAIN_CONGRUENCES = {c.kind for c in CONGRUENCES.values() if not c.info}
@@ -107,10 +110,15 @@ def _as_text(value, what):
     raise ScriptError(f"{what} must be an atom or string")
 
 
+def _as_grade(value, what):
+    """An integer grade, or inf."""
+    if _as_text(value, what) == "inf":
+        return INF
+    return _as_int(value, what)
+
+
 def _as_int(value, what):
     text = _as_text(value, what)
-    if text == "inf":
-        return INF
     if not re.fullmatch(r"-?[0-9]+", text):
         raise ScriptError(f"{what} must be an integer, got {text!r}")
     return int(text)
@@ -190,7 +198,7 @@ def build_proof(sexpr, table: dict) -> VProof:
                     raise ScriptError(f"rename piece {piece.strip()!r} is "
                                       f"not old=new with two identifiers")
                 rename[old] = new
-        params = {k: _as_int(vv, k) for k, vv in kwargs.items()
+        params = {k: _as_grade(vv, k) for k, vv in kwargs.items()
                   if k != "rename"}
         return VProof("axiom", (),
                       {"name": name, "params": params, "rename": rename})
@@ -218,11 +226,13 @@ def build_proof(sexpr, table: dict) -> VProof:
                 bindings[key] = parse_type(_as_text(value, key))
             elif key in ("ss",):
                 bindings[key] = tuple(
-                    _as_int(("atom", s.strip()), key)
+                    _as_grade(("atom", s.strip()), key)
                     for s in _as_text(value, key).split(",") if s)
             elif key in ("xs",):
                 bindings[key] = tuple(
                     s.strip() for s in _as_text(value, key).split(",") if s)
+            elif key in _SCHEMA_GRADE_KEYS:
+                bindings[key] = _as_grade(value, key)
             elif key in _SCHEMA_INT_KEYS:
                 bindings[key] = _as_int(value, key)
             else:
@@ -239,7 +249,7 @@ def build_proof(sexpr, table: dict) -> VProof:
         return VProof("cong-op", prems, {"op": op})
 
     if head == "cong-promote":
-        r = _as_int(_required(kwargs, "r", head), "r")
+        r = _as_grade(_required(kwargs, "r", head), "r")
         return VProof("cong-promote", premises(), {"r": r})
 
     if head == "cong-subst":

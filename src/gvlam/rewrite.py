@@ -4,8 +4,11 @@ Every row of the equational schema is exposed as a bidirectional,
 position-addressed rewrite on derivations.  Rows whose statement involves a
 substitution image (eta rows and commuting conversions) cannot be matched
 first-order; for those the caller supplies the context term and the hole
-variable in the step's bindings, and the engine verifies the decomposition
-by an alpha-equality check before rewriting.
+variable in the step's bindings, and extract_plugs recovers the plugs.
+
+Each row's left-to-right function is the one trusted reading of the row.
+Its right-to-left function only proposes a redex; rewrite_term keeps the
+proposal only if the row read left to right takes it back to the term.
 
 A small oriented subset (the beta and unit-like rows) drives the
 normalizer.
@@ -146,17 +149,23 @@ _ANNOTATION_MISMATCH = {
 
 
 def extract_plugs(u: S.Term, holes, t: S.Term) -> dict:
-    """Recover the subterms plugged into u at the hole variables.
+    """The subterms plugged into u at its free hole variables, such that
+    u with each hole replaced by its plug is alpha-equal to t.
 
-    u with each hole variable replaced by its recovered plug must be
-    alpha-equal to t; verified by the caller through S.substitute.
+    Variables are compared by alpha_eq's binder keys, and a plug may
+    mention no variable bound above its hole in t, so substituting the
+    plugs back into u captures nothing.
     """
     holes = tuple(holes)
     found = {}
 
-    def go(a, b, ren):
+    def go(a, b, env_a, env_b, depth):
         cls = type(a)
-        if cls is S.Var and a.name in holes and a.name not in ren:
+        if cls is S.Var and a.name in holes and a.name not in env_a:
+            for x in S.free_vars(b):
+                if x in env_b:
+                    raise MatchError(f"the plug for hole {a.name} mentions "
+                                     f"{x}, bound above the hole")
             if a.name in found and not S.alpha_eq(found[a.name], b):
                 raise MatchError(f"hole {a.name} matched two different terms")
             found[a.name] = b
@@ -165,7 +174,8 @@ def extract_plugs(u: S.Term, holes, t: S.Term) -> dict:
             raise MatchError(
                 f"shape mismatch: {print_term(a)} vs {print_term(b)}")
         if cls is S.Var:
-            if ren.get(a.name, a.name) != b.name:
+            if env_a.get(a.name, ("free", a.name)) \
+                    != env_b.get(b.name, ("free", b.name)):
                 raise MatchError(f"variable mismatch {a.name} vs {b.name}")
             return
         shape = S.SHAPES[cls]
@@ -177,11 +187,12 @@ def extract_plugs(u: S.Term, holes, t: S.Term) -> dict:
                 *notes_a, *notes_b))
         n = len(kids_a) - 1 if xs_a else len(kids_a)
         for i in range(n):
-            go(kids_a[i], kids_b[i], ren)
+            go(kids_a[i], kids_b[i], env_a, env_b, depth)
         if n < len(kids_a):
-            go(kids_a[n], kids_b[n], {**ren, **dict(zip(xs_a, xs_b))})
+            go(kids_a[n], kids_b[n], S._bind(env_a, depth, xs_a),
+               S._bind(env_b, depth, xs_b), depth + 1)
 
-    go(u, t, {})
+    go(u, t, {}, {}, 0)
     for h in holes:
         if h not in found:
             raise MatchError(f"hole {h} does not occur in the context term")
@@ -189,11 +200,8 @@ def extract_plugs(u: S.Term, holes, t: S.Term) -> dict:
 
 
 def _decompose(u: S.Term, z: str, t: S.Term) -> S.Term:
-    """Find w with t alpha-equal to u[w/z], verifying the decomposition."""
-    plug = extract_plugs(u, (z,), t)[z]
-    if not S.alpha_eq(S.substitute(u, {z: plug}), t):
-        raise MatchError("context term does not reassemble the matched term")
-    return plug
+    """The w with t alpha-equal to u[w/z]."""
+    return extract_plugs(u, (z,), t)[z]
 
 
 def _need(b: dict, key: str):
@@ -216,13 +224,6 @@ def _fresh_factory(*terms):
     return fresh
 
 
-def _as_var_name(t, what):
-    match t:
-        case S.Var(x):
-            return x
-    raise MatchError(f"{what} must be a variable, found {print_term(t)}")
-
-
 # ---------------------------------------------------------------------------
 # Row implementations.  Each takes (term, bindings, semiring) and returns
 # the rewritten term or raises MatchError.
@@ -238,8 +239,6 @@ def _tensor_beta_r(t, b, sr):
     u = _need(b, "u")
     x, y = _need(b, "x"), _need(b, "y")
     plugs = extract_plugs(u, (x, y), t)
-    if not S.alpha_eq(S.substitute(u, plugs), t):
-        raise MatchError("context term does not reassemble the matched term")
     return S.TensorLet(S.TensorPair(plugs[x], plugs[y]), x, y, u)
 
 
@@ -314,8 +313,6 @@ def _lolli_eta_l(t, b, sr):
 def _lolli_eta_r(t, b, sr):
     ty = _need(b, "ty")
     x = b.get("x") or _fresh_factory(t)("x")
-    if x in S.free_vars(t):
-        raise MatchError(f"binder {x} already free in the term")
     return S.Lambda(x, ty, S.App(t, S.Var(x)))
 
 
@@ -333,8 +330,6 @@ def _bang_beta_r(t, b, sr):
     if len(xs) != len(ss):
         raise MatchError("xs and ss bindings must have equal length")
     plugs = extract_plugs(u, xs, t)
-    if not S.alpha_eq(S.substitute(u, plugs), t):
-        raise MatchError("context term does not reassemble the matched term")
     args = tuple(plugs[x] for x in xs)
     return S.Derelict(S.Promote(sr.one, ss, args, xs, u))
 
@@ -377,17 +372,12 @@ def _promote_assoc_r(t, b, sr):
     w, a = _need(b, "w"), _need(b, "a")
     match t:
         case S.Promote(r1, grades, args, binders, body):
-            plug = _decompose(w, a, body)
-            match plug:
-                case S.Promote(r2, ss, c_vars, ys, v):
+            match _decompose(w, a, body):
+                case S.Promote(r2, ss, _, ys, v):
                     k = len(ss)
-                    cs = tuple(_as_var_name(c, "inner promotion argument")
-                               for c in c_vars)
-                    if cs != binders[:k]:
-                        raise MatchError("inner promotion must consume the "
-                                         "leading binders in order")
-                    if grades[:k] != tuple(sr.mul(r2, s) for s in ss):
-                        raise MatchError("leading grades are not r2 * s_i")
+                    if k > len(args):
+                        raise MatchError("the inner promotion has more "
+                                         "arguments than the outer one")
                     inner = S.Promote(sr.mul(r1, r2), ss, args[:k], ys, v)
                     return S.Promote(r1, (r2,) + grades[k:],
                                      (inner,) + args[k:],
@@ -451,8 +441,7 @@ def _copy_assoc_l(t, b, sr):
 
 def _copy_assoc_r(t, b, sr):
     match t:
-        case S.Copy(n, q, v, a, c, S.Copy(m, o, S.Var(sc), bb, y, u)) \
-                if sc == c and q == sr.add(m, o):
+        case S.Copy(n, _, v, a, _, S.Copy(m, o, _, bb, y, u)):
             x = b.get("x") or _fresh_factory(t)("x")
             inner = S.Copy(n, m, S.Var(x), a, bb, u)
             return S.Copy(sr.add(n, m), o, v, x, y, inner)
@@ -536,36 +525,19 @@ def _copy_promote_r(t, b, sr):
     copies, rest = [], t
     for _ in range(o):
         match rest:
-            case S.Copy(ni, mi, v, a, c, body):
-                copies.append((ni, mi, v, a, c))
+            case S.Copy(_, _, v, _, _, body):
+                copies.append(v)
                 rest = body
             case _:
                 raise MatchError("not enough nested copies")
-    plugs = extract_plugs(u, (y, z), rest)
-    if not S.alpha_eq(S.substitute(u, plugs), rest):
-        raise MatchError("context term does not reassemble the inner body")
-    match plugs[y], plugs[z]:
-        case (S.Promote(pn, ss, a_vars, xs, w),
-              S.Promote(pm_, ss2, b_vars, xs2, w2)) \
-                if pn == n and pm_ == m and ss == ss2:
-            a_names = tuple(_as_var_name(v, "left plug argument")
-                            for v in a_vars)
-            b_names = tuple(_as_var_name(v, "right plug argument")
-                            for v in b_vars)
-            if a_names != tuple(c[3] for c in copies) \
-                    or b_names != tuple(c[4] for c in copies):
-                raise MatchError("copy binders do not feed the two "
-                                 "promotions in order")
-            if not S.alpha_eq(S.Promote(pn, ss, a_vars, xs, w),
-                              S.Promote(pn, ss, a_vars, xs2, w2)):
-                raise MatchError("the two promotion bodies differ")
-            for (ni, mi, _, _, _), s in zip(copies, ss):
-                if ni != sr.mul(n, s) or mi != sr.mul(m, s):
-                    raise MatchError("copy grades are not (n*s_i, m*s_i)")
-            args = tuple(c[2] for c in copies)
-            scrut = S.Promote(sr.add(n, m), ss, args, xs, w)
+    match extract_plugs(u, (y, z), rest)[y]:
+        case S.Promote(_, ss, _, xs, w):
+            if len(ss) != o:
+                raise MatchError("the promotion does not take one argument "
+                                 "per copy")
+            scrut = S.Promote(sr.add(n, m), ss, tuple(copies), xs, w)
             return S.Copy(n, m, scrut, y, z, u)
-    raise MatchError("the plugs are not matching promotions")
+    raise MatchError("the plug for y is not a promotion")
 
 
 def _promote_copy_l(t, b, sr):
@@ -585,19 +557,14 @@ def _promote_copy_l(t, b, sr):
 
 def _promote_copy_r(t, b, sr):
     match t:
-        case S.Copy(rn, rm, v, a, c,
-                    S.Promote(r, grades, args, binders, u)) \
-                if len(grades) >= 2 and rn == sr.mul(r, grades[0]) \
-                and rm == sr.mul(r, grades[1]):
-            match args[0], args[1]:
-                case (S.Var(va), S.Var(vb)) if va == a and vb == c:
-                    z = b.get("z") or _fresh_factory(t)("z")
-                    n, m = grades[0], grades[1]
-                    body = S.Copy(n, m, S.Var(z), binders[0], binders[1], u)
-                    return S.Promote(r, (sr.add(n, m),) + grades[2:],
-                                     (v,) + args[2:],
-                                     (z,) + binders[2:], body)
-    raise MatchError("expected copy feeding the two leading promotion "
+        case S.Copy(_, _, v, _, _, S.Promote(r, grades, args, binders, u)) \
+                if len(grades) >= 2:
+            z = b.get("z") or _fresh_factory(t)("z")
+            n, m = grades[0], grades[1]
+            body = S.Copy(n, m, S.Var(z), binders[0], binders[1], u)
+            return S.Promote(r, (sr.add(n, m),) + grades[2:],
+                             (v,) + args[2:], (z,) + binders[2:], body)
+    raise MatchError("expected a copy before a promotion of two or more "
                      "arguments")
 
 
@@ -661,11 +628,22 @@ _ROWS = {
 
 def rewrite_term(term: S.Term, step: RewriteStep,
                  semiring: Semiring = NatSemiring()) -> S.Term:
+    """term with the subterm at step's position rewritten by its row.  A
+    right-to-left proposal stands only if the row read left to right, with
+    the same bindings, takes it back to an alpha-equal subterm."""
     sub = get_subterm(term, step.position)
     l2r, r2l = _ROWS[step.schema]
-    fn = l2r if step.direction == "L2R" else r2l
-    return replace_subterm(term, step.position, fn(sub, step.bindings,
-                                                   semiring))
+    if step.direction == "L2R":
+        return replace_subterm(term, step.position,
+                               l2r(sub, step.bindings, semiring))
+    redex = r2l(sub, step.bindings, semiring)
+    try:
+        if S.alpha_eq(l2r(redex, step.bindings, semiring), sub):
+            return replace_subterm(term, step.position, redex)
+    except MatchError:
+        pass
+    raise MatchError(f"{step.schema.value} read left to right does not take "
+                     f"{print_term(redex)} back to {print_term(sub)}")
 
 
 def apply_step(sig: S.Signature, d: Derivation, step: RewriteStep,

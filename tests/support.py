@@ -15,7 +15,7 @@ from gvlam import syntax as S
 from gvlam import theory
 from gvlam.metmodel import ModelAssignment, timed_space
 from gvlam.parser import ParseError
-from gvlam.rewrite import RewriteStep, SchemaId
+from gvlam.rewrite import MatchError, RewriteStep, SchemaId
 from gvlam.typecheck import Derivation, Judgement
 
 # Non-empty while the suite's cross-check (conftest.cross_checked) runs
@@ -418,6 +418,56 @@ def reference_substitute(t, mapping):
         return shape.rebuild(u, new, binders)
 
     return go(t, {})
+
+
+def reference_extract_plugs(u, holes, t):
+    """Plug matching by extract-then-reassemble, the reference for
+    rewrite.extract_plugs: a loose match that pairs the binders of u and t
+    by name, then u with the plugs substituted is compared with t."""
+    holes = tuple(holes)
+    found = {}
+
+    def go(a, b, ren):
+        if type(a) is S.Var and a.name in holes and a.name not in ren:
+            if a.name in found and not S.alpha_eq(found[a.name], b):
+                raise MatchError(f"hole {a.name} matched two different terms")
+            found[a.name] = b
+            return
+        if type(a) is not type(b):
+            raise MatchError("shape mismatch")
+        if type(a) is S.Var:
+            if ren.get(a.name, a.name) != b.name:
+                raise MatchError("variable mismatch")
+            return
+        shape = S.SHAPES[type(a)]
+        kids_a, xs_a = shape.parts(a)
+        kids_b, xs_b = shape.parts(b)
+        if shape.notes(a) != shape.notes(b) or len(kids_a) != len(kids_b):
+            raise MatchError("annotation mismatch")
+        n = len(kids_a) - 1 if xs_a else len(kids_a)
+        for i in range(n):
+            go(kids_a[i], kids_b[i], ren)
+        if n < len(kids_a):
+            go(kids_a[n], kids_b[n], {**ren, **dict(zip(xs_a, xs_b))})
+
+    go(u, t, {})
+    for h in holes:
+        if h not in found:
+            raise MatchError(f"hole {h} does not occur in the context term")
+    if not S.alpha_eq(S.substitute(u, found), t):
+        raise MatchError("context term does not reassemble the matched term")
+    return found
+
+
+def hole_pair(rng, pool=POOL):
+    """(u, t) for plug matching with the one hole z: t is a pool term and u
+    is t with one subterm replaced by z, and each has its binders renamed
+    by rebind, so that u matches t in most pairs and captures in some."""
+    from gvlam.rewrite import positioned_subterms, replace_subterm
+    t = pool_term(rng, rng.randrange(2, 14), pool)
+    pos, _ = rng.choice(list(positioned_subterms(t)))
+    u = replace_subterm(t, pos, S.Var("z"))
+    return rebind(rng, u, pool), rebind(rng, t, pool)
 
 
 # ---------------------------------------------------------------------------

@@ -205,6 +205,20 @@ def test_model_eval(capsys):
     assert out.splitlines() == ["(0,) |-> 1", "(1,) |-> 2", "(2,) |-> 2"]
 
 
+def test_model_with_more_points_than_the_guard(capsys, monkeypatch):
+    # timed(N) built its N + 1 points before any guard, so a huge N ended
+    # in a MemoryError traceback (exit 1).
+    monkeypatch.setenv("GVLAM_GUARD", "100")
+    argv = ["model", "eval", TIMED, "wait_1(x)", "--context", "x : X",
+            "--model"]
+    code, out, err = run(capsys, argv + ["timed(100)"])
+    assert (code, out, err) == (
+        4, "", "gvlam: model error: timed(100) has 101 points, over the 100 "
+        "guard (set GVLAM_GUARD to override)\n")
+    code, out, _ = run(capsys, argv + ["timed(99)"])
+    assert code == 0 and len(out.splitlines()) == 100
+
+
 def test_model_distance(capsys):
     code, out, _ = run(capsys, ["model", "distance", TIMED,
                                 "wait_1(x)", "wait_3(x)",
@@ -568,6 +582,23 @@ def test_malformed_scripts_exit_with_documented_codes(capsys, tmp_path,
     assert out == ""
     assert err.startswith("gvlam: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("script, key", [
+    ('(schema promote-symm :ctx "a : !1 X, b : !1 X" :term "promote[1; 1,1]'
+     '(a, b; x, y => plus(derelict x, derelict y))" :i inf)', "i"),
+    ('(schema copy-promote :ctx "a : !2 X" :term "wait_1(x)" :dir R2L '
+     ':u "plus(derelict y, derelict z)" :y y :z z :n 1 :m 1 :o inf)', "o"),
+])
+def test_schema_index_and_copy_count_are_not_grades(capsys, tmp_path,
+                                                    script, key):
+    # inf was read for every integer key: promote-symm compared it with an
+    # index and copy-promote passed it to range, each a TypeError (exit 1).
+    path = tmp_path / "inf.proof"
+    path.write_text(script)
+    code, out, err = run(capsys, ["prove", TIMED, str(path)])
+    assert (code, out, err) == (
+        65, "", f"gvlam: error: {key} must be an integer, got 'inf'\n")
 
 
 @pytest.mark.parametrize("argv", [

@@ -17,8 +17,12 @@ SRC = Path(gvlam.__file__).parent
 
 # Names a module imports only so that a perfbench span (perfbench/
 # tracing.py wraps a function at the name one module imports it under)
-# finds them, as {module file: {name: reason}}.  None at present.
-SPAN_ONLY = {}
+# finds them, as {module file: {name: reason}}.
+SPAN_ONLY = {
+    "vequation.py": {
+        "subst_parallel": "perfbench traces gvlam.vequation.subst_parallel",
+    },
+}
 
 
 def unused_imports(source: str) -> list:

@@ -136,12 +136,15 @@ def test_enumerate_tables_matches_oracle():
 
 def test_guard(monkeypatch):
     assert guard_limit() == 10 ** 6
+    t1, t3 = timed_space(1), timed_space(3)
     monkeypatch.setenv("GVLAM_GUARD", "3")
     assert guard_limit() == 3
-    with pytest.raises(GuardExceeded):
-        ProductSpace((timed_space(3), timed_space(3))).points
-    with pytest.raises(GuardExceeded):
-        FuncSpace(timed_space(1), timed_space(3)).points
+    with pytest.raises(GuardExceeded, match="product space"):
+        ProductSpace((t3, t3)).points
+    with pytest.raises(GuardExceeded, match="function space"):
+        FuncSpace(t1, t3).points
+    with pytest.raises(GuardExceeded, match=r"timed\(3\) has 4 points"):
+        timed_space(3)
 
 
 def test_modality_space():

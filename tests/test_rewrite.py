@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gvlam import syntax as S
 from gvlam.parser import parse_context, parse_term
@@ -107,6 +109,89 @@ def test_cc_round_trip():
         mid = rewrite_term(lhs, step)
         back_step = RewriteStep(schema, (), "R2L", step.bindings)
         assert S.alpha_eq(rewrite_term(mid, back_step), lhs)
+
+
+def _r2l_bindings(schema, lhs, step):
+    """The bindings a script writes to read the row right to left, back to
+    the builder's left side."""
+    match schema, lhs:
+        case SchemaId.TENSOR_BETA, S.TensorLet(_, x, y, u):
+            return {"u": u, "x": x, "y": y}
+        case SchemaId.LOLLI_BETA, S.App(S.Lambda(x, ty, v), _):
+            return {"v": v, "x": x, "ty": ty}
+        case SchemaId.LOLLI_ETA, S.Lambda(x, ty, _):
+            return {"ty": ty, "x": x}
+        case SchemaId.BANG_BETA, S.Derelict(S.Promote(_, ss, _, xs, u)):
+            return {"u": u, "xs": xs, "ss": ss}
+        case SchemaId.BANG_ETA, S.Promote(r, _, _, _, _):
+            return {"r": r}
+        case SchemaId.PROMOTE_ASSOC, S.Promote(_, _, _, (a,), w):
+            return {"w": w, "a": a}
+        case SchemaId.COPY_UNIT_LEFT, S.Copy(_, n, _, _, z,
+                                             S.Discard(_, u)):
+            return {"u": u, "z": z, "n": n}
+        case SchemaId.COPY_UNIT_RIGHT, S.Copy(n, _, _, z, _,
+                                              S.Discard(_, u)):
+            return {"u": u, "z": z, "n": n}
+        case SchemaId.DISCARD_PROMOTE, S.Discard(
+                S.Promote(_, ss, _, xs, w), _):
+            return {"w": w, "ss": ss, "xs": xs}
+        case SchemaId.COPY_PROMOTE, S.Copy(n, m, S.Promote(_, ss, _, _, _),
+                                           y, z, u):
+            return {"u": u, "y": y, "z": z, "n": n, "m": m, "o": len(ss)}
+    return step.bindings
+
+
+def test_every_row_round_trips_right_to_left():
+    rng = random.Random(6)
+    for schema, builder in support.SCHEMA_BUILDERS.items():
+        for _ in range(3):
+            _, lhs, step = builder(rng)
+            mid = rewrite_term(lhs, step)
+            back = rewrite_term(mid, RewriteStep(
+                schema, (), "R2L", _r2l_bindings(schema, lhs, step)))
+            assert S.alpha_eq(back, lhs), schema
+
+
+def test_promote_copy_right_to_left_keeps_the_copy_binders_bound():
+    # b is bound by the copy; the proposal promote[1; 2](a; z => copy[1,1]
+    # z as x,y in plus(derelict x, b)) would have it free.
+    t = parse_term("copy [1,1] a as a1, b in "
+                   "promote[1; 1,1](a1, b; x, y => plus(derelict x, b))")
+    with pytest.raises(MatchError, match="promote-copy read left to right "
+                                         "does not take"):
+        rewrite_term(t, RewriteStep(SchemaId.PROMOTE_COPY, (), "R2L"))
+
+
+def _verdict(match, u, t):
+    try:
+        return match(u, ("z",), t)
+    except MatchError as exc:
+        return str(exc)
+
+
+@settings(max_examples=200)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_extract_plugs_matches_extract_then_reassemble(seed):
+    rng = random.Random(seed)
+    for _ in range(30):
+        u, t = support.hole_pair(rng)
+        got = _verdict(extract_plugs, u, t)
+        want = _verdict(support.reference_extract_plugs, u, t)
+        assert type(got) is type(want), (u, t, got, want)
+        if isinstance(got, dict):
+            assert S.alpha_eq(got["z"], want["z"]), (u, t)
+            assert S.alpha_eq(S.substitute(u, got), t), (u, t)
+
+
+def test_hole_pairs_reach_every_verdict():
+    rng = random.Random(7)
+    verdicts = [_verdict(support.reference_extract_plugs,
+                         *support.hole_pair(rng)) for _ in range(2000)]
+    accepted = sum(isinstance(v, dict) for v in verdicts)
+    reassembly = verdicts.count(
+        "context term does not reassemble the matched term")
+    assert 1000 < accepted < 1800 and reassembly > 200
 
 
 def test_rewrite_at_inner_position():

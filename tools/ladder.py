@@ -9,12 +9,12 @@ normalize_first), validate, beta_normalize and model_distance, and
 prints the median and minimum time of each, the hot-path call counts of
 one further run (typecheck._infer, syntax._aeq,
 vequation.axiom_instantiate), the exponent of n fitted to each time and
-count, and the src/gvlam line count.  Then it prints the fixed-size
-figures: metric-space arithmetic, probability, normalisation, synthesis,
-proof check and model distance time.  It gates nothing: every figure is
-reported only.  A section that raises is reported with its traceback,
-the sections after it still run, and the exit code is then 1.  Inputs
-come from perfbench/terms.py:
+count, and the src/gvlam line count, in total and per module.  Then it
+prints the fixed-size figures: metric-space arithmetic, probability,
+normalisation, synthesis, proof check and model distance time.  It gates
+nothing: every figure is reported only.  A section that raises is
+reported with its traceback, the sections after it still run, and the
+exit code is then 1.  Inputs come from perfbench/terms.py:
 
 - parse, infer, synthesize, validate, model_distance: a wait chain of n
   nodes, wait_1(… wait_1(y)), against the same chain with its innermost
@@ -162,9 +162,10 @@ def print_ladder(rows, fits):
         print(f"{name:28s} fitted exponents: {shown}")
 
 
-def src_lines():
-    return sum(len(p.read_text(encoding="utf-8").splitlines())
-               for p in (ROOT / "src/gvlam").glob("*.py"))
+def src_lines() -> dict:
+    """The line count of each src/gvlam module, by file name."""
+    return {p.name: len(p.read_text(encoding="utf-8").splitlines())
+            for p in sorted((ROOT / "src/gvlam").glob("*.py"))}
 
 
 # ---------------------------------------------------------------------------
@@ -326,8 +327,15 @@ def main(argv=None):
     sys.setrecursionlimit(max(sys.getrecursionlimit(), 10_000))
     ns, repeats = ((25, 50, 100), 3) if args.quick \
         else ((25, 50, 100, 200, 400), 5)
-    sections = [(f"Size ladder (src/gvlam: {src_lines()} lines)",
-                 lambda: print_ladder(*ladder(ns, repeats))), *FIXED]
+    lines = src_lines()
+
+    def size_ladder():
+        print("lines per module: " + ", ".join(
+            f"{name} {n}" for name, n in lines.items()))
+        print_ladder(*ladder(ns, repeats))
+
+    sections = [(f"Size ladder (src/gvlam: {sum(lines.values())} lines)",
+                 size_ladder), *FIXED]
     # A section that fails is reported and the rest still run.
     failed = []
     for title, section in sections:
