@@ -25,14 +25,14 @@ from . import syntax as S
 from .metmodel import (ExplicitSpace, FinMetSpace, FuncSpace, GuardExceeded,
                        MetMap, ModelAssignment, ModelError, OnePointSpace,
                        ProductSpace, ScaledSpace, TimedSpace, guard_limit)
-from .parser import parse_context, parse_term, print_type
+from .parser import parse_context, parse_term, print_type, subst_tokens
 from .probmodel import (FinDist, ProbError, no_replace_sampler,
                         replace_sampler, tv_distance)
 from .quantale import (NatSemiring, Semiring, SymbolicBound, num_cmp,
                        scalar_mul, value_repr)
 from .rewrite import (_ROWS, ORIENTED, EngineError, MatchError, RewriteStep,
                       all_positions, get_subterm, rewrite_term, term_size)
-from .theory import _int_param, subst_tokens
+from .theory import _int_param
 from .typecheck import Derivation, _check_variable_use, _infer, check_grounds
 from .vequation import (AxiomInstance, ProofError, TheoryError, TheorySpec,
                         VEquation, VProof, _bang_grade, _concat_contexts,
@@ -184,7 +184,7 @@ def reference_beta_normalize(sig: S.Signature, d: Derivation,
             sub = get_subterm(term, pos)
             for schema in ORIENTED:
                 try:
-                    _ROWS[schema][0](sub, {}, semiring)
+                    _ROWS[schema].l2r(sub, {}, semiring)
                 except MatchError:
                     continue
                 return RewriteStep(schema, pos, "L2R")

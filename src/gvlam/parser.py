@@ -75,6 +75,28 @@ def is_identifier(text: str) -> bool:
     return IDENT_RE.fullmatch(text) is not None and text not in KEYWORDS
 
 
+def subst_tokens(src: str, params: dict) -> str:
+    """Substitute parameter values into identifier segments and bare
+    tokens, so wait_n becomes wait_3 under {n: 3}."""
+
+    def repl(m):
+        name = m.group(0)
+        segments = name.split("_")
+        segments = [str(params[s]) if s in params else s for s in segments]
+        return "_".join(segments)
+
+    return IDENT_RE.sub(repl, src)
+
+
+def markers(params, text: str) -> dict:
+    """A digit string for each parameter, each found nowhere in text.
+    Written in place of its parameter by subst_tokens, a marker parses
+    wherever a value can stand (a name segment or a grade), and the
+    parsed tree shows where the parameter was."""
+    marks = (str(i) for i in itertools.count(10) if str(i) not in text)
+    return dict(zip(params, marks))
+
+
 def tokenize(text: str):
     """(texts, glued): the token texts, then "" for the end of input, and
     for each whether no whitespace separates it from the token before.

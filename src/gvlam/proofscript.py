@@ -124,6 +124,15 @@ def _as_int(value, what):
     return int(text)
 
 
+def _choice(kwargs, key, options):
+    """The value of :key, one of options; the first if :key is absent."""
+    text = _as_text(kwargs.get(key, ("atom", options[0])), key)
+    if text not in options:
+        raise ScriptError(f"{key} must be {' or '.join(options)}, "
+                          f"got {text!r}")
+    return text
+
+
 def _required(kwargs, key, head):
     if key not in kwargs:
         raise ScriptError(f"{head} needs a :{key} argument")
@@ -214,8 +223,8 @@ def build_proof(sexpr, table: dict) -> VProof:
         ctx = parse_context(_as_text(kwargs.get("ctx", ("str", "")), "ctx"))
         term = shared_term(_required(kwargs, "term", head), "term")
         pos = _position(kwargs["pos"]) if "pos" in kwargs else ()
-        direction = _as_text(kwargs.get("dir", ("atom", "L2R")), "dir")
-        flip = "flip" in kwargs and _as_text(kwargs["flip"], "flip") != "no"
+        direction = _choice(kwargs, "dir", ("L2R", "R2L"))
+        flip = _choice(kwargs, "flip", ("no", "yes")) == "yes"
         bindings = {}
         for key, value in kwargs.items():
             if key in ("ctx", "term", "pos", "dir", "flip"):

@@ -1,26 +1,38 @@
 """Checked equational rewriting.
 
-Every row of the equational schema is exposed as a bidirectional,
-position-addressed rewrite on derivations.  Rows whose statement involves a
-substitution image (eta rows and commuting conversions) cannot be matched
-first-order; for those the caller supplies the context term and the hole
-variable in the step's bindings, and extract_plugs recovers the plugs.
+Every row of the program-equation schema is a bidirectional,
+position-addressed rewrite.  Fifteen rows are one table, _TABLE, each
+written once in term syntax, `ROW: LEFT ~ RIGHT if CONDITIONS`, over
+metavariables: u, v, w for terms, x, y, z, a, b, c for names, ty for a
+type and n, m, o, p, q, r for grades (a literal 0 or 1 is the
+semiring's zero or one).  M[N/x, ...] is capture-avoiding simultaneous
+substitution; a condition is a grade equation (p = n + m) or freshness
+(x ∉ fv(u)), and the names a side binds must be distinct.  One matcher,
+_match, reads a side (extract_plugs is its plain-term case), and one
+instantiator, _build, writes the other: it fills in names and terms
+literally, since the binder names come from the match, substitutes only
+for the row's own M[N/x], and takes unbound names from _fresh_factory.
+The seven rows over vectors of grades, arguments and binders are code,
+each checking its own freshness conditions.
 
-Each row's left-to-right function is the one trusted reading of the row.
-Its right-to-left function only proposes a redex; rewrite_term keeps the
-proposal only if the row read left to right takes it back to the term.
-
-A small oriented subset (the beta and unit-like rows) drives the
+Read left to right, a row matches its left side and builds its right:
+the one trusted reading.  Read right to left, it matches the right side
+under the step's bindings and proposes a left side, which rewrite_term
+keeps only if the row read left to right takes it back to the term.  A
+small oriented subset (the beta and unit-like rows) drives the
 normalizer.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
+import re
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 from . import syntax as S
-from .parser import print_term
+from .parser import markers, parse_term, print_term, subst_tokens
 from .quantale import Semiring, NatSemiring
 from .typecheck import Derivation, infer
 
@@ -33,50 +45,20 @@ class EngineError(RuntimeError):
     """A rewrite produced an ill-typed term; signals an internal bug."""
 
 
-class SchemaId(enum.Enum):
-    # monoidal structure
-    TENSOR_BETA = "tensor-beta"
-    TENSOR_ETA = "tensor-eta"
-    UNIT_BETA = "unit-beta"
-    UNIT_ETA = "unit-eta"
-    # closed structure
-    LOLLI_BETA = "lolli-beta"
-    LOLLI_ETA = "lolli-eta"
-    # symmetric comonadic structure
-    BANG_BETA = "bang-beta"
-    BANG_ETA = "bang-eta"
-    PROMOTE_ASSOC = "promote-assoc"
-    PROMOTE_SYMM = "promote-symm"
-    # commutative comonoid structure
-    COPY_UNIT_LEFT = "copy-unit-left"
-    COPY_UNIT_RIGHT = "copy-unit-right"
-    COPY_ASSOC = "copy-assoc"
-    COPY_COMM = "copy-comm"
-    # interaction between comonoid and comonad
-    DISCARD_PROMOTE = "discard-promote"
-    PROMOTE_DISCARD = "promote-discard"
-    COPY_PROMOTE = "copy-promote"
-    PROMOTE_COPY = "promote-copy"
-    # commuting conversions
-    CC_UNIT = "cc-unit"
-    CC_TENSOR = "cc-tensor"
-    CC_DISCARD = "cc-discard"
-    CC_COPY = "cc-copy"
-
-
-GROUPS = {
-    "monoidal": (SchemaId.TENSOR_BETA, SchemaId.TENSOR_ETA,
-                 SchemaId.UNIT_BETA, SchemaId.UNIT_ETA),
-    "closed": (SchemaId.LOLLI_BETA, SchemaId.LOLLI_ETA),
-    "comonadic": (SchemaId.BANG_BETA, SchemaId.BANG_ETA,
-                  SchemaId.PROMOTE_ASSOC, SchemaId.PROMOTE_SYMM),
-    "comonoid": (SchemaId.COPY_UNIT_LEFT, SchemaId.COPY_UNIT_RIGHT,
-                 SchemaId.COPY_ASSOC, SchemaId.COPY_COMM),
-    "interaction": (SchemaId.DISCARD_PROMOTE, SchemaId.PROMOTE_DISCARD,
-                    SchemaId.COPY_PROMOTE, SchemaId.PROMOTE_COPY),
-    "commuting": (SchemaId.CC_UNIT, SchemaId.CC_TENSOR,
-                  SchemaId.CC_DISCARD, SchemaId.CC_COPY),
+# The rows of the schema by group, in the paper's order.
+_GROUPS = {
+    "monoidal": "tensor-beta tensor-eta unit-beta unit-eta",
+    "closed": "lolli-beta lolli-eta",
+    "comonadic": "bang-beta bang-eta promote-assoc promote-symm",
+    "comonoid": "copy-unit-left copy-unit-right copy-assoc copy-comm",
+    "interaction": "discard-promote promote-discard copy-promote promote-copy",
+    "commuting": "cc-unit cc-tensor cc-discard cc-copy",
 }
+SchemaId = enum.Enum("SchemaId", [(row.upper().replace("-", "_"), row)
+                                  for rows in _GROUPS.values()
+                                  for row in rows.split()])
+GROUPS = {group: tuple(map(SchemaId, rows.split()))
+          for group, rows in _GROUPS.items()}
 
 
 @dataclass(frozen=True)
@@ -148,6 +130,14 @@ _ANNOTATION_MISMATCH = {
 }
 
 
+class Sub(NamedTuple):
+    """The substitution term[pattern/name, ...] in a row's side; term and
+    each name are metavariables."""
+
+    term: str
+    pairs: tuple  # (name, pattern) pairs
+
+
 def extract_plugs(u: S.Term, holes, t: S.Term) -> dict:
     """The subterms plugged into u at its free hole variables, such that
     u with each hole replaced by its plug is alpha-equal to t.
@@ -158,50 +148,113 @@ def extract_plugs(u: S.Term, holes, t: S.Term) -> dict:
     """
     holes = tuple(holes)
     found = {}
-
-    def go(a, b, env_a, env_b, depth):
-        cls = type(a)
-        if cls is S.Var and a.name in holes and a.name not in env_a:
-            for x in S.free_vars(b):
-                if x in env_b:
-                    raise MatchError(f"the plug for hole {a.name} mentions "
-                                     f"{x}, bound above the hole")
-            if a.name in found and not S.alpha_eq(found[a.name], b):
-                raise MatchError(f"hole {a.name} matched two different terms")
-            found[a.name] = b
-            return
-        if cls is not type(b):
-            raise MatchError(
-                f"shape mismatch: {print_term(a)} vs {print_term(b)}")
-        if cls is S.Var:
-            if env_a.get(a.name, ("free", a.name)) \
-                    != env_b.get(b.name, ("free", b.name)):
-                raise MatchError(f"variable mismatch {a.name} vs {b.name}")
-            return
-        shape = S.SHAPES[cls]
-        kids_a, xs_a = shape.parts(a)
-        kids_b, xs_b = shape.parts(b)
-        notes_a, notes_b = shape.notes(a), shape.notes(b)
-        if notes_a != notes_b or len(kids_a) != len(kids_b):
-            raise MatchError(_ANNOTATION_MISMATCH[cls].format(
-                *notes_a, *notes_b))
-        n = len(kids_a) - 1 if xs_a else len(kids_a)
-        for i in range(n):
-            go(kids_a[i], kids_b[i], env_a, env_b, depth)
-        if n < len(kids_a):
-            go(kids_a[n], kids_b[n], S._bind(env_a, depth, xs_a),
-               S._bind(env_b, depth, xs_b), depth + 1)
-
-    go(u, t, {}, {}, 0)
+    _match(u, t, {}, {}, 0, found, holes, None)
     for h in holes:
         if h not in found:
             raise MatchError(f"hole {h} does not occur in the context term")
     return found
 
 
-def _decompose(u: S.Term, z: str, t: S.Term) -> S.Term:
-    """The w with t alpha-equal to u[w/z]."""
-    return extract_plugs(u, (z,), t)[z]
+def _match(a, b, env_a, env_b, depth, found, holes, side):
+    """Match a against b, binding each free hole of a in found.  With side
+    None, a is a plain term and variables compare by the binder keys
+    env_a and env_b.  Otherwise a is that side of a row: its binders,
+    grades and Ground types bind in found too, a bound variable must have
+    its binder's name, and a plug may mention a binder above it."""
+    cls = type(a)
+    if cls is S.Var and a.name in holes and a.name not in env_a:
+        if side is None:
+            for x in S.free_vars(b):
+                if x in env_b:
+                    raise MatchError(f"the plug for hole {a.name} mentions "
+                                     f"{x}, bound above the hole")
+        if a.name in found and not S.alpha_eq(found[a.name], b):
+            raise MatchError(f"hole {a.name} matched two different terms")
+        found[a.name] = b
+        return
+    if cls is Sub:
+        u = _need(found, a.term)
+        names = tuple(_need(found, x) for x, _ in a.pairs)
+        plugs = extract_plugs(u, names, b)
+        for (_, pattern), x in zip(a.pairs, names):
+            _match(pattern, plugs[x], env_a, env_b, depth, found, holes, side)
+        return
+    if cls is not type(b):
+        raise MatchError(f"expected {side.text}" if side else
+                         f"shape mismatch: {print_term(a)} vs {print_term(b)}")
+    if cls is S.Var:
+        if found.get(a.name) != b.name if side else \
+                env_a.get(a.name, ("free", a.name)) \
+                != env_b.get(b.name, ("free", b.name)):
+            raise MatchError(f"expected {side.text}" if side else
+                             f"variable mismatch {a.name} vs {b.name}")
+        return
+    shape = S.SHAPES[cls]
+    kids_a, xs_a = shape.parts(a)
+    kids_b, xs_b = shape.parts(b)
+    notes_a, notes_b = shape.notes(a), shape.notes(b)
+    if len(kids_a) != len(kids_b) or notes_a and not (
+            _fits(notes_a, notes_b, found, side) if side
+            else notes_a == notes_b):
+        raise MatchError(f"expected {side.text}" if side else
+                         _ANNOTATION_MISMATCH[cls].format(*notes_a, *notes_b))
+    for x, name in zip(xs_a, xs_b) if side else ():
+        if found.get(x, name) != name or x not in found and \
+                name in found.values():
+            raise MatchError(f"expected {side.text}, its binders distinct")
+        found[x] = name
+    n = len(kids_a) - 1 if xs_a else len(kids_a)
+    for i in range(n):
+        _match(kids_a[i], kids_b[i], env_a, env_b, depth, found, holes, side)
+    if n < len(kids_a):
+        if side is None:
+            env_a = S._bind(env_a, depth, xs_a)
+            env_b = S._bind(env_b, depth, xs_b)
+        _match(kids_a[n], kids_b[n], env_a, env_b, depth + 1, found, holes,
+               side)
+
+
+def _fits(pattern, value, found, side) -> bool:
+    """Whether a row's annotation has value as an instance: a Ground type
+    and a grade are metavariables, bound in found, even where the value
+    is written as the pattern is."""
+    if type(pattern) is not tuple:
+        key = pattern.name if type(pattern) is S.Ground \
+            else side.grades[pattern]
+        return found.setdefault(key, value) == value
+    return type(value) is tuple and len(pattern) == len(value) and all(map(
+        _fits, pattern, value, [found] * len(value), [side] * len(value)))
+
+
+def _build(pattern, found, grades, t):
+    """A row's side with its metavariables filled in from found: names and
+    terms literally, a Sub by substitute, and a binder found lacks by a
+    name fresh for t and found."""
+    cls = type(pattern)
+    if cls is Sub:
+        return S.substitute(_need(found, pattern.term), {
+            _need(found, x): _build(p, found, grades, t)
+            for x, p in pattern.pairs})
+    if cls is S.Var:
+        value = _need(found, pattern.name)
+        return S.Var(value) if type(value) is str else value
+
+    def fill(value):
+        kind = type(value)
+        if kind is tuple:
+            return tuple(map(fill, value))
+        if kind is str:  # a binder
+            if value not in found:
+                found[value] = _fresh_factory(t, *found.values())(value)
+            return found[value]
+        if kind is int or kind is S.Ground:
+            return _need(found, grades[value] if kind is int else value.name)
+        return _build(value, found, grades, t)
+
+    return cls(*[fill(getattr(pattern, f)) for f in _FIELDS[cls]])
+
+
+_FIELDS = {cls: tuple(cls.__dataclass_fields__) for cls in S.SHAPES}
 
 
 def _need(b: dict, key: str):
@@ -210,11 +263,14 @@ def _need(b: dict, key: str):
     return b[key]
 
 
-def _fresh_factory(*terms):
+def _fresh_factory(*parts):
+    """Fresh names avoiding the names among parts and in its terms."""
     taken = set()
-    for t in terms:
-        if t is not None:
-            taken |= S.all_names(t)
+    for part in parts:
+        if isinstance(part, str):
+            taken.add(part)
+        elif isinstance(part, S.Term):
+            taken |= S.all_names(part)
 
     def fresh(base):
         name = S.fresh_name(base, taken)
@@ -225,96 +281,127 @@ def _fresh_factory(*terms):
 
 
 # ---------------------------------------------------------------------------
-# Row implementations.  Each takes (term, bindings, semiring) and returns
+# The table
+
+_TABLE = (
+    "tensor-beta: let x (*) y = v (*) w in u ~ u[v/x, w/y]",
+    "tensor-eta: let x (*) y = v in u[x (*) y/z] ~ u[v/z]"
+    " if x ∉ fv(u), y ∉ fv(u)",
+    "unit-beta: let unit = unit in v ~ v",
+    "unit-eta: let unit = v in w[unit/z] ~ w[v/z]",
+    "lolli-beta: (fn x : ty => v) w ~ v[w/x]",
+    "lolli-eta: fn x : ty => v x ~ v if x ∉ fv(v)",
+    "bang-eta: promote[r; 1](v; x => derelict x) ~ v",
+    "copy-unit-left: copy[0,n] v as x,z in discard x in u ~ u[v/z]"
+    " if x ∉ fv(u)",
+    "copy-unit-right: copy[n,0] v as z,y in discard y in u ~ u[v/z]"
+    " if y ∉ fv(u)",
+    "copy-assoc: copy[p,o] v as x,y in copy[n,m] x as a,b in u"
+    " ~ copy[n,q] v as a,c in copy[m,o] c as b,y in u"
+    " if p = n + m, q = m + o, x ∉ fv(u), c ∉ fv(u)",
+    "copy-comm: copy[n,m] v as x,y in u ~ copy[m,n] v as y,x in u",
+    "cc-unit: u[let unit = v in w/z] ~ let unit = v in u[w/z]",
+    "cc-tensor: u[let x (*) y = v in w/z] ~ let x (*) y = v in u[w/z]"
+    " if x ∉ fv(u), y ∉ fv(u)",
+    "cc-discard: u[discard v in w/z] ~ discard v in u[w/z]",
+    "cc-copy: u[copy[n,m] v as x,y in w/z] ~ copy[n,m] v as x,y in u[w/z]"
+    " if x ∉ fv(u), y ∉ fv(u)",
+)
+
+_TERM_METAS = ("u", "v", "w")
+_GRADE_METAS = ("n", "m", "o", "p", "q", "r")
+_SUB = re.compile(r"\b([uvw])\[")
+_SUB_PAIR = re.compile(r"\s*(.+?)/(\w+)\s*(?:,|$)")
+_CONDITION = re.compile(r"(\w+) ∉ fv\((\w+)\)|(\w+) = (\w+(?: \+ \w+)+)")
+
+
+class _Side(NamedTuple):
+    pattern: object
+    text: str
+    given: set  # the terms and names its substitutions take from bindings
+    grades: dict  # marker -> grade metavariable; 0 and 1 are "0" and "1"
+
+
+class Tabled(NamedTuple):
+    name: str
+    sides: tuple  # (left, right)
+    sums: tuple  # (g, (a, b, ...)) for each equation g = a + b + ...
+    fresh: tuple  # (x, u) for each condition x ∉ fv(u)
+
+
+def _parse_side(text: str, marks: dict, given: set):
+    """The pattern text writes, each substitution a Sub whose term and
+    names are added to given."""
+    subs = {}
+    while (m := _SUB.search(text)) is not None:
+        depth = 0
+        for end in range(m.end() - 1, len(text)):
+            depth += {"[": 1, "]": -1}.get(text[end], 0)
+            if depth == 0:
+                break
+        hole = f"_sub{len(subs)}"
+        subs[hole] = Sub(m.group(1), tuple(
+            (x, _parse_side(src, marks, given))
+            for src, x in _SUB_PAIR.findall(text[m.end():end])))
+        given.update(m.group(1), *(x for x, _ in subs[hole].pairs))
+        text = text[:m.start()] + hole + text[end + 1:]
+
+    def place(t):
+        if type(t) is S.Var:
+            return subs.get(t.name, t)
+        shape = S.SHAPES[type(t)]
+        kids, binders = shape.parts(t)
+        return shape.rebuild(t, [place(k) for k in kids], binders)
+
+    return place(parse_term(subst_tokens(text, marks)))
+
+
+def _parse_row(line: str) -> Tabled:
+    """A row of _TABLE, each grade metavariable parsed as a marker."""
+    name, _, rest = line.partition(": ")
+    equation, _, conditions = rest.partition(" if ")
+    marks = markers(_GRADE_METAS, line)
+    grades = {0: "0", 1: "1", **{int(v): k for k, v in marks.items()}}
+    sides = tuple(_Side(p, text, given, grades)
+                  for text in equation.split(" ~ ") for given in [set()]
+                  for p in [_parse_side(text, marks, given)])
+    found = [_CONDITION.fullmatch(c).groups()
+             for c in conditions.split(", ") if c]
+    return Tabled(name, sides,
+                  tuple((g, tuple(s.split(" + "))) for *_, g, s in found
+                        if g),
+                  tuple((x, u) for x, u, *_ in found if x))
+
+
+def _read(row: Tabled, side: int, t, bindings, sr):
+    """t read by one side of a tabled row (0 left, 1 right) and the other
+    side built; the bindings give what the side's substitutions need and
+    what the reading left unbound."""
+    found = {"0": sr.zero, "1": sr.one}
+    found.update((k, bindings[k]) for k in row.sides[side].given
+                 if k in bindings)
+    _match(row.sides[side].pattern, t, {}, {}, 0, found, _TERM_METAS,
+           row.sides[side])
+    for k, v in bindings.items():
+        found.setdefault(k, v)
+    for g, parts in row.sums:
+        total = functools.reduce(sr.add, [_need(found, p) for p in parts])
+        if found.setdefault(g, total) != total:
+            raise MatchError(f"{row.name} needs {g} = {' + '.join(parts)}")
+    for x, u in row.fresh:
+        if x in found and u in found and found[x] in S.free_vars(found[u]):
+            raise MatchError(f"{row.name} needs {x} not free in {u}, but "
+                             f"{found[x]} is free in {print_term(found[u])}")
+    out = row.sides[1 - side]
+    return _build(out.pattern, found, out.grades, t)
+
+
+TABLE = {SchemaId(row.name): row for row in map(_parse_row, _TABLE)}
+
+
+# ---------------------------------------------------------------------------
+# The rows over vectors.  Each takes (term, bindings, semiring) and returns
 # the rewritten term or raises MatchError.
-
-def _tensor_beta_l(t, b, sr):
-    match t:
-        case S.TensorLet(S.TensorPair(v, w), x, y, u):
-            return S.substitute(u, {x: v, y: w})
-    raise MatchError("expected let x (*) y = v (*) w in u")
-
-
-def _tensor_beta_r(t, b, sr):
-    u = _need(b, "u")
-    x, y = _need(b, "x"), _need(b, "y")
-    plugs = extract_plugs(u, (x, y), t)
-    return S.TensorLet(S.TensorPair(plugs[x], plugs[y]), x, y, u)
-
-
-def _tensor_eta_l(t, b, sr):
-    u, z = _need(b, "u"), _need(b, "z")
-    match t:
-        case S.TensorLet(v, x, y, body):
-            expected = S.substitute(u, {z: S.TensorPair(S.Var(x), S.Var(y))})
-            if not S.alpha_eq(expected, body):
-                raise MatchError("body is not u with x (*) y plugged for z")
-            return S.substitute(u, {z: v})
-    raise MatchError("expected a let-tensor expression")
-
-
-def _tensor_eta_r(t, b, sr):
-    u, z = _need(b, "u"), _need(b, "z")
-    v = _decompose(u, z, t)
-    fresh = _fresh_factory(t, u)
-    x, y = b.get("x") or fresh("x"), b.get("y") or fresh("y")
-    body = S.substitute(u, {z: S.TensorPair(S.Var(x), S.Var(y))})
-    return S.TensorLet(v, x, y, body)
-
-
-def _unit_beta_l(t, b, sr):
-    match t:
-        case S.UnitLet(S.Star(), v):
-            return v
-    raise MatchError("expected let unit = unit in v")
-
-
-def _unit_beta_r(t, b, sr):
-    return S.UnitLet(S.Star(), t)
-
-
-def _unit_eta_l(t, b, sr):
-    w, z = _need(b, "w"), _need(b, "z")
-    match t:
-        case S.UnitLet(v, body):
-            if not S.alpha_eq(S.substitute(w, {z: S.Star()}), body):
-                raise MatchError("body is not w with unit plugged for z")
-            return S.substitute(w, {z: v})
-    raise MatchError("expected a let-unit expression")
-
-
-def _unit_eta_r(t, b, sr):
-    w, z = _need(b, "w"), _need(b, "z")
-    v = _decompose(w, z, t)
-    return S.UnitLet(v, S.substitute(w, {z: S.Star()}))
-
-
-def _lolli_beta_l(t, b, sr):
-    match t:
-        case S.App(S.Lambda(x, _, v), w):
-            return S.substitute(v, {x: w})
-    raise MatchError("expected a beta redex (fn x : A => v) w")
-
-
-def _lolli_beta_r(t, b, sr):
-    v, x, ty = _need(b, "v"), _need(b, "x"), _need(b, "ty")
-    w = _decompose(v, x, t)
-    return S.App(S.Lambda(x, ty, v), w)
-
-
-def _lolli_eta_l(t, b, sr):
-    match t:
-        case S.Lambda(x, _, S.App(v, S.Var(y))) if x == y \
-                and x not in S.free_vars(v):
-            return v
-    raise MatchError("expected fn x : A => v x with x not free in v")
-
-
-def _lolli_eta_r(t, b, sr):
-    ty = _need(b, "ty")
-    x = b.get("x") or _fresh_factory(t)("x")
-    return S.Lambda(x, ty, S.App(t, S.Var(x)))
-
 
 def _bang_beta_l(t, b, sr):
     match t:
@@ -324,28 +411,12 @@ def _bang_beta_l(t, b, sr):
 
 
 def _bang_beta_r(t, b, sr):
-    u = _need(b, "u")
-    xs = tuple(_need(b, "xs"))
-    ss = tuple(_need(b, "ss"))
+    u, xs, ss = _need(b, "u"), tuple(_need(b, "xs")), tuple(_need(b, "ss"))
     if len(xs) != len(ss):
         raise MatchError("xs and ss bindings must have equal length")
     plugs = extract_plugs(u, xs, t)
     args = tuple(plugs[x] for x in xs)
     return S.Derelict(S.Promote(sr.one, ss, args, xs, u))
-
-
-def _bang_eta_l(t, b, sr):
-    match t:
-        case S.Promote(_, (s,), (z,), (x,), S.Derelict(S.Var(y))) \
-                if s == sr.one and x == y:
-            return z
-    raise MatchError("expected promote[r; 1](z; x => derelict x)")
-
-
-def _bang_eta_r(t, b, sr):
-    r = _need(b, "r")
-    x = b.get("x") or _fresh_factory(t)("x")
-    return S.Promote(r, (sr.one,), (t,), (x,), S.Derelict(S.Var(x)))
 
 
 def _promote_assoc_l(t, b, sr):
@@ -354,8 +425,8 @@ def _promote_assoc_l(t, b, sr):
             match args[0]:
                 case S.Promote(r12, ss, xs_args, ys, v) \
                         if r12 == sr.mul(r1, grades[0]):
-                    r2 = grades[0]
-                    a = binders[0]
+                    _fresh_in("promote-assoc", binders[1:], v, ys)
+                    r2, a = grades[0], binders[0]
                     fresh = _fresh_factory(t)
                     cs = tuple(fresh("c") for _ in ss)
                     inner = S.Promote(r2, ss,
@@ -372,7 +443,7 @@ def _promote_assoc_r(t, b, sr):
     w, a = _need(b, "w"), _need(b, "a")
     match t:
         case S.Promote(r1, grades, args, binders, body):
-            match _decompose(w, a, body):
+            match extract_plugs(w, (a,), body)[a]:
                 case S.Promote(r2, ss, _, ys, v):
                     k = len(ss)
                     if k > len(args):
@@ -395,66 +466,6 @@ def _promote_symm(t, b, sr):
     raise MatchError("swap index out of range for this promotion")
 
 
-def _copy_unit_left_l(t, b, sr):
-    match t:
-        case S.Copy(n, _, v, x, y, S.Discard(S.Var(dx), u)) \
-                if n == sr.zero and dx == x:
-            return S.substitute(u, {y: v})
-    raise MatchError("expected copy[0,n] v as x,y in discard x in u")
-
-
-def _copy_unit_left_r(t, b, sr):
-    u, z = _need(b, "u"), _need(b, "z")
-    n = _need(b, "n")
-    v = _decompose(u, z, t)
-    fresh = _fresh_factory(t, u)
-    x = b.get("x") or fresh("x")
-    return S.Copy(sr.zero, n, v, x, z, S.Discard(S.Var(x), u))
-
-
-def _copy_unit_right_l(t, b, sr):
-    match t:
-        case S.Copy(_, m, v, x, y, S.Discard(S.Var(dy), u)) \
-                if m == sr.zero and dy == y:
-            return S.substitute(u, {x: v})
-    raise MatchError("expected copy[n,0] v as x,y in discard y in u")
-
-
-def _copy_unit_right_r(t, b, sr):
-    u, z = _need(b, "u"), _need(b, "z")
-    n = _need(b, "n")
-    v = _decompose(u, z, t)
-    fresh = _fresh_factory(t, u)
-    y = b.get("y") or fresh("y")
-    return S.Copy(n, sr.zero, v, z, y, S.Discard(S.Var(y), u))
-
-
-def _copy_assoc_l(t, b, sr):
-    match t:
-        case S.Copy(p, o, v, x, y, S.Copy(n, m, S.Var(sx), a, bb, u)) \
-                if sx == x and p == sr.add(n, m):
-            c = b.get("c") or _fresh_factory(t)("c")
-            inner = S.Copy(m, o, S.Var(c), bb, y, u)
-            return S.Copy(n, sr.add(m, o), v, a, c, inner)
-    raise MatchError("expected copy[n+m,o] v as x,y in copy[n,m] x as a,b")
-
-
-def _copy_assoc_r(t, b, sr):
-    match t:
-        case S.Copy(n, _, v, a, _, S.Copy(m, o, _, bb, y, u)):
-            x = b.get("x") or _fresh_factory(t)("x")
-            inner = S.Copy(n, m, S.Var(x), a, bb, u)
-            return S.Copy(sr.add(n, m), o, v, x, y, inner)
-    raise MatchError("expected copy[n,m+o] v as a,c in copy[m,o] c as b,y")
-
-
-def _copy_comm(t, b, sr):
-    match t:
-        case S.Copy(n, m, v, x, y, u):
-            return S.Copy(m, n, v, y, x, u)
-    raise MatchError("expected a copy expression")
-
-
 def _discard_promote_l(t, b, sr):
     match t:
         case S.Discard(S.Promote(r, _, args, _, _), u) if r == sr.zero:
@@ -466,9 +477,7 @@ def _discard_promote_l(t, b, sr):
 
 
 def _discard_promote_r(t, b, sr):
-    w = _need(b, "w")
-    ss = tuple(_need(b, "ss"))
-    xs = tuple(_need(b, "xs"))
+    w, ss, xs = _need(b, "w"), tuple(_need(b, "ss")), tuple(_need(b, "xs"))
     if len(ss) != len(xs):
         raise MatchError("ss and xs bindings must have equal length")
     args, rest = [], t
@@ -486,6 +495,7 @@ def _promote_discard_l(t, b, sr):
     match t:
         case S.Promote(r, grades, args, binders, S.Discard(S.Var(dx), u)) \
                 if grades and grades[0] == sr.zero and dx == binders[0]:
+            _fresh_in("promote-discard", binders[:1], u)
             return S.Discard(args[0],
                              S.Promote(r, grades[1:], args[1:],
                                        binders[1:], u))
@@ -518,10 +528,8 @@ def _copy_promote_l(t, b, sr):
 
 
 def _copy_promote_r(t, b, sr):
-    u = _need(b, "u")
-    y, z = _need(b, "y"), _need(b, "z")
-    n, m = _need(b, "n"), _need(b, "m")
-    o = _need(b, "o")
+    u, y, z = _need(b, "u"), _need(b, "y"), _need(b, "z")
+    n, m, o = _need(b, "n"), _need(b, "m"), _need(b, "o")
     copies, rest = [], t
     for _ in range(o):
         match rest:
@@ -546,6 +554,10 @@ def _promote_copy_l(t, b, sr):
                        S.Copy(n, m, S.Var(sz), x, y, u)) \
                 if grades and sz == binders[0] \
                 and grades[0] == sr.add(n, m):
+            _fresh_in("promote-copy", binders[:1], u)
+            if {x, y} & set(binders[1:]) or x == y:
+                raise MatchError(f"promote-copy needs the copy's binders "
+                                 f"{x}, {y} apart from the promotion's")
             fresh = _fresh_factory(t)
             a, c = fresh("a"), fresh("b")
             inner = S.Promote(r, (n, m) + grades[1:],
@@ -568,61 +580,35 @@ def _promote_copy_r(t, b, sr):
                      "arguments")
 
 
-def _make_cc(name, head):
-    """Commuting conversion rows: u[K/z] = K-with-body u[w/z], where K is
-    a node of constructor head and its body is its last child."""
-
-    def l2r(t, b, sr):
-        u, z = _need(b, "u"), _need(b, "z")
-        plug = _decompose(u, z, t)
-        if type(plug) is not head:
-            raise MatchError(f"the plug for {name} has the wrong head")
-        new_body = S.substitute(u, {z: S.children(plug)[-1]})
-        return _with_body(plug, new_body)
-
-    def r2l(t, b, sr):
-        u, z = _need(b, "u"), _need(b, "z")
-        if type(t) is not head:
-            raise MatchError(f"expected a {name} expression at the position")
-        w = _decompose(u, z, S.children(t)[-1])
-        return S.substitute(u, {z: _with_body(t, w)})
-
-    return l2r, r2l
+def _fresh_in(row, names, u, bound=()):
+    """MatchError if a name in names is free in u and not in bound."""
+    for x in names:
+        if x in S.free_vars(u) and x not in bound:
+            raise MatchError(f"{row} needs {x} not free in {print_term(u)}")
 
 
-def _with_body(t: S.Term, body: S.Term) -> S.Term:
-    return replace_subterm(t, (len(S.children(t)) - 1,), body)
-
-
-_cc_unit_l, _cc_unit_r = _make_cc("let-unit", S.UnitLet)
-_cc_tensor_l, _cc_tensor_r = _make_cc("let-tensor", S.TensorLet)
-_cc_discard_l, _cc_discard_r = _make_cc("discard", S.Discard)
-_cc_copy_l, _cc_copy_r = _make_cc("copy", S.Copy)
+class Row(NamedTuple):
+    l2r: Callable  # (term, bindings, semiring) -> term, or MatchError
+    r2l: Callable
+    head: type  # the constructor of the left side, None for any
 
 
 _ROWS = {
-    SchemaId.TENSOR_BETA: (_tensor_beta_l, _tensor_beta_r),
-    SchemaId.TENSOR_ETA: (_tensor_eta_l, _tensor_eta_r),
-    SchemaId.UNIT_BETA: (_unit_beta_l, _unit_beta_r),
-    SchemaId.UNIT_ETA: (_unit_eta_l, _unit_eta_r),
-    SchemaId.LOLLI_BETA: (_lolli_beta_l, _lolli_beta_r),
-    SchemaId.LOLLI_ETA: (_lolli_eta_l, _lolli_eta_r),
-    SchemaId.BANG_BETA: (_bang_beta_l, _bang_beta_r),
-    SchemaId.BANG_ETA: (_bang_eta_l, _bang_eta_r),
-    SchemaId.PROMOTE_ASSOC: (_promote_assoc_l, _promote_assoc_r),
-    SchemaId.PROMOTE_SYMM: (_promote_symm, _promote_symm),
-    SchemaId.COPY_UNIT_LEFT: (_copy_unit_left_l, _copy_unit_left_r),
-    SchemaId.COPY_UNIT_RIGHT: (_copy_unit_right_l, _copy_unit_right_r),
-    SchemaId.COPY_ASSOC: (_copy_assoc_l, _copy_assoc_r),
-    SchemaId.COPY_COMM: (_copy_comm, _copy_comm),
-    SchemaId.DISCARD_PROMOTE: (_discard_promote_l, _discard_promote_r),
-    SchemaId.PROMOTE_DISCARD: (_promote_discard_l, _promote_discard_r),
-    SchemaId.COPY_PROMOTE: (_copy_promote_l, _copy_promote_r),
-    SchemaId.PROMOTE_COPY: (_promote_copy_l, _promote_copy_r),
-    SchemaId.CC_UNIT: (_cc_unit_l, _cc_unit_r),
-    SchemaId.CC_TENSOR: (_cc_tensor_l, _cc_tensor_r),
-    SchemaId.CC_DISCARD: (_cc_discard_l, _cc_discard_r),
-    SchemaId.CC_COPY: (_cc_copy_l, _cc_copy_r),
+    **{s: Row(functools.partial(_read, row, 0),
+              functools.partial(_read, row, 1),
+              None if type(row.sides[0].pattern) is Sub
+              else type(row.sides[0].pattern))
+       for s, row in TABLE.items()},
+    SchemaId.BANG_BETA: Row(_bang_beta_l, _bang_beta_r, S.Derelict),
+    SchemaId.PROMOTE_ASSOC: Row(_promote_assoc_l, _promote_assoc_r,
+                                S.Promote),
+    SchemaId.PROMOTE_SYMM: Row(_promote_symm, _promote_symm, S.Promote),
+    SchemaId.DISCARD_PROMOTE: Row(_discard_promote_l, _discard_promote_r,
+                                  S.Discard),
+    SchemaId.PROMOTE_DISCARD: Row(_promote_discard_l, _promote_discard_r,
+                                  S.Promote),
+    SchemaId.COPY_PROMOTE: Row(_copy_promote_l, _copy_promote_r, S.Copy),
+    SchemaId.PROMOTE_COPY: Row(_promote_copy_l, _promote_copy_r, S.Promote),
 }
 
 
@@ -632,13 +618,13 @@ def rewrite_term(term: S.Term, step: RewriteStep,
     right-to-left proposal stands only if the row read left to right, with
     the same bindings, takes it back to an alpha-equal subterm."""
     sub = get_subterm(term, step.position)
-    l2r, r2l = _ROWS[step.schema]
+    row = _ROWS[step.schema]
     if step.direction == "L2R":
         return replace_subterm(term, step.position,
-                               l2r(sub, step.bindings, semiring))
-    redex = r2l(sub, step.bindings, semiring)
+                               row.l2r(sub, step.bindings, semiring))
+    redex = row.r2l(sub, step.bindings, semiring)
     try:
-        if S.alpha_eq(l2r(redex, step.bindings, semiring), sub):
+        if S.alpha_eq(row.l2r(redex, step.bindings, semiring), sub):
             return replace_subterm(term, step.position, redex)
     except MatchError:
         pass
@@ -673,17 +659,14 @@ def _retype(sig, d: Derivation, new_term, step, semiring, memo):
 # ---------------------------------------------------------------------------
 # Normalization
 
-# The constructor at the head of each oriented row's left side: a subterm
-# with another head cannot match the row.
-_REDEX_HEAD = {
-    SchemaId.LOLLI_BETA: S.App, SchemaId.LOLLI_ETA: S.Lambda,
-    SchemaId.TENSOR_BETA: S.TensorLet, SchemaId.UNIT_BETA: S.UnitLet,
-    SchemaId.BANG_BETA: S.Derelict, SchemaId.BANG_ETA: S.Promote,
-    SchemaId.COPY_UNIT_LEFT: S.Copy, SchemaId.COPY_UNIT_RIGHT: S.Copy,
-}
-ORIENTED = tuple(_REDEX_HEAD)
-_ORIENTED_AT = {head: tuple(s for s in ORIENTED if _REDEX_HEAD[s] is head)
-                for head in _REDEX_HEAD.values()}
+# The rows that drive the normalizer, each tried at the subterms whose
+# constructor heads its left side.
+ORIENTED = (SchemaId.LOLLI_BETA, SchemaId.LOLLI_ETA, SchemaId.TENSOR_BETA,
+            SchemaId.UNIT_BETA, SchemaId.BANG_BETA, SchemaId.BANG_ETA,
+            SchemaId.COPY_UNIT_LEFT, SchemaId.COPY_UNIT_RIGHT)
+_ORIENTED_AT = {}
+for _s in ORIENTED:
+    _ORIENTED_AT.setdefault(_ROWS[_s].head, []).append(_s)
 
 
 def term_size(t: S.Term) -> int:
@@ -700,7 +683,7 @@ def _next_step(sig, d: Derivation, semiring, memo):
     for pos, sub in positioned_subterms(term):
         for schema in _ORIENTED_AT.get(type(sub), ()):
             try:
-                reduct = _ROWS[schema][0](sub, {}, semiring)
+                reduct = _ROWS[schema].l2r(sub, {}, semiring)
             except MatchError:
                 continue
             step = RewriteStep(schema, pos, "L2R")

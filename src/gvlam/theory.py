@@ -28,33 +28,19 @@ segment sits in an operation name, the goal's operation there gives it.
 from __future__ import annotations
 
 import ast
-import itertools
 import math
 import operator
 import re
 from fractions import Fraction
 
 from . import syntax as S
-from .parser import (IDENT_RE, ParseError, is_identifier, parse_context,
-                     parse_term, parse_type)
+from .parser import (ParseError, is_identifier, markers, parse_context,
+                     parse_term, parse_type, subst_tokens)
 from .probmodel import gaussian_phi
 from .quantale import QuantaleError, get_quantale, get_semiring
 from .typecheck import TypeError_, check_grounds
 from .vequation import (AxiomFamily, AxiomInstance, ProofError, TheoryError,
                         TheorySpec)
-
-
-def subst_tokens(src: str, params: dict) -> str:
-    """Substitute parameter values into identifier segments and bare
-    tokens, so wait_n becomes wait_3 under {n: 3}."""
-
-    def repl(m):
-        name = m.group(0)
-        segments = name.split("_")
-        segments = [str(params[s]) if s in params else s for s in segments]
-        return "_".join(segments)
-
-    return IDENT_RE.sub(repl, src)
 
 
 def _read_name(pattern: tuple, name: str, values: dict) -> bool:
@@ -187,9 +173,8 @@ class AxiomTemplate(AxiomFamily):
         self.srcs = (ctx_src, lhs_src, rhs_src)
         self.bound = bound
         self.derived = dict(derived)
-        text = " ".join(self.srcs)
-        marks = (str(i) for i in itertools.count(10) if str(i) not in text)
-        self._marks = held = dict(zip((*self.params, *self.derived), marks))
+        self._marks = held = markers((*self.params, *self.derived),
+                                     " ".join(self.srcs))
         self.context = parse_context(subst_tokens(ctx_src, held))
         self.lhs = parse_term(subst_tokens(lhs_src, held))
         self.rhs = parse_term(subst_tokens(rhs_src, held))

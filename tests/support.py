@@ -15,7 +15,9 @@ from gvlam import syntax as S
 from gvlam import theory
 from gvlam.metmodel import ModelAssignment, timed_space
 from gvlam.parser import ParseError
-from gvlam.rewrite import MatchError, RewriteStep, SchemaId
+from gvlam.quantale import NatSemiring
+from gvlam.rewrite import (_ROWS, MatchError, RewriteStep, SchemaId,
+                           extract_plugs, get_subterm, replace_subterm)
 from gvlam.typecheck import Derivation, Judgement
 
 # Non-empty while the suite's cross-check (conftest.cross_checked) runs
@@ -737,6 +739,386 @@ SCHEMA_BUILDERS = {
     SchemaId.CC_DISCARD: _b_cc_discard,
     SchemaId.CC_COPY: _b_cc_copy,
 }
+
+# ---------------------------------------------------------------------------
+# The schema rows as functions, one per direction, as they were before the
+# table: the reference for the table and for the rows over vectors whose
+# freshness conditions are now checked (gvlam.rewrite._ROWS).
+
+
+def _need(b, key):
+    if key not in b:
+        raise MatchError(f"this schema row needs the {key!r} binding")
+    return b[key]
+
+
+def _fresh_factory(*terms):
+    taken = set()
+    for t in terms:
+        if t is not None:
+            taken |= S.all_names(t)
+
+    def fresh(base):
+        name = S.fresh_name(base, taken)
+        taken.add(name)
+        return name
+
+    return fresh
+
+
+def _decompose(u, z, t):
+    return extract_plugs(u, (z,), t)[z]
+
+
+def _tensor_beta_l(t, b, sr):
+    match t:
+        case S.TensorLet(S.TensorPair(v, w), x, y, u):
+            return S.substitute(u, {x: v, y: w})
+    raise MatchError("expected let x (*) y = v (*) w in u")
+
+
+def _tensor_beta_r(t, b, sr):
+    u = _need(b, "u")
+    x, y = _need(b, "x"), _need(b, "y")
+    plugs = extract_plugs(u, (x, y), t)
+    return S.TensorLet(S.TensorPair(plugs[x], plugs[y]), x, y, u)
+
+
+def _tensor_eta_l(t, b, sr):
+    u, z = _need(b, "u"), _need(b, "z")
+    match t:
+        case S.TensorLet(v, x, y, body):
+            expected = S.substitute(u, {z: S.TensorPair(S.Var(x), S.Var(y))})
+            if not S.alpha_eq(expected, body):
+                raise MatchError("body is not u with x (*) y plugged for z")
+            return S.substitute(u, {z: v})
+    raise MatchError("expected a let-tensor expression")
+
+
+def _tensor_eta_r(t, b, sr):
+    u, z = _need(b, "u"), _need(b, "z")
+    v = _decompose(u, z, t)
+    fresh = _fresh_factory(t, u)
+    x, y = b.get("x") or fresh("x"), b.get("y") or fresh("y")
+    body = S.substitute(u, {z: S.TensorPair(S.Var(x), S.Var(y))})
+    return S.TensorLet(v, x, y, body)
+
+
+def _unit_beta_l(t, b, sr):
+    match t:
+        case S.UnitLet(S.Star(), v):
+            return v
+    raise MatchError("expected let unit = unit in v")
+
+
+def _unit_beta_r(t, b, sr):
+    return S.UnitLet(S.Star(), t)
+
+
+def _unit_eta_l(t, b, sr):
+    w, z = _need(b, "w"), _need(b, "z")
+    match t:
+        case S.UnitLet(v, body):
+            if not S.alpha_eq(S.substitute(w, {z: S.Star()}), body):
+                raise MatchError("body is not w with unit plugged for z")
+            return S.substitute(w, {z: v})
+    raise MatchError("expected a let-unit expression")
+
+
+def _unit_eta_r(t, b, sr):
+    w, z = _need(b, "w"), _need(b, "z")
+    v = _decompose(w, z, t)
+    return S.UnitLet(v, S.substitute(w, {z: S.Star()}))
+
+
+def _lolli_beta_l(t, b, sr):
+    match t:
+        case S.App(S.Lambda(x, _, v), w):
+            return S.substitute(v, {x: w})
+    raise MatchError("expected a beta redex (fn x : A => v) w")
+
+
+def _lolli_beta_r(t, b, sr):
+    v, x, ty = _need(b, "v"), _need(b, "x"), _need(b, "ty")
+    w = _decompose(v, x, t)
+    return S.App(S.Lambda(x, ty, v), w)
+
+
+def _lolli_eta_l(t, b, sr):
+    match t:
+        case S.Lambda(x, _, S.App(v, S.Var(y))) if x == y \
+                and x not in S.free_vars(v):
+            return v
+    raise MatchError("expected fn x : A => v x with x not free in v")
+
+
+def _lolli_eta_r(t, b, sr):
+    ty = _need(b, "ty")
+    x = b.get("x") or _fresh_factory(t)("x")
+    return S.Lambda(x, ty, S.App(t, S.Var(x)))
+
+
+def _bang_eta_l(t, b, sr):
+    match t:
+        case S.Promote(_, (s,), (z,), (x,), S.Derelict(S.Var(y))) \
+                if s == sr.one and x == y:
+            return z
+    raise MatchError("expected promote[r; 1](z; x => derelict x)")
+
+
+def _bang_eta_r(t, b, sr):
+    r = _need(b, "r")
+    x = b.get("x") or _fresh_factory(t)("x")
+    return S.Promote(r, (sr.one,), (t,), (x,), S.Derelict(S.Var(x)))
+
+
+def _promote_assoc_l(t, b, sr):
+    match t:
+        case S.Promote(r1, grades, args, binders, w) if args and grades:
+            match args[0]:
+                case S.Promote(r12, ss, xs_args, ys, v) \
+                        if r12 == sr.mul(r1, grades[0]):
+                    r2 = grades[0]
+                    a = binders[0]
+                    fresh = _fresh_factory(t)
+                    cs = tuple(fresh("c") for _ in ss)
+                    inner = S.Promote(r2, ss,
+                                      tuple(S.Var(c) for c in cs), ys, v)
+                    new_body = S.substitute(w, {a: inner})
+                    new_grades = tuple(sr.mul(r2, s) for s in ss) + grades[1:]
+                    return S.Promote(r1, new_grades, xs_args + args[1:],
+                                     cs + binders[1:], new_body)
+    raise MatchError("expected a promotion whose first argument is a "
+                     "promotion of the product grade")
+
+
+def _promote_assoc_r(t, b, sr):
+    w, a = _need(b, "w"), _need(b, "a")
+    match t:
+        case S.Promote(r1, grades, args, binders, body):
+            match _decompose(w, a, body):
+                case S.Promote(r2, ss, _, ys, v):
+                    k = len(ss)
+                    if k > len(args):
+                        raise MatchError("the inner promotion has more "
+                                         "arguments than the outer one")
+                    inner = S.Promote(sr.mul(r1, r2), ss, args[:k], ys, v)
+                    return S.Promote(r1, (r2,) + grades[k:],
+                                     (inner,) + args[k:],
+                                     (a,) + binders[k:], w)
+            raise MatchError("the plug for the hole is not a promotion")
+    raise MatchError("expected a promotion")
+
+
+def _copy_unit_left_l(t, b, sr):
+    match t:
+        case S.Copy(n, _, v, x, y, S.Discard(S.Var(dx), u)) \
+                if n == sr.zero and dx == x:
+            return S.substitute(u, {y: v})
+    raise MatchError("expected copy[0,n] v as x,y in discard x in u")
+
+
+def _copy_unit_left_r(t, b, sr):
+    u, z = _need(b, "u"), _need(b, "z")
+    n = _need(b, "n")
+    v = _decompose(u, z, t)
+    fresh = _fresh_factory(t, u)
+    x = b.get("x") or fresh("x")
+    return S.Copy(sr.zero, n, v, x, z, S.Discard(S.Var(x), u))
+
+
+def _copy_unit_right_l(t, b, sr):
+    match t:
+        case S.Copy(_, m, v, x, y, S.Discard(S.Var(dy), u)) \
+                if m == sr.zero and dy == y:
+            return S.substitute(u, {x: v})
+    raise MatchError("expected copy[n,0] v as x,y in discard y in u")
+
+
+def _copy_unit_right_r(t, b, sr):
+    u, z = _need(b, "u"), _need(b, "z")
+    n = _need(b, "n")
+    v = _decompose(u, z, t)
+    fresh = _fresh_factory(t, u)
+    y = b.get("y") or fresh("y")
+    return S.Copy(n, sr.zero, v, z, y, S.Discard(S.Var(y), u))
+
+
+def _copy_assoc_l(t, b, sr):
+    match t:
+        case S.Copy(p, o, v, x, y, S.Copy(n, m, S.Var(sx), a, bb, u)) \
+                if sx == x and p == sr.add(n, m):
+            c = b.get("c") or _fresh_factory(t)("c")
+            inner = S.Copy(m, o, S.Var(c), bb, y, u)
+            return S.Copy(n, sr.add(m, o), v, a, c, inner)
+    raise MatchError("expected copy[n+m,o] v as x,y in copy[n,m] x as a,b")
+
+
+def _copy_assoc_r(t, b, sr):
+    match t:
+        case S.Copy(n, _, v, a, _, S.Copy(m, o, _, bb, y, u)):
+            x = b.get("x") or _fresh_factory(t)("x")
+            inner = S.Copy(n, m, S.Var(x), a, bb, u)
+            return S.Copy(sr.add(n, m), o, v, x, y, inner)
+    raise MatchError("expected copy[n,m+o] v as a,c in copy[m,o] c as b,y")
+
+
+def _copy_comm(t, b, sr):
+    match t:
+        case S.Copy(n, m, v, x, y, u):
+            return S.Copy(m, n, v, y, x, u)
+    raise MatchError("expected a copy expression")
+
+
+def _promote_discard_l(t, b, sr):
+    match t:
+        case S.Promote(r, grades, args, binders, S.Discard(S.Var(dx), u)) \
+                if grades and grades[0] == sr.zero and dx == binders[0]:
+            return S.Discard(args[0],
+                             S.Promote(r, grades[1:], args[1:],
+                                       binders[1:], u))
+    raise MatchError("expected a promotion discarding its first binder")
+
+
+def _promote_discard_r(t, b, sr):
+    match t:
+        case S.Discard(v, S.Promote(r, grades, args, binders, u)):
+            x = b.get("x") or _fresh_factory(t)("x")
+            return S.Promote(r, (sr.zero,) + grades, (v,) + args,
+                             (x,) + binders, S.Discard(S.Var(x), u))
+    raise MatchError("expected discard of a value before a promotion")
+
+
+def _promote_copy_l(t, b, sr):
+    match t:
+        case S.Promote(r, grades, args, binders,
+                       S.Copy(n, m, S.Var(sz), x, y, u)) \
+                if grades and sz == binders[0] \
+                and grades[0] == sr.add(n, m):
+            fresh = _fresh_factory(t)
+            a, c = fresh("a"), fresh("b")
+            inner = S.Promote(r, (n, m) + grades[1:],
+                              (S.Var(a), S.Var(c)) + args[1:],
+                              (x, y) + binders[1:], u)
+            return S.Copy(sr.mul(r, n), sr.mul(r, m), args[0], a, c, inner)
+    raise MatchError("expected a promotion copying its first binder")
+
+
+def _promote_copy_r(t, b, sr):
+    match t:
+        case S.Copy(_, _, v, _, _, S.Promote(r, grades, args, binders, u)) \
+                if len(grades) >= 2:
+            z = b.get("z") or _fresh_factory(t)("z")
+            n, m = grades[0], grades[1]
+            body = S.Copy(n, m, S.Var(z), binders[0], binders[1], u)
+            return S.Promote(r, (sr.add(n, m),) + grades[2:],
+                             (v,) + args[2:], (z,) + binders[2:], body)
+    raise MatchError("expected a copy before a promotion of two or more "
+                     "arguments")
+
+
+def _make_cc(name, head):
+    """Commuting conversion rows: u[K/z] = K-with-body u[w/z], where K is
+    a node of constructor head and its body is its last child."""
+
+    def l2r(t, b, sr):
+        u, z = _need(b, "u"), _need(b, "z")
+        plug = _decompose(u, z, t)
+        if type(plug) is not head:
+            raise MatchError(f"the plug for {name} has the wrong head")
+        new_body = S.substitute(u, {z: S.children(plug)[-1]})
+        return _with_body(plug, new_body)
+
+    def r2l(t, b, sr):
+        u, z = _need(b, "u"), _need(b, "z")
+        if type(t) is not head:
+            raise MatchError(f"expected a {name} expression at the position")
+        w = _decompose(u, z, S.children(t)[-1])
+        return S.substitute(u, {z: _with_body(t, w)})
+
+    return l2r, r2l
+
+
+def _with_body(t: S.Term, body: S.Term) -> S.Term:
+    return replace_subterm(t, (len(S.children(t)) - 1,), body)
+
+
+_cc_unit_l, _cc_unit_r = _make_cc("let-unit", S.UnitLet)
+_cc_tensor_l, _cc_tensor_r = _make_cc("let-tensor", S.TensorLet)
+_cc_discard_l, _cc_discard_r = _make_cc("discard", S.Discard)
+_cc_copy_l, _cc_copy_r = _make_cc("copy", S.Copy)
+
+
+REFERENCE_ROWS = {
+    SchemaId.TENSOR_BETA: (_tensor_beta_l, _tensor_beta_r),
+    SchemaId.TENSOR_ETA: (_tensor_eta_l, _tensor_eta_r),
+    SchemaId.UNIT_BETA: (_unit_beta_l, _unit_beta_r),
+    SchemaId.UNIT_ETA: (_unit_eta_l, _unit_eta_r),
+    SchemaId.LOLLI_BETA: (_lolli_beta_l, _lolli_beta_r),
+    SchemaId.LOLLI_ETA: (_lolli_eta_l, _lolli_eta_r),
+    SchemaId.BANG_ETA: (_bang_eta_l, _bang_eta_r),
+    SchemaId.PROMOTE_ASSOC: (_promote_assoc_l, _promote_assoc_r),
+    SchemaId.COPY_UNIT_LEFT: (_copy_unit_left_l, _copy_unit_left_r),
+    SchemaId.COPY_UNIT_RIGHT: (_copy_unit_right_l, _copy_unit_right_r),
+    SchemaId.COPY_ASSOC: (_copy_assoc_l, _copy_assoc_r),
+    SchemaId.COPY_COMM: (_copy_comm, _copy_comm),
+    SchemaId.PROMOTE_DISCARD: (_promote_discard_l, _promote_discard_r),
+    SchemaId.PROMOTE_COPY: (_promote_copy_l, _promote_copy_r),
+    SchemaId.CC_UNIT: (_cc_unit_l, _cc_unit_r),
+    SchemaId.CC_TENSOR: (_cc_tensor_l, _cc_tensor_r),
+    SchemaId.CC_DISCARD: (_cc_discard_l, _cc_discard_r),
+    SchemaId.CC_COPY: (_cc_copy_l, _cc_copy_r),
+}
+
+
+def reference_rewrite_term(term, step, semiring=NatSemiring()):
+    """rewrite.rewrite_term with the reference rows: a right-to-left
+    proposal stands only if the row read left to right takes it back."""
+    sub = get_subterm(term, step.position)
+    row = _ROWS[step.schema]
+    l2r, r2l = REFERENCE_ROWS.get(step.schema, (row.l2r, row.r2l))
+    if step.direction == "L2R":
+        return replace_subterm(term, step.position,
+                               l2r(sub, step.bindings, semiring))
+    redex = r2l(sub, step.bindings, semiring)
+    try:
+        if S.alpha_eq(l2r(redex, step.bindings, semiring), sub):
+            return replace_subterm(term, step.position, redex)
+    except MatchError:
+        pass
+    raise MatchError(f"{step.schema.value} read left to right does not "
+                     f"take the proposal back")
+
+
+def row_bindings(schema, lhs, step):
+    """The bindings a script writes to read the row right to left, back to
+    lhs, which step rewrites left to right."""
+    match schema, lhs:
+        case SchemaId.TENSOR_BETA, S.TensorLet(_, x, y, u):
+            return {"u": u, "x": x, "y": y}
+        case SchemaId.LOLLI_BETA, S.App(S.Lambda(x, ty, v), _):
+            return {"v": v, "x": x, "ty": ty}
+        case SchemaId.LOLLI_ETA, S.Lambda(x, ty, _):
+            return {"ty": ty, "x": x}
+        case SchemaId.BANG_BETA, S.Derelict(S.Promote(_, ss, _, xs, u)):
+            return {"u": u, "xs": xs, "ss": ss}
+        case SchemaId.BANG_ETA, S.Promote(r, _, _, _, _):
+            return {"r": r}
+        case SchemaId.PROMOTE_ASSOC, S.Promote(_, _, _, (a, *_), w):
+            return {"w": w, "a": a}
+        case SchemaId.COPY_UNIT_LEFT, S.Copy(_, n, _, _, z,
+                                             S.Discard(_, u)):
+            return {"u": u, "z": z, "n": n}
+        case SchemaId.COPY_UNIT_RIGHT, S.Copy(n, _, _, z, _,
+                                              S.Discard(_, u)):
+            return {"u": u, "z": z, "n": n}
+        case SchemaId.DISCARD_PROMOTE, S.Discard(
+                S.Promote(_, ss, _, xs, w), _):
+            return {"w": w, "ss": ss, "xs": xs}
+        case SchemaId.COPY_PROMOTE, S.Copy(n, m, S.Promote(_, ss, _, _, _),
+                                           y, z, u):
+            return {"u": u, "y": y, "z": z, "n": n, "m": m, "o": len(ss)}
+    return step.bindings
 
 
 # ---------------------------------------------------------------------------

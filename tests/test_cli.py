@@ -601,6 +601,37 @@ def test_schema_index_and_copy_count_are_not_grades(capsys, tmp_path,
         65, "", f"gvlam: error: {key} must be an integer, got 'inf'\n")
 
 
+@pytest.mark.parametrize("option, message", [
+    (":dir foo", "dir must be L2R or R2L, got 'foo'"),
+    (":flip maybe", "flip must be no or yes, got 'maybe'"),
+])
+def test_schema_dir_and_flip_are_checked_at_parse(capsys, tmp_path, option,
+                                                  message):
+    # Unchecked, :dir foo would fail only at the step, as a proof error
+    # (exit 2), and :flip maybe would flip the sides as :flip yes does.
+    path = tmp_path / "option.proof"
+    path.write_text('(schema lolli-beta :ctx "y : X" '
+                    f':term "(fn x : X => wait_1(x)) y" {option})')
+    code, out, err = run(capsys, ["prove", TIMED, str(path)])
+    assert (code, out, err) == (65, "", f"gvlam: error: {message}\n")
+
+
+def test_schema_step_that_would_capture_fails(capsys, tmp_path):
+    # cc-tensor would move the free x of u under the let that binds x; the
+    # step is refused before either side is typed.
+    theory = tmp_path / "plus.thy"
+    theory.write_text("quantale metric\nsemiring nat\nground X\n"
+                      "op plus : X, X -> X\n")
+    path = tmp_path / "capture.proof"
+    path.write_text('(schema cc-tensor :ctx "p : X * X, x : X" '
+                    ':term "plus(let x (*) y = p in y, x)" '
+                    ':u "plus(z, x)" :z z)')
+    code, out, err = run(capsys, ["prove", str(theory), str(path)])
+    assert (code, out, err) == (2, "", (
+        "gvlam: proof error: schema step failed: cc-tensor needs x not free "
+        "in u, but x is free in plus(z, x)\n"))
+
+
 @pytest.mark.parametrize("argv", [
     ["verify-laws", "--grades", "x"],
     ["verify-laws", "--grades", "5..2"],

@@ -201,7 +201,7 @@ def test_each_step_runs_its_row_once(monkeypatch):
     theory = load_theory(TIMED)
     sig, ctx = theory.signature, (("y", X),)
     calls = []
-    l2r, r2l = rewrite._ROWS[SchemaId.LOLLI_BETA]
+    row = rewrite._ROWS[SchemaId.LOLLI_BETA]
 
     def counted(t, b, sr):
         # The suite's validate also runs the oracle and, given the
@@ -209,9 +209,10 @@ def test_each_step_runs_its_row_once(monkeypatch):
         # not counted.
         if not support.cross_checking:
             calls.append(t)
-        return l2r(t, b, sr)
+        return row.l2r(t, b, sr)
 
-    monkeypatch.setitem(rewrite._ROWS, SchemaId.LOLLI_BETA, (counted, r2l))
+    monkeypatch.setitem(rewrite._ROWS, SchemaId.LOLLI_BETA,
+                        row._replace(l2r=counted))
     v = nest([1] * 20)
     w = S.Var("y")
     for k in [1] * 19 + [2]:

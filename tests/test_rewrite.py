@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -111,37 +112,6 @@ def test_cc_round_trip():
         assert S.alpha_eq(rewrite_term(mid, back_step), lhs)
 
 
-def _r2l_bindings(schema, lhs, step):
-    """The bindings a script writes to read the row right to left, back to
-    the builder's left side."""
-    match schema, lhs:
-        case SchemaId.TENSOR_BETA, S.TensorLet(_, x, y, u):
-            return {"u": u, "x": x, "y": y}
-        case SchemaId.LOLLI_BETA, S.App(S.Lambda(x, ty, v), _):
-            return {"v": v, "x": x, "ty": ty}
-        case SchemaId.LOLLI_ETA, S.Lambda(x, ty, _):
-            return {"ty": ty, "x": x}
-        case SchemaId.BANG_BETA, S.Derelict(S.Promote(_, ss, _, xs, u)):
-            return {"u": u, "xs": xs, "ss": ss}
-        case SchemaId.BANG_ETA, S.Promote(r, _, _, _, _):
-            return {"r": r}
-        case SchemaId.PROMOTE_ASSOC, S.Promote(_, _, _, (a,), w):
-            return {"w": w, "a": a}
-        case SchemaId.COPY_UNIT_LEFT, S.Copy(_, n, _, _, z,
-                                             S.Discard(_, u)):
-            return {"u": u, "z": z, "n": n}
-        case SchemaId.COPY_UNIT_RIGHT, S.Copy(n, _, _, z, _,
-                                              S.Discard(_, u)):
-            return {"u": u, "z": z, "n": n}
-        case SchemaId.DISCARD_PROMOTE, S.Discard(
-                S.Promote(_, ss, _, xs, w), _):
-            return {"w": w, "ss": ss, "xs": xs}
-        case SchemaId.COPY_PROMOTE, S.Copy(n, m, S.Promote(_, ss, _, _, _),
-                                           y, z, u):
-            return {"u": u, "y": y, "z": z, "n": n, "m": m, "o": len(ss)}
-    return step.bindings
-
-
 def test_every_row_round_trips_right_to_left():
     rng = random.Random(6)
     for schema, builder in support.SCHEMA_BUILDERS.items():
@@ -149,7 +119,7 @@ def test_every_row_round_trips_right_to_left():
             _, lhs, step = builder(rng)
             mid = rewrite_term(lhs, step)
             back = rewrite_term(mid, RewriteStep(
-                schema, (), "R2L", _r2l_bindings(schema, lhs, step)))
+                schema, (), "R2L", support.row_bindings(schema, lhs, step)))
             assert S.alpha_eq(back, lhs), schema
 
 
@@ -161,6 +131,33 @@ def test_promote_copy_right_to_left_keeps_the_copy_binders_bound():
     with pytest.raises(MatchError, match="promote-copy read left to right "
                                          "does not take"):
         rewrite_term(t, RewriteStep(SchemaId.PROMOTE_COPY, (), "R2L"))
+
+
+@pytest.mark.parametrize("row, term, bindings, message", [
+    ("tensor-eta", "let x (*) y = p in plus(x (*) y, x)",
+     {"u": "plus(z, x)", "z": "z"}, "x not free in u"),
+    ("copy-assoc", "copy[2,1] s as x,y in copy[1,1] x as a,b in "
+     "plus(derelict a, plus(derelict b, plus(derelict y, derelict x)))", {},
+     "x not free in u"),
+    ("copy-assoc", "copy[2,1] s as x,y in copy[1,1] x as y,b in "
+     "plus(derelict y, derelict b)", {}, "its binders distinct"),
+    ("promote-assoc", "promote[1; 1, 1](promote[1; 1](a; y => "
+     "plus(derelict y, derelict k)), b; z, k => plus(derelict z, "
+     "derelict k))", {}, "k not free in plus(derelict y, derelict k)"),
+    ("promote-copy", "promote[1; 2](a; z => copy[1,1] z as x,y in "
+     "plus(derelict x, plus(derelict y, derelict z)))", {},
+     "z not free in"),
+    ("promote-copy", "promote[1; 2, 1](a, b; z, k => copy[1,1] z as x,k in "
+     "plus(derelict x, derelict k))", {}, "binders x, k apart"),
+])
+def test_freshness_conditions_refuse_captures(row, term, bindings, message):
+    """Each step would capture a free variable or free a bound one, which
+    the row functions the table replaced let through."""
+    step = RewriteStep(SchemaId(row), (), "L2R", {
+        k: parse_term(v) if k == "u" else v for k, v in bindings.items()})
+    with pytest.raises(MatchError, match=re.escape(message)):
+        rewrite_term(parse_term(term), step)
+    support.reference_rewrite_term(parse_term(term), step)
 
 
 def _verdict(match, u, t):

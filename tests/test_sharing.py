@@ -100,7 +100,7 @@ BASE = support.beta_script([0, 1, 0, 0, 1, 0], [0, 1, 3, 0, 1, 0])
 
 @pytest.mark.parametrize("old, new, message", [
     (":pos 0.0)", ":pos 0)",
-     "schema step failed: expected a beta redex (fn x : A => v) w"),
+     "schema step failed: expected (fn x : ty => v) w"),
     (':ctx "y : X"', ':ctx "y : I"',
      "schema: ill-typed conclusion: at app-arg/app-arg/app-arg/app-arg/"
      "app-arg: function expects X, argument has type I"),

@@ -9,7 +9,9 @@ normalize_first), validate, beta_normalize and model_distance, and
 prints the median and minimum time of each, the hot-path call counts of
 one further run (typecheck._infer, syntax._aeq,
 vequation.axiom_instantiate), the exponent of n fitted to each time and
-count, and the src/gvlam line count, in total and per module.  Then it
+count, and the src/gvlam line count, in total and per module.  At each
+beta_normalize rung it also prints how many times a schema row ran and
+the share of that run's time spent in the rows.  Then it
 prints the fixed-size figures: metric-space arithmetic, probability,
 normalisation, synthesis, proof check and model distance time.  It gates
 nothing: every figure is reported only.  A section that raises is
@@ -45,7 +47,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import terms as T  # noqa: E402  (perfbench/terms.py)
 from gvlam import syntax as S  # noqa: E402
-from gvlam import typecheck, vequation  # noqa: E402
+from gvlam import rewrite, typecheck, vequation  # noqa: E402
 from gvlam.metmodel import model_distance, timed_model  # noqa: E402
 from gvlam.parser import parse_term  # noqa: E402
 from gvlam.proofscript import parse_proof  # noqa: E402
@@ -109,6 +111,41 @@ def counting():
             setattr(module, name, saved[key])
 
 
+@contextlib.contextmanager
+def timing_rows():
+    """Count the schema rows' runs, in either direction, and sum their
+    time while the block runs."""
+    stats = {"calls": 0, "s": 0.0}
+    saved = dict(rewrite._ROWS)
+
+    def timed(read):
+        def run(*args):
+            start = time.perf_counter()
+            try:
+                return read(*args)
+            finally:
+                stats["calls"] += 1
+                stats["s"] += time.perf_counter() - start
+        return run
+
+    for schema, row in saved.items():
+        rewrite._ROWS[schema] = row._replace(l2r=timed(row.l2r),
+                                             r2l=timed(row.r2l))
+    try:
+        yield stats
+    finally:
+        rewrite._ROWS.update(saved)
+
+
+def row_cost(call):
+    """(row runs, their share of the time) in one more run of call."""
+    with timing_rows() as stats:
+        start = time.perf_counter()
+        call()
+        total = time.perf_counter() - start
+    return stats["calls"], stats["s"] / total
+
+
 def timed_runs(call, repeats, budget=1.0):
     """Wall times of up to repeats calls, stopping once budget seconds
     are spent (at least one call)."""
@@ -141,6 +178,8 @@ def ladder(ns, repeats):
             rows.setdefault(name, []).append({
                 "n": n, "median_s": statistics.median(times),
                 "min_s": min(times), "runs": len(times), **counts})
+            if name == "beta_normalize":
+                rows[name][-1]["rows"] = row_cost(call)
     fits = {}
     for name, rungs in rows.items():
         ns_ = [r["n"] for r in rungs]
@@ -157,6 +196,10 @@ def print_ladder(rows, fits):
             print(f"{name:28s} {r['n']:4d} {r['median_s'] * 1e3:8.2f}ms "
                   f"{r['min_s'] * 1e3:8.2f}ms {r['_infer']:8d} "
                   f"{r['_aeq']:8d} {r['axiom_instantiate']:9d}")
+            if "rows" in r:
+                calls, share = r["rows"]
+                print(f"{'':28s} {'':4s} schema rows ran {calls} times, "
+                      f"{share:.1%} of the run's time")
         shown = ", ".join(f"{k} {v:.2f}" for k, v in fits[name].items()
                           if v is not None)
         print(f"{name:28s} fitted exponents: {shown}")
