@@ -145,7 +145,7 @@ def reference_instantiate(family, theory: TheorySpec,
                           params: dict) -> AxiomInstance:
     """`theory.AxiomTemplate.instantiate` by substituting the parameter
     values into the template's source text and parsing it, as every
-    instance was built before the template renamed its parsed sides."""
+    instance was built before rewrite.fill wrote them into parsed sides."""
     values = {p: _int_param(params, p) for p in family.params}
     bound = family.bound(values)
     values.update((p, f(values)) for p, f in family.derived.items())

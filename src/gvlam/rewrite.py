@@ -8,12 +8,13 @@ type and n, m, o, p, q, r for grades (a literal 0 or 1 is the
 semiring's zero or one).  M[N/x, ...] is capture-avoiding simultaneous
 substitution; a condition is a grade equation (p = n + m) or freshness
 (x ∉ fv(u)), and the names a side binds must be distinct.  One matcher,
-_match, reads a side (extract_plugs is its plain-term case), and one
-instantiator, _build, writes the other: it fills in names and terms
-literally, since the binder names come from the match, substitutes only
-for the row's own M[N/x], and takes unbound names from _fresh_factory.
-The seven rows over vectors of grades, arguments and binders are code,
-each checking its own freshness conditions.
+read_side, reads a row's side, an axiom's (theory) and extract_plugs's
+plain term, and one instantiator, _build, writes a row's other side: it
+fills in names and terms literally, since the binder names come from
+the match, substitutes only for the row's own M[N/x], and takes unbound
+names from _fresh_factory (fill writes an axiom's instance).  The seven
+rows over vectors of grades, arguments and binders are code, each
+checking its own freshness conditions.
 
 Read left to right, a row matches its left side and builds its right:
 the one trusted reading.  Read right to left, it matches the right side
@@ -38,7 +39,11 @@ from .typecheck import Derivation, infer
 
 
 class MatchError(ValueError):
-    pass
+    """Its message may be a function that formats it when shown: most
+    failed reads are caught unseen, and printing terms costs more."""
+
+    def __str__(self):
+        return self.args[0]() if callable(self.args[0]) else self.args[0]
 
 
 class EngineError(RuntimeError):
@@ -81,9 +86,9 @@ def get_subterm(t: S.Term, path):
     for i in path:
         kids = S.children(sub)
         if not 0 <= i < len(kids):
-            raise MatchError(
+            raise MatchError(lambda: (
                 f"position {'.'.join(map(str, path))} names no subterm of "
-                f"{print_term(t)}")
+                f"{print_term(t)}"))
         sub = kids[i]
     return sub
 
@@ -138,6 +143,29 @@ class Sub(NamedTuple):
     pairs: tuple  # (name, pattern) pairs
 
 
+class Side(NamedTuple):
+    """A pattern: a hole (a free variable among holes) stands for a
+    subterm, and metas maps each metavariable in an annotation (a grade,
+    a name segment such as a marker's digits, or a whole type) to its key
+    in found.  A side with names binds its binders to the term's names,
+    and its holes may mention them; the binders of one without are
+    alpha_eq's.  A read of a side with a text fails as "expected" it."""
+
+    pattern: object
+    holes: tuple
+    metas: dict = {}
+    names: frozenset = frozenset()
+    text: str = ""
+    given: frozenset = frozenset()  # what a row's substitutions take
+
+
+def read_side(side: Side, t: S.Term, found: dict) -> dict:
+    """found with side's metavariables bound to what t has in their
+    places (a hole bound before keeps its alpha-equal subterm)."""
+    _match(side.pattern, t, {}, {}, 0, found, side)
+    return found
+
+
 def extract_plugs(u: S.Term, holes, t: S.Term) -> dict:
     """The subterms plugged into u at its free hole variables, such that
     u with each hole replaced by its plug is alpha-equal to t.
@@ -147,114 +175,151 @@ def extract_plugs(u: S.Term, holes, t: S.Term) -> dict:
     plugs back into u captures nothing.
     """
     holes = tuple(holes)
-    found = {}
-    _match(u, t, {}, {}, 0, found, holes, None)
+    found = read_side(Side(u, holes), t, {})
     for h in holes:
         if h not in found:
             raise MatchError(f"hole {h} does not occur in the context term")
     return found
 
 
-def _match(a, b, env_a, env_b, depth, found, holes, side):
-    """Match a against b, binding each free hole of a in found.  With side
-    None, a is a plain term and variables compare by the binder keys
-    env_a and env_b.  Otherwise a is that side of a row: its binders,
-    grades and Ground types bind in found too, a bound variable must have
-    its binder's name, and a plug may mention a binder above it."""
+def _mismatch(side, detail):
+    return MatchError(f"expected {side.text}" if side.text else detail)
+
+
+def _match(a, b, env_a, env_b, depth, found, side):
+    """Match a, a node of side's pattern, against b, binding side's
+    metavariables in found; env_a and env_b key the variables that
+    binders of a side without names bind, as alpha_eq keys them."""
     cls = type(a)
-    if cls is S.Var and a.name in holes and a.name not in env_a:
-        if side is None:
-            for x in S.free_vars(b):
-                if x in env_b:
-                    raise MatchError(f"the plug for hole {a.name} mentions "
-                                     f"{x}, bound above the hole")
-        if a.name in found and not S.alpha_eq(found[a.name], b):
+    if cls is S.Var and a.name in side.holes and a.name not in env_a:
+        for x in S.free_vars(b) if env_b else ():
+            if x in env_b:
+                raise MatchError(f"the plug for hole {a.name} mentions "
+                                 f"{x}, bound above the hole")
+        if a.name not in found:
+            found[a.name] = b
+        elif not S.alpha_eq(found[a.name], b):
             raise MatchError(f"hole {a.name} matched two different terms")
-        found[a.name] = b
         return
     if cls is Sub:
         u = _need(found, a.term)
         names = tuple(_need(found, x) for x, _ in a.pairs)
         plugs = extract_plugs(u, names, b)
         for (_, pattern), x in zip(a.pairs, names):
-            _match(pattern, plugs[x], env_a, env_b, depth, found, holes, side)
+            _match(pattern, plugs[x], env_a, env_b, depth, found, side)
         return
     if cls is not type(b):
-        raise MatchError(f"expected {side.text}" if side else
-                         f"shape mismatch: {print_term(a)} vs {print_term(b)}")
+        raise _mismatch(side, lambda: f"shape mismatch: {print_term(a)} vs "
+                                      f"{print_term(b)}")
     if cls is S.Var:
-        if found.get(a.name) != b.name if side else \
+        if found.get(a.name) != b.name if a.name in side.names else \
                 env_a.get(a.name, ("free", a.name)) \
                 != env_b.get(b.name, ("free", b.name)):
-            raise MatchError(f"expected {side.text}" if side else
-                             f"variable mismatch {a.name} vs {b.name}")
+            raise _mismatch(side, f"variable mismatch {a.name} vs {b.name}")
         return
     shape = S.SHAPES[cls]
     kids_a, xs_a = shape.parts(a)
     kids_b, xs_b = shape.parts(b)
     notes_a, notes_b = shape.notes(a), shape.notes(b)
     if len(kids_a) != len(kids_b) or notes_a and not (
-            _fits(notes_a, notes_b, found, side) if side
+            _fits(notes_a, notes_b, found, side.metas) if side.metas
             else notes_a == notes_b):
-        raise MatchError(f"expected {side.text}" if side else
-                         _ANNOTATION_MISMATCH[cls].format(*notes_a, *notes_b))
-    for x, name in zip(xs_a, xs_b) if side else ():
+        raise _mismatch(side, _ANNOTATION_MISMATCH[cls].format(*notes_a,
+                                                               *notes_b))
+    for x, name in zip(xs_a, xs_b) if side.names else ():
         if found.get(x, name) != name or x not in found and \
                 name in found.values():
             raise MatchError(f"expected {side.text}, its binders distinct")
         found[x] = name
     n = len(kids_a) - 1 if xs_a else len(kids_a)
     for i in range(n):
-        _match(kids_a[i], kids_b[i], env_a, env_b, depth, found, holes, side)
+        _match(kids_a[i], kids_b[i], env_a, env_b, depth, found, side)
     if n < len(kids_a):
-        if side is None:
+        if not side.names:
             env_a = S._bind(env_a, depth, xs_a)
             env_b = S._bind(env_b, depth, xs_b)
-        _match(kids_a[n], kids_b[n], env_a, env_b, depth + 1, found, holes,
-               side)
+        _match(kids_a[n], kids_b[n], env_a, env_b, depth + 1, found, side)
 
 
-def _fits(pattern, value, found, side) -> bool:
-    """Whether a row's annotation has value as an instance: a Ground type
-    and a grade are metavariables, bound in found, even where the value
-    is written as the pattern is."""
-    if type(pattern) is not tuple:
-        key = pattern.name if type(pattern) is S.Ground \
-            else side.grades[pattern]
+def _fits(pattern, value, found, metas) -> bool:
+    """Whether an annotation of a pattern has value as an instance: a
+    grade, name segment or type that metas maps is a metavariable, bound
+    in found to what value has in its place (a value bound before must
+    recur), and every other part must be equal."""
+    kind = type(pattern)
+    if kind is str:
+        return read_name(pattern, value, metas, found)
+    key = metas.get(pattern)
+    if key is not None:
         return found.setdefault(key, value) == value
-    return type(value) is tuple and len(pattern) == len(value) and all(map(
-        _fits, pattern, value, [found] * len(value), [side] * len(value)))
+    if kind is not type(value) or kind is not tuple and kind not in FIELDS:
+        return pattern == value
+    if kind is tuple and len(pattern) != len(value):
+        return False
+    pairs = zip(pattern, value) if kind is tuple else (
+        (getattr(pattern, f), getattr(value, f)) for f in FIELDS[kind])
+    return all(_fits(p, x, found, metas) for p, x in pairs)
 
 
-def _build(pattern, found, grades, t):
+def read_name(pattern: str, name: str, metas: dict, found: dict) -> bool:
+    """Whether name is pattern with each "_"-separated segment that metas
+    maps written as an instance prints a number (no leading zero), the
+    number bound in found at the segment's key (as it was bound before)."""
+    want, have = pattern.split("_"), name.split("_")
+    return len(want) == len(have) and all(
+        seg == got if (key := metas.get(seg)) is None else
+        got.isdecimal() and str(int(got)) == got
+        and found.setdefault(key, int(got)) == int(got)
+        for seg, got in zip(want, have))
+
+
+# The fields of each term and type constructor, in order.
+FIELDS = {cls: tuple(cls.__dataclass_fields__)
+          for base in (S.Term, S.TypeExpr) for cls in base.__subclasses__()}
+
+
+def fill(node, metas: dict, found: dict):
+    """node, a term, type, name or tuple of them, with each grade and
+    "_"-separated name segment that metas maps replaced by the value at
+    its key in found: what read_side binds, written back."""
+    kind = type(node)
+    if kind is str:
+        return "_".join([seg if (key := metas.get(seg)) is None
+                         else str(found[key]) for seg in node.split("_")])
+    if kind is tuple:
+        return tuple([fill(x, metas, found) for x in node])
+    if kind in FIELDS:
+        return kind(*[fill(getattr(node, f), metas, found)
+                      for f in FIELDS[kind]])
+    return found[metas[node]] if kind is int and node in metas else node
+
+
+def _build(pattern, found, metas, t):
     """A row's side with its metavariables filled in from found: names and
     terms literally, a Sub by substitute, and a binder found lacks by a
     name fresh for t and found."""
     cls = type(pattern)
     if cls is Sub:
         return S.substitute(_need(found, pattern.term), {
-            _need(found, x): _build(p, found, grades, t)
+            _need(found, x): _build(p, found, metas, t)
             for x, p in pattern.pairs})
     if cls is S.Var:
         value = _need(found, pattern.name)
         return S.Var(value) if type(value) is str else value
 
-    def fill(value):
+    def fill_in(value):
         kind = type(value)
         if kind is tuple:
-            return tuple(map(fill, value))
+            return tuple(map(fill_in, value))
         if kind is str:  # a binder
             if value not in found:
                 found[value] = _fresh_factory(t, *found.values())(value)
             return found[value]
         if kind is int or kind is S.Ground:
-            return _need(found, grades[value] if kind is int else value.name)
-        return _build(value, found, grades, t)
+            return _need(found, metas[value])
+        return _build(value, found, metas, t)
 
-    return cls(*[fill(getattr(pattern, f)) for f in _FIELDS[cls]])
-
-
-_FIELDS = {cls: tuple(cls.__dataclass_fields__) for cls in S.SHAPES}
+    return cls(*[fill_in(getattr(pattern, f)) for f in FIELDS[cls]])
 
 
 def _need(b: dict, key: str):
@@ -309,17 +374,11 @@ _TABLE = (
 )
 
 _TERM_METAS = ("u", "v", "w")
+_NAME_METAS = frozenset(("x", "y", "z", "a", "b", "c"))
 _GRADE_METAS = ("n", "m", "o", "p", "q", "r")
 _SUB = re.compile(r"\b([uvw])\[")
 _SUB_PAIR = re.compile(r"\s*(.+?)/(\w+)\s*(?:,|$)")
 _CONDITION = re.compile(r"(\w+) ∉ fv\((\w+)\)|(\w+) = (\w+(?: \+ \w+)+)")
-
-
-class _Side(NamedTuple):
-    pattern: object
-    text: str
-    given: set  # the terms and names its substitutions take from bindings
-    grades: dict  # marker -> grade metavariable; 0 and 1 are "0" and "1"
 
 
 class Tabled(NamedTuple):
@@ -361,8 +420,10 @@ def _parse_row(line: str) -> Tabled:
     name, _, rest = line.partition(": ")
     equation, _, conditions = rest.partition(" if ")
     marks = markers(_GRADE_METAS, line)
-    grades = {0: "0", 1: "1", **{int(v): k for k, v in marks.items()}}
-    sides = tuple(_Side(p, text, given, grades)
+    metas = {0: "0", 1: "1", S.Ground("ty"): "ty",
+             **{int(v): k for k, v in marks.items()}}
+    sides = tuple(Side(p, _TERM_METAS, metas, _NAME_METAS, text,
+                       frozenset(given))
                   for text in equation.split(" ~ ") for given in [set()]
                   for p in [_parse_side(text, marks, given)])
     found = [_CONDITION.fullmatch(c).groups()
@@ -373,15 +434,14 @@ def _parse_row(line: str) -> Tabled:
                   tuple((x, u) for x, u, *_ in found if x))
 
 
-def _read(row: Tabled, side: int, t, bindings, sr):
+def _apply(row: Tabled, side: int, t, bindings, sr):
     """t read by one side of a tabled row (0 left, 1 right) and the other
     side built; the bindings give what the side's substitutions need and
     what the reading left unbound."""
     found = {"0": sr.zero, "1": sr.one}
     found.update((k, bindings[k]) for k in row.sides[side].given
                  if k in bindings)
-    _match(row.sides[side].pattern, t, {}, {}, 0, found, _TERM_METAS,
-           row.sides[side])
+    read_side(row.sides[side], t, found)
     for k, v in bindings.items():
         found.setdefault(k, v)
     for g, parts in row.sums:
@@ -390,10 +450,11 @@ def _read(row: Tabled, side: int, t, bindings, sr):
             raise MatchError(f"{row.name} needs {g} = {' + '.join(parts)}")
     for x, u in row.fresh:
         if x in found and u in found and found[x] in S.free_vars(found[u]):
-            raise MatchError(f"{row.name} needs {x} not free in {u}, but "
-                             f"{found[x]} is free in {print_term(found[u])}")
+            raise MatchError(lambda: (
+                f"{row.name} needs {x} not free in {u}, but {found[x]} is "
+                f"free in {print_term(found[u])}"))
     out = row.sides[1 - side]
-    return _build(out.pattern, found, out.grades, t)
+    return _build(out.pattern, found, out.metas, t)
 
 
 TABLE = {SchemaId(row.name): row for row in map(_parse_row, _TABLE)}
@@ -584,7 +645,8 @@ def _fresh_in(row, names, u, bound=()):
     """MatchError if a name in names is free in u and not in bound."""
     for x in names:
         if x in S.free_vars(u) and x not in bound:
-            raise MatchError(f"{row} needs {x} not free in {print_term(u)}")
+            raise MatchError(lambda: f"{row} needs {x} not free in "
+                                     f"{print_term(u)}")
 
 
 class Row(NamedTuple):
@@ -594,8 +656,8 @@ class Row(NamedTuple):
 
 
 _ROWS = {
-    **{s: Row(functools.partial(_read, row, 0),
-              functools.partial(_read, row, 1),
+    **{s: Row(functools.partial(_apply, row, 0),
+              functools.partial(_apply, row, 1),
               None if type(row.sides[0].pattern) is Sub
               else type(row.sides[0].pattern))
        for s, row in TABLE.items()},
@@ -628,8 +690,9 @@ def rewrite_term(term: S.Term, step: RewriteStep,
             return replace_subterm(term, step.position, redex)
     except MatchError:
         pass
-    raise MatchError(f"{step.schema.value} read left to right does not take "
-                     f"{print_term(redex)} back to {print_term(sub)}")
+    raise MatchError(lambda: (
+        f"{step.schema.value} read left to right does not take "
+        f"{print_term(redex)} back to {print_term(sub)}"))
 
 
 def apply_step(sig: S.Signature, d: Derivation, step: RewriteStep,

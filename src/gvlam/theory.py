@@ -21,8 +21,9 @@ an expression over integers and the line's parameters (+ - * /, unary
 minus, abs, sqrt), checked at load and evaluated exactly per instance.
 `builtin wait` is three such lines; `diaconis` and `gaussians` have side
 conditions and a closed-form label, so they are Python templates.
-Synthesis reads parameters off a goal by position: where a parameter's
-segment sits in an operation name, the goal's operation there gives it.
+Synthesis reads a goal with both sides of a template as patterns, in one
+match of rewrite's matcher: where a parameter's marker sits, in a name
+segment or in a grade, the goal's value there gives it.
 """
 
 from __future__ import annotations
@@ -38,80 +39,9 @@ from .parser import (ParseError, is_identifier, markers, parse_context,
                      parse_term, parse_type, subst_tokens)
 from .probmodel import gaussian_phi
 from .quantale import QuantaleError, get_quantale, get_semiring
+from .rewrite import MatchError, Side, fill, read_name, read_side
 from .typecheck import TypeError_, check_grounds
-from .vequation import (AxiomFamily, AxiomInstance, ProofError, TheoryError,
-                        TheorySpec)
-
-
-def _read_name(pattern: tuple, name: str, values: dict) -> bool:
-    """Whether an operation name fits a pattern of its "_"-separated
-    segments: a string is a literal segment, and a one-element tuple a
-    parameter, bound in values to the digit segment at its place.  A
-    parameter bound before must get the same value."""
-    segments = name.split("_")
-    if len(segments) != len(pattern):
-        return False
-    for want, seg in zip(pattern, segments):
-        if type(want) is str:
-            if want != seg:
-                return False
-        elif not seg.isdigit() or values.setdefault(want[0], int(seg)) \
-                != int(seg):
-            return False
-    return True
-
-
-class _Renaming:
-    """Values for a template's marker digits, read back in a parsed tree:
-    in every "_"-separated segment of a name (operations, variables,
-    binders, ground types) and in every grade, as substituting the values
-    into the source text and parsing it would give them."""
-
-    def __init__(self, marks: dict, values: dict):
-        self.segments = {mark: str(values[p]) for p, mark in marks.items()}
-        self.grades = {int(mark): values[p] for p, mark in marks.items()}
-
-    def name(self, name: str) -> str:
-        return "_".join(self.segments.get(seg, seg)
-                        for seg in name.split("_"))
-
-    def grade(self, g):
-        return self.grades.get(g, g) if type(g) is int else g
-
-    def type(self, ty):
-        match ty:
-            case S.Ground(name):
-                return S.Ground(self.name(name))
-            case S.BangType(g, body):
-                return S.BangType(self.grade(g), self.type(body))
-            case S.TensorType(a, b) | S.LolliType(a, b):
-                return type(ty)(self.type(a), self.type(b))
-        return ty
-
-    def context(self, ctx):
-        return S.check_context(
-            tuple((self.name(x), self.type(ty)) for x, ty in ctx))
-
-    def term(self, t):
-        shape = S.SHAPES[type(t)]
-        kids, binders = shape.parts(t)
-        kids = [self.term(k) for k in kids]
-        binders = tuple(map(self.name, binders))
-        match t:
-            case S.Var(name):
-                return S.Var(self.name(name))
-            case S.OpApp(op, _):
-                return S.OpApp(self.name(op), tuple(kids))
-            case S.Lambda(_, ty, _):
-                return S.Lambda(binders[0], self.type(ty), kids[0])
-            case S.Promote(r, grades, _, _, _):
-                grades = tuple(map(self.grade, grades))
-                return S.Promote(self.grade(r), grades, tuple(kids[:-1]),
-                                 binders, kids[-1])
-            case S.Copy(n, m, _, _, _, _):
-                return S.Copy(self.grade(n), self.grade(m), kids[0],
-                              *binders, kids[1])
-        return shape.rebuild(t, kids, binders)
+from .vequation import AxiomInstance, ProofError, TheoryError, TheorySpec
 
 
 class ParamOpFamily:
@@ -124,7 +54,9 @@ class ParamOpFamily:
         self.arg_srcs = tuple(arg_srcs)
         self.result_src = result_src
         self.sample = "_".join([base] + ["1"] * len(self.params))
-        self._pattern = (*base.split("_"), *((p,) for p in self.params))
+        marks = markers(self.params, base)
+        self._name = "_".join([base, *marks.values()])
+        self._metas = {mark: p for p, mark in marks.items()}
         self._sorts = {}  # symbol name -> sort
 
     def sort(self, name: str):
@@ -134,7 +66,7 @@ class ParamOpFamily:
                 tuple(parse_type(subst_tokens(src, values))
                       for src in self.arg_srcs),
                 parse_type(subst_tokens(self.result_src, values))
-            ) if _read_name(self._pattern, name, values) else None
+            ) if read_name(self._name, name, self._metas, values) else None
         return self._sorts[name]
 
 
@@ -152,18 +84,19 @@ def _int_param(params, key):
     return value
 
 
-class AxiomTemplate(AxiomFamily):
+class AxiomTemplate:
     """An axiom scheme: a context and two sides written over natural-number
     parameters, and a function from the parameters' values to the bound.
 
     The source is parsed once, with each parameter replaced by a digit
     string found nowhere in it, so that every place a value can take
-    parses.  An instance renames those markers in the parsed context and
-    sides to the values (no text is substituted or parsed per instance;
-    oracles.reference_instantiate does that); candidates walks the sides
-    against a goal and reads a parameter wherever its segment sits in an
-    operation name.  A derived parameter is computed from the others and
-    must agree with what the goal shows.
+    parses.  An instance fills those markers in the parsed context and
+    sides with the values (no text is substituted or parsed per instance;
+    oracles.reference_instantiate does that).  candidates reads a goal
+    with the two sides as patterns whose holes are the context variables
+    and whose metavariables are the markers, wherever they sit.  A
+    derived parameter is computed from the others and must agree with
+    what the goal shows.
     """
 
     def __init__(self, name, params, ctx_src, lhs_src, rhs_src, bound,
@@ -178,44 +111,47 @@ class AxiomTemplate(AxiomFamily):
         self.context = parse_context(subst_tokens(ctx_src, held))
         self.lhs = parse_term(subst_tokens(lhs_src, held))
         self.rhs = parse_term(subst_tokens(rhs_src, held))
-        slots = {mark: (p,) for p, mark in held.items()}
-        self._patterns = {
-            t.op: tuple(slots.get(seg, seg) for seg in t.op.split("_"))
-            for side in (self.lhs, self.rhs) for t in S.subterms(side)
-            if type(t) is S.OpApp}
+        # A marker is its own key in a read, as a segment and as a grade.
+        metas = {k: mark for mark in held.values() for k in (mark, int(mark))}
+        holes = tuple(x for x, _ in self.context)
+        self._sides = [Side(t, holes, metas) for t in (self.lhs, self.rhs)]
+
+    def _by_marker(self, values):
+        """The values keyed by marker, as read_side binds them, the derived
+        ones computed."""
+        values = dict(values)
+        values.update((p, f(values)) for p, f in self.derived.items())
+        return {self._marks[p]: x for p, x in values.items()}
 
     def instantiate(self, theory, params):
         values = {p: _int_param(params, p) for p in self.params}
         bound = self.bound(values)
-        values.update((p, f(values)) for p, f in self.derived.items())
-        r = _Renaming(self._marks, values)
-        return AxiomInstance(self.name, r.context(self.context),
-                             r.term(self.lhs), r.term(self.rhs), bound)
+        ctx, lhs, rhs = fill((self.context, self.lhs, self.rhs),
+                             self._sides[0].metas, self._by_marker(values))
+        return AxiomInstance(self.name, S.check_context(ctx), lhs, rhs, bound)
 
     def candidates(self, theory, v, w):
-        values = {}
+        """[(parameters, plugs)] if the goal v against w is an instance,
+        each context variable plugged by the subterm both sides have."""
+        found, known = {}, None
         try:
-            fits = (self._read(self.lhs, v, values)
-                    and self._read(self.rhs, w, values)
-                    and all(p in values for p in self.params)
-                    and all(values.setdefault(p, f(values)) == f(values)
-                            for p, f in self.derived.items()))
-        except TheoryError:  # a derived value is not a natural number
-            fits = False
-        return [{p: values[p] for p in self.params}] if fits else []
-
-    def _read(self, pat, term, values) -> bool:
-        """Whether term may be an instance of pat: a variable of pat stands
-        for any subterm, and operation names are read for parameters; no
-        other annotation is compared, so _place_axiom still decides."""
-        if type(pat) is S.Var:
-            return True
-        if type(pat) is not type(term) or type(pat) is S.OpApp and \
-                not _read_name(self._patterns[pat.op], term.op, values):
-            return False
-        kids, others = S.children(pat), S.children(term)
-        return len(kids) == len(others) and all(
-            self._read(a, b, values) for a, b in zip(kids, others))
+            for side, term in zip(self._sides, (v, w)):
+                read_side(side, term, found)
+                values = {p: found.get(self._marks[p]) for p in self.params}
+                if all(type(x) is int for x in values.values()):
+                    # Derived values bound once the parameters are, so a
+                    # side read after them fails where it shows another.
+                    known = self._by_marker(values)
+                    if any(found.setdefault(m, x) != x
+                           for m, x in known.items()):
+                        return []
+            if known is None:
+                return []  # a parameter no side shows, or inf in its place
+            plugs = {fill(h, side.metas, found): found[h] for h in side.holes}
+        except (MatchError, KeyError, TheoryError):
+            return []  # no match, a context variable that no side shows, or
+            # a derived value that is not a natural number
+        return [(values, plugs)]
 
 
 def _diaconis_bound(values):

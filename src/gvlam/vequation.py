@@ -48,28 +48,15 @@ class AxiomInstance:
     bound: object
 
 
-class AxiomFamily:
-    """A (possibly schematic) named axiom; concrete axioms take no params."""
-
-    name: str
-
-    def instantiate(self, theory: "TheorySpec", params: dict) -> AxiomInstance:
-        raise NotImplementedError
-
-    def candidates(self, theory: "TheorySpec", v: S.Term, w: S.Term):
-        """Parameter assignments worth trying when matching (v, w)."""
-        return [{}]
-
-
 @dataclass
 class TheorySpec:
     quantale: Quantale
     semiring: Semiring
     symmetric: bool
     signature: S.Signature
-    axioms: dict = field(default_factory=dict)  # name -> AxiomFamily
+    axioms: dict = field(default_factory=dict)  # name -> AxiomTemplate
 
-    def add_axiom(self, family: AxiomFamily):
+    def add_axiom(self, family):
         if family.name in self.axioms:
             raise TheoryError(f"duplicate axiom name {family.name}")
         self.axioms[family.name] = family
@@ -512,10 +499,6 @@ def _to_ctx(proof: VProof, have: S.Context, want: S.Context) -> VProof:
     return VProof("perm", (proof,), {"ctx": tuple(want)})
 
 
-def _restrict(ctx: S.Context, names) -> S.Context:
-    return tuple(e for e in ctx if e[0] in names)
-
-
 def _synth(theory: TheorySpec, d: Derivation, w: S.Term, tables: tuple):
     """Core recursion on the derivation d of the left side; returns
     (proof, context-of-proof)."""
@@ -569,7 +552,7 @@ def _try_axioms(theory: TheorySpec, ctx: S.Context, v: S.Term, w: S.Term,
     memo, instances = tables
     for name in sorted(theory.axioms):
         family = theory.axioms[name]
-        for params in family.candidates(theory, v, w):
+        for params, plugs in family.candidates(theory, v, w):
             key = (name, tuple(sorted(params.items())))
             if key not in instances:
                 try:
@@ -580,33 +563,22 @@ def _try_axioms(theory: TheorySpec, ctx: S.Context, v: S.Term, w: S.Term,
             inst = instances[key]
             if inst is None:
                 continue
-            got = _place_axiom(theory, ctx, v, w, name, params, inst)
+            got = _place_axiom(ctx, name, params, plugs, inst)
             if got is not None:
                 return got
     return None
 
 
-def _place_axiom(theory, ctx, v, w, name, params, inst: AxiomInstance):
-    """Match (v, w) against an axiom instance whose context variables act
-    as linear holes; place it with the substitution congruence.  The
-    plugs extract_plugs finds reassemble v and w exactly, so equal plugs
-    on both sides are all the placement needs."""
-    holes = tuple(x for x, _ in inst.context)
-    try:
-        plugs_l = extract_plugs(inst.lhs, holes, v)
-        plugs_r = extract_plugs(inst.rhs, holes, w)
-    except MatchError:
-        return None
-    for h in holes:
-        if not S.alpha_eq(plugs_l[h], plugs_r[h]):
-            return None
+def _place_axiom(ctx, name, params, plugs, inst: AxiomInstance):
+    """Place an axiom instance with the substitution congruence, each
+    context variable plugged as its candidate read found it in the goal."""
     proof = VProof("axiom", (), {"name": name, "params": params})
     out_ctx = list(inst.context)
-    for h in holes:
-        plug = plugs_l[h]
+    for h, _ in inst.context:
+        plug = plugs[h]
         if S.alpha_eq(plug, S.Var(h)):
             continue
-        plug_ctx = _restrict(ctx, S.free_vars(plug))
+        plug_ctx = tuple(e for e in ctx if e[0] in S.free_vars(plug))
         clash = set(S.ctx_names(tuple(plug_ctx))) \
             & {x for x, _ in out_ctx if x != h}
         if clash:

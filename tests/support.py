@@ -5,20 +5,24 @@ tokenizer."""
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import random
 import re
+import types
 from dataclasses import dataclass
 from fractions import Fraction
 
 from gvlam import syntax as S
 from gvlam import theory
 from gvlam.metmodel import ModelAssignment, timed_space
+from gvlam.oracles import reference_instantiate
 from gvlam.parser import ParseError
 from gvlam.quantale import NatSemiring
 from gvlam.rewrite import (_ROWS, MatchError, RewriteStep, SchemaId,
                            extract_plugs, get_subterm, replace_subterm)
 from gvlam.typecheck import Derivation, Judgement
+from gvlam.vequation import TheoryError
 
 # Non-empty while the suite's cross-check (conftest.cross_checked) runs
 # the oracle or validates a proof again on fresh tables: a test that
@@ -470,6 +474,53 @@ def hole_pair(rng, pool=POOL):
     pos, _ = rng.choice(list(positioned_subterms(t)))
     u = replace_subterm(t, pos, S.Var("z"))
     return rebind(rng, u, pool), rebind(rng, t, pool)
+
+
+def reference_instance(family, theory_spec, params):
+    """family's instance at params as oracles.reference_instantiate builds
+    it, from the source text; the bound is not read (it is taken as 0), so
+    a family whose bound fails still has sides."""
+    sides_only = types.SimpleNamespace(
+        name=family.name, params=family.params, derived=family.derived,
+        srcs=family.srcs, bound=lambda values: 0)
+    return reference_instantiate(sides_only, theory_spec, params)
+
+
+def numbers(node) -> set:
+    """The numbers in node's "_"-separated name segments and its grades."""
+    if type(node) is str:
+        return {int(seg) for seg in node.split("_") if seg.isdecimal()}
+    if type(node) is int:
+        return {node}
+    parts = node if type(node) is tuple else [
+        getattr(node, f.name) for f in dataclasses.fields(node)] \
+        if dataclasses.is_dataclass(node) else ()
+    return set().union(*map(numbers, parts))
+
+
+def reference_candidates(family, theory_spec, v, w):
+    """AxiomTemplate.candidates by brute force: every parameter tuple over
+    the numbers in v and w, each instance built by reference_instance, kept
+    where extract_plugs matches its sides against v and w with alpha-equal
+    plugs; a tuple whose derived parameters are not natural numbers has no
+    instance.  Each is a (parameters, plugs) pair, the plugs v's."""
+    out = []
+    for values in itertools.product(sorted(numbers(v) | numbers(w)),
+                                    repeat=len(family.params)):
+        params = dict(zip(family.params, values))
+        try:
+            inst = reference_instance(family, theory_spec, params)
+        except TheoryError:
+            continue
+        holes = [x for x, _ in inst.context]
+        try:
+            left = extract_plugs(inst.lhs, holes, v)
+            right = extract_plugs(inst.rhs, holes, w)
+        except MatchError:
+            continue
+        if all(S.alpha_eq(left[h], right[h]) for h in holes):
+            out.append((params, left))
+    return out
 
 
 # ---------------------------------------------------------------------------

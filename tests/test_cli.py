@@ -287,9 +287,9 @@ def test_bound_reads_axiom_parameters_by_position(capsys, tmp_path, a, b):
     assert (code, out) == (0, "2\n")
 
 
-def test_bound_fails_on_a_parameter_only_in_grade_position(capsys, tmp_path):
-    # The axiom loads (its sides parse with a number in grade position),
-    # but n sits in no operation name, so synthesis cannot read it.
+def test_bound_reads_a_parameter_only_in_grade_position(capsys, tmp_path):
+    # n sits in no operation name, only in the promotion's grade; bound
+    # reads it there and prints the label the script below validates.
     theory = tmp_path / "grade.thy"
     theory.write_text(
         "quantale metric\nsemiring nat\nground X\n"
@@ -298,10 +298,15 @@ def test_bound_fails_on_a_parameter_only_in_grade_position(capsys, tmp_path):
         " =[n] promote[n; 1](x; y => tock_1(derelict y))\n"
         "axiom gs[n] : [x : !n X] promote[1; n](x; y => y) =[0] "
         "promote[1; n](x; y => y)\n")
-    code, out, _ = run(capsys, [
-        "bound", str(theory), "promote[2; 1](x; y => tick_1(derelict y))",
-        "promote[2; 1](x; y => tock_1(derelict y))", "--context", "x : !2 X"])
-    assert (code, out) == (3, "FAIL\n")
+    lhs = "promote[2; 1](x; y => tick_1(derelict y))"
+    rhs = "promote[2; 1](x; y => tock_1(derelict y))"
+    code, out, _ = run(capsys, ["bound", str(theory), lhs, rhs,
+                                "--context", "x : !2 X"])
+    assert (code, out) == (0, "2\n")
+    script = tmp_path / "gp.proof"
+    script.write_text("(axiom gp :n 2)")
+    assert run(capsys, ["prove", str(theory), str(script)]) \
+        == (0, f"x : !2 X |- {lhs} =[2] {rhs} : !2 X\nbound: 2\n", "")
 
 
 def _timed_plus(tmp_path, line):

@@ -287,7 +287,7 @@ def test_alpha_eq_on_shared_subterms():
                           S.Lambda("z", X, shared))
 
 
-class CountedFamily(vequation.AxiomFamily):
+class CountedFamily:
     """Offers one parameter set at every pair; instantiating it fails."""
 
     name = "counted"
@@ -300,7 +300,17 @@ class CountedFamily(vequation.AxiomFamily):
         raise vequation.ProofError("no such instance")
 
     def candidates(self, theory, v, w):
-        return [{"p": 1}]
+        return [({"p": 1}, {})]
+
+
+def wait_chain_goal(depth=40):
+    """A wait_1 chain of depth nodes over x, against the same chain with
+    its innermost operation wait_2."""
+    v, w = S.Var("x"), S.OpApp("wait_2", (S.Var("x"),))
+    v = S.OpApp("wait_1", (v,))
+    for _ in range(depth - 1):
+        v, w = S.OpApp("wait_1", (v,)), S.OpApp("wait_1", (w,))
+    return v, w
 
 
 def test_synthesize_instantiates_each_axiom_once(monkeypatch):
@@ -321,19 +331,42 @@ def test_synthesize_instantiates_each_axiom_once(monkeypatch):
         return real(theory, name, params, memo)
 
     monkeypatch.setattr(vequation, "axiom_instantiate", counted)
-    v, w = S.Var("x"), S.OpApp("wait_2", (S.Var("x"),))
-    v = S.OpApp("wait_1", (v,))
-    for _ in range(39):
-        v, w = S.OpApp("wait_1", (v,)), S.OpApp("wait_1", (w,))
+    v, w = wait_chain_goal()
     eq, proof = vequation.synthesize(theory, parse_context("x : X"), v, w)
     assert eq.bound == 1
     assert failing.calls == 1
-    assert len(calls) == len(set(calls)) >= 3
-    assert ("wait", (("m", 2), ("n", 1))) in calls
+    # Each wait family reads every outer level and offers nothing there,
+    # as the plugs of its two sides differ.
+    assert calls == [("counted", (("p", 1),)),
+                     ("wait", (("m", 2), ("n", 1)))]
     # Validating the proof on its own builds the instance again.
     calls.clear()
     assert vequation.validate(theory, proof) == eq
     assert calls == [("wait", (("m", 2), ("n", 1)))]
+
+
+def test_failed_axiom_reads_print_no_term(monkeypatch):
+    """A 40-deep wait chain's axiom reads fail at every level but the
+    innermost; a MatchError formats its message only when shown, so the
+    search prints no term."""
+    printed = []
+    real = rewrite.print_term
+
+    def counted(*args):
+        printed.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(rewrite, "print_term", counted)
+    v, w = wait_chain_goal()
+    eq, _ = vequation.synthesize(load_theory(TIMED), parse_context("x : X"),
+                                 v, w)
+    assert eq.bound == 1
+    assert printed == []
+    with pytest.raises(rewrite.MatchError) as exc:
+        rewrite.extract_plugs(parse_term("wait_1(z)"), ["z"], S.Var("p"))
+    assert printed == []
+    assert str(exc.value) == "shape mismatch: wait_1(z) vs p"
+    assert len(printed) == 2
 
 
 def test_redex_search_reads_no_position_from_the_root(monkeypatch):

@@ -2,6 +2,7 @@ import ast
 import itertools
 import math
 import random
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -11,13 +12,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gvlam
+from gvlam import syntax as S
 from gvlam.oracles import reference_eval_bound, reference_instantiate
-from gvlam.parser import parse_context, parse_term
+from gvlam.parser import parse_context, parse_term, print_term
 from gvlam.quantale import SymbolicBound
 from gvlam.theory import (AxiomTemplate, ParamOpFamily, TheoryError,
                           _expression, load_theory, load_theory_text,
                           subst_tokens)
 from gvlam.vequation import ProofError, axiom_instantiate
+
+import support
 
 DATA = Path(gvlam.__file__).parent / "data"
 
@@ -86,6 +90,16 @@ def test_param_op_family_sort_is_memoised():
         assert fam.sort(unknown) is None
 
 
+def test_param_op_family_names_print_their_index():
+    """A symbol of the family is a name an instance prints: an index
+    written with a leading zero names no symbol (it typed as the index's
+    sort while being a symbol of its own that no axiom covered)."""
+    fam = ParamOpFamily("wait", ("n",), ("X",), "X")
+    assert fam.sort("wait_0") is not None
+    for name in ("wait_07", "wait_00"):
+        assert fam.sort(name) is None
+
+
 def test_wait_axiom_instances():
     inst = axiom_instantiate(TIMED, "wait", {"n": 3, "m": 7})
     assert inst.bound == Fraction(4)
@@ -115,12 +129,12 @@ def test_wait_candidates():
     fam = TIMED.axioms["wait"]
     cands = fam.candidates(TIMED, parse_term("wait_2(x)"),
                            parse_term("wait_9(x)"))
-    assert cands == [{"n": 2, "m": 9}]
+    assert cands == [({"n": 2, "m": 9}, {"x": parse_term("x")})]
     assert fam.candidates(TIMED, parse_term("x"),
                           parse_term("wait_1(x)")) == []
     sums = TIMED.axioms["wait_sum"].candidates(
         TIMED, parse_term("wait_2(wait_3(x))"), parse_term("wait_5(x)"))
-    assert sums == [{"n": 2, "m": 3}]
+    assert sums == [({"n": 2, "m": 3}, {"x": parse_term("x")})]
 
 
 def test_diaconis_axiom():
@@ -164,7 +178,7 @@ def test_generic_axiom():
     fam = PROB.axioms["magpair"]
     cands = fam.candidates(PROB, parse_term("mag1_3(unit)"),
                            parse_term("mag2_3(unit)"))
-    assert cands == [{"k": 3}]
+    assert cands == [({"k": 3}, {})]
     assert fam.candidates(PROB, parse_term("unit"),
                           parse_term("unit")) == []
 
@@ -241,7 +255,8 @@ def test_candidates_read_back_the_parameters_of_an_instance(theory, name):
     rng = random.Random(name)
     for _ in range(10):
         params, inst = _valid_instance(theory, family, rng)
-        assert family.candidates(theory, inst.lhs, inst.rhs) == [params]
+        assert family.candidates(theory, inst.lhs, inst.rhs) == [(params, {
+            x: S.Var(x) for x, _ in inst.context})]
 
 
 def test_candidates_read_parameters_by_position():
@@ -249,7 +264,8 @@ def test_candidates_read_parameters_by_position():
     # Each parameter comes from the operation at its own place, not from
     # the first matching name anywhere in the goal.
     assert tt.candidates(TICK, parse_term("tick_1(tock_2(x))"),
-                         parse_term("tock_3(tock_2(x))")) == [{"n": 1, "m": 3}]
+                         parse_term("tock_3(tock_2(x))")) \
+        == [({"n": 1, "m": 3}, {"x": parse_term("tock_2(x)")})]
     assert tt.candidates(TICK, parse_term("tock_1(x)"),
                          parse_term("tock_3(x)")) == []
     # Parameters shared by both sides must agree; a derived one must equal
@@ -259,10 +275,12 @@ def test_candidates_read_parameters_by_position():
                                parse_term("no_replace_2_1_2(unit)")) == []
     assert TIMED.axioms["wait_sum"].candidates(
         TIMED, parse_term("wait_2(wait_3(x))"), parse_term("wait_6(x)")) == []
-    # A template variable stands for any subterm.
+    # A template variable stands for a subterm, the same on both sides.
     assert TIMED.axioms["wait"].candidates(
-        TIMED, parse_term("wait_2(f(y))"), parse_term("wait_4(z)")) \
-        == [{"n": 2, "m": 4}]
+        TIMED, parse_term("wait_2(f(y))"), parse_term("wait_4(f(y))")) \
+        == [({"n": 2, "m": 4}, {"x": parse_term("f(y)")})]
+    assert TIMED.axioms["wait"].candidates(
+        TIMED, parse_term("wait_2(f(y))"), parse_term("wait_4(z)")) == []
 
 
 def test_builtin_instances_are_unchanged():
@@ -304,8 +322,29 @@ def test_axiom_template_parses_grade_positions_at_load():
     inst = axiom_instantiate(th, "gs", {"n": 3})
     assert inst.lhs == parse_term("promote[1; 3](x; y => y)")
     assert inst.bound == Fraction(3)
-    # n sits in no operation name, so synthesis cannot read it.
-    assert th.axioms["gs"].candidates(th, inst.lhs, inst.rhs) == []
+    # n sits in no operation name, only in grades, and is read there.
+    assert th.axioms["gs"].candidates(th, inst.lhs, inst.rhs) \
+        == [({"n": 3}, {"x": parse_term("x")})]
+
+
+def test_candidates_refuse_a_grade_that_is_no_parameter():
+    """inf in a parameter's grade place gives no candidate, also where a
+    derived parameter is computed from it."""
+    th = load_theory_text(
+        "quantale metric\nsemiring nat\nground X\n"
+        "opfamily tick_<n> : X -> X\n"
+        "axiom gs[n] : [x : !n X] promote[1; n](x; y => y) =[n] "
+        "promote[1; n](x; y => y)\n"
+        "axiom gd[n; k = n + 1] : [x : !n X] "
+        "promote[1; n](x; y => tick_k(derelict y)) =[0] "
+        "promote[1; n](x; y => tick_k(derelict y))")
+    for name, text in (("gs", "promote[1; inf](x; y => y)"),
+                       ("gd", "promote[1; inf](x; y => tick_1(derelict y))")):
+        goal = parse_term(text)
+        assert th.axioms[name].candidates(th, goal, goal) == []
+    goal = parse_term("promote[1; 2](x; y => tick_3(derelict y))")
+    assert th.axioms["gd"].candidates(th, goal, goal) \
+        == [({"n": 2}, {"x": parse_term("x")})]
 
 
 # The wait builtin as three Python templates, before it became three
@@ -329,7 +368,8 @@ def test_wait_lines_instantiate_as_the_templates_did(template):
         old = template.instantiate(TIMED, params)
         new = axiom_instantiate(TIMED, template.name, params)
         assert new == old and type(new.bound) is type(old.bound)
-        assert family.candidates(TIMED, new.lhs, new.rhs) == [params] \
+        assert family.candidates(TIMED, new.lhs, new.rhs) \
+            == [(params, {"x": parse_term("x")})] \
             == template.candidates(TIMED, old.lhs, old.rhs)
 
 
@@ -346,7 +386,8 @@ def test_derived_parameters():
     assert inst.rhs == parse_term("t_3(t_2(x))")
     assert inst.bound == Fraction(1, 2)
     fam = th.axioms["d"]
-    assert fam.candidates(th, inst.lhs, inst.rhs) == [{"n": 4, "m": 1}]
+    assert fam.candidates(th, inst.lhs, inst.rhs) \
+        == [({"n": 4, "m": 1}, {"x": parse_term("x")})]
     with pytest.raises(ProofError) as info:
         axiom_instantiate(th, "d", {"n": 1, "m": 4})
     assert str(info.value) == ("axiom d :m 4 :n 1: derived parameter k = "
@@ -505,3 +546,54 @@ def test_instantiate_covers_grades_and_derived_parameters():
     summed = TIMED.axioms["wait_sum"].instantiate(TIMED, {"n": 2, "m": 5})
     assert summed.rhs == parse_term("wait_7(x)")
 
+
+def _readable(family):
+    """Whether each parameter shows in a side, in a name or a grade."""
+    return all(any(subst_tokens(src, {p: 0}) != src for src in family.srcs[1:])
+               for p in family.params)
+
+
+_NUMBER = re.compile(r"(?<![A-Za-z0-9])\d+")
+
+
+def _goals(rng, theory, family):
+    """An instance of family at random parameters, each context variable
+    plugged alike on both sides, then its one-step mutants: an operation
+    index or a grade changed on one side, and one plug changed."""
+    for _ in range(100):
+        params = {p: rng.randrange(4) for p in family.params}
+        try:
+            inst = support.reference_instance(family, theory, params)
+            break
+        except TheoryError:  # a derived value that is not natural
+            continue
+    plugs = {x: rng.choice([S.Var(x), parse_term(f"f(y{i})")])
+             for i, (x, _) in enumerate(inst.context)}
+    sides = [S.substitute(side, plugs) for side in (inst.lhs, inst.rhs)]
+    yield sides
+    for i in (0, 1):
+        text = print_term(sides[i])
+        for m in rng.sample(list(_NUMBER.finditer(text)), 1) \
+                if _NUMBER.search(text) else ():
+            other = rng.choice([k for k in range(5) if str(k) != m[0]])
+            mutant = list(sides)
+            mutant[i] = parse_term(f"{text[:m.start()]}{other}"
+                                   f"{text[m.end():]}")
+            yield mutant
+    if plugs:
+        x = rng.choice(sorted(plugs))
+        yield sides[0], S.substitute(inst.rhs, {**plugs, x: S.Var("q")})
+
+
+@pytest.mark.parametrize("theory, family", FAMILIES,
+                         ids=[family.name for _, family in FAMILIES])
+def test_candidates_match_the_brute_force_reference(theory, family):
+    """The reader's (parameters, plugs) are the brute-force reference's on
+    instances and their mutants; a family with a parameter that shows in
+    no side (root: only in its bound) offers nothing."""
+    rng = random.Random(family.name)
+    for _ in range(3):
+        for v, w in _goals(rng, theory, family):
+            want = support.reference_candidates(family, theory, v, w)
+            got = family.candidates(theory, v, w)
+            assert got == (want if _readable(family) else [])

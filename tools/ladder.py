@@ -8,15 +8,17 @@ less) it times parse, infer, synthesize (with and without
 normalize_first), validate, beta_normalize and model_distance, and
 prints the median and minimum time of each, the hot-path call counts of
 one further run (typecheck._infer, syntax._aeq,
-vequation.axiom_instantiate), the exponent of n fitted to each time and
-count, and the src/gvlam line count, in total and per module.  At each
-beta_normalize rung it also prints how many times a schema row ran and
-the share of that run's time spent in the rows.  Then it
-prints the fixed-size figures: metric-space arithmetic, probability,
-normalisation, synthesis, proof check and model distance time.  It gates
-nothing: every figure is reported only.  A section that raises is
-reported with its traceback, the sections after it still run, and the
-exit code is then 1.  Inputs come from perfbench/terms.py:
+vequation.axiom_instantiate, and print_term as gvlam.rewrite calls it,
+which counts match messages formatted though no one reads them), the
+exponent of n fitted to each time and count, and the src/gvlam line
+count, in total and per module.  At each beta_normalize rung it also
+prints how many times a schema row ran and the share of that run's time
+spent in the rows.  Then it prints the fixed-size figures: metric-space
+arithmetic, probability, normalisation, synthesis, proof check and model
+distance time.  It gates nothing: every figure is reported only.  A
+section that raises is reported with its traceback, the sections after
+it still run, and the exit code is then 1.  Inputs come from
+perfbench/terms.py:
 
 - parse, infer, synthesize, validate, model_distance: a wait chain of n
   nodes, wait_1(… wait_1(y)), against the same chain with its innermost
@@ -57,10 +59,11 @@ from gvlam.theory import load_theory  # noqa: E402
 TIMED = load_theory(str(ROOT / "src/gvlam/data/timed.thy"))
 SIG = TIMED.signature
 CTX = (("y", T.X),)
-# (module, name) of each counted hot path; each calls itself through its
-# module's global, so wrapping the global counts every visit.
+# (module, name) of each counted hot path; each recursive one calls itself
+# through its module's global, so wrapping the global counts every visit.
 COUNTED = {"_infer": (typecheck, "_infer"), "_aeq": (S, "_aeq"),
-           "axiom_instantiate": (vequation, "axiom_instantiate")}
+           "axiom_instantiate": (vequation, "axiom_instantiate"),
+           "print_term": (rewrite, "print_term")}
 
 
 def chain_pair(n):
@@ -190,12 +193,14 @@ def ladder(ns, repeats):
 
 def print_ladder(rows, fits):
     print(f"{'entry point':28s} {'n':>4s} {'median':>10s} {'min':>10s} "
-          f"{'_infer':>8s} {'_aeq':>8s} {'instances':>9s}")
+          f"{'_infer':>8s} {'_aeq':>8s} {'instances':>9s} "
+          f"{'print_term':>10s}")
     for name, rungs in rows.items():
         for r in rungs:
             print(f"{name:28s} {r['n']:4d} {r['median_s'] * 1e3:8.2f}ms "
                   f"{r['min_s'] * 1e3:8.2f}ms {r['_infer']:8d} "
-                  f"{r['_aeq']:8d} {r['axiom_instantiate']:9d}")
+                  f"{r['_aeq']:8d} {r['axiom_instantiate']:9d} "
+                  f"{r['print_term']:10d}")
             if "rows" in r:
                 calls, share = r["rows"]
                 print(f"{'':28s} {'':4s} schema rows ran {calls} times, "
